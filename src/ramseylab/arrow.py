@@ -110,14 +110,31 @@ def _candidate_groups(base: FinStructure, sub_level: int, arity: int, tuple_inde
     a type within it; a coloring is consistent with the candidate exactly when
     every group is monochromatic, so singleton groups are dropped.
     """
-    out = []
-    for cand in iter_big_member_subsets(base, sub_level):
-        groups: dict = {}
-        for combo in itertools.combinations(cand, arity):
-            t = tuple_type(base, combo)
-            groups.setdefault(t, []).append(tuple_index[combo])
-        out.append((cand, [g for g in groups.values() if len(g) > 1]))
-    return out
+    return [
+        (cand, _same_type_groups(base, cand, arity, tuple_index))
+        for cand in iter_big_member_subsets(base, sub_level)
+    ]
+
+
+def _same_type_groups(base: FinStructure, subset, arity: int, tuple_index: dict) -> list[list[int]]:
+    """Tuple-table indices of the `arity`-tuples of `subset`, grouped by type;
+    singleton groups are dropped."""
+    groups: dict = {}
+    for combo in itertools.combinations(subset, arity):
+        groups.setdefault(tuple_type(base, combo), []).append(tuple_index[combo])
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def _advance(digits: list[int], colors: int) -> bool:
+    """Step the odometer to the next coloring; False once it wraps around."""
+    i = len(digits) - 1
+    while i >= 0:
+        digits[i] += 1
+        if digits[i] < colors:
+            return True
+        digits[i] = 0
+        i -= 1
+    return False
 
 
 def _consistent(digits: list[int], groups) -> bool:
@@ -190,14 +207,7 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
                         "candidate scan and direct search disagree on a coloring"
                     )
                 return Verdict("fails", "exhaustive", work, checked, col)
-            i = ntup - 1
-            while i >= 0:
-                digits[i] += 1
-                if digits[i] < query.colors:
-                    break
-                digits[i] = 0
-                i -= 1
-            if i < 0:
+            if not _advance(digits, query.colors):
                 return Verdict("holds", "exhaustive", work, checked)
     # universe too large for the subset lattice: search each coloring directly
     digits = [0] * ntup
@@ -214,14 +224,7 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
             if not verify_refutation(query, frozen):
                 raise AssertionError("refutation failed independent verification")
             return Verdict("fails", "exhaustive", work, checked, frozen)
-        i = ntup - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < query.colors:
-                break
-            digits[i] = 0
-            i -= 1
-        if i < 0:
+        if not _advance(digits, query.colors):
             return Verdict("holds", "exhaustive", work, checked)
 
 
@@ -258,13 +261,6 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
     tuple_index = {tup: i for i, tup in enumerate(tuples)}
     rng = random.Random(seed)
 
-    def groups_of(subset) -> list[list[int]]:
-        groups: dict = {}
-        for combo in itertools.combinations(subset, query.arity):
-            t = tuple_type(base, combo)
-            groups.setdefault(t, []).append(tuple_index[combo])
-        return [g for g in groups.values() if len(g) > 1]
-
     enumerated = base.size <= _MATERIALIZE_CAP
     if enumerated:
         pool = _candidate_groups(base, query.sub_level, query.arity, tuple_index)
@@ -283,7 +279,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                 continue
             if subset_induces_member(base, closed) and subset_is_big(base, closed, query.sub_level):
                 seen.add(closed)
-                pool.append((closed, groups_of(closed)))
+                pool.append((closed, _same_type_groups(base, closed, query.arity, tuple_index)))
     if not pool:
         return Verdict(
             "unknown",
@@ -341,7 +337,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                     "enumerated candidate pool and direct search disagree"
                 )
             # the sampled pool missed this subset; learn it and keep going
-            pool.append((res.subset, groups_of(res.subset)))
+            pool.append((res.subset, _same_type_groups(base, res.subset, query.arity, tuple_index)))
             e = energy()
             continue
         temp = temp0 * (0.999 ** step)

@@ -39,7 +39,7 @@ from .diagrams import (
     model_diagram,
     var,
 )
-from .structures import ClassKind, FinStructure, is_member, subset_is_big
+from .structures import ClassKind, FinStructure, is_member, require_fields, subset_is_big
 from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
 
 
@@ -118,6 +118,9 @@ class Blueprint:
 
     @staticmethod
     def from_doc(doc: dict) -> "Blueprint":
+        require_fields(
+            doc, ("class", "signature", "n_max", "depth", "levels", "assignments"), "blueprint"
+        )
         sig = OutputSignature.from_doc(doc["signature"])
         bp = Blueprint(
             ClassKind.from_doc(doc["class"]),

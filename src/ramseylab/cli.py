@@ -15,6 +15,7 @@ absent within budget), 3 usage or input errors, 4 failed internal checks.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import sys
 
@@ -46,6 +47,7 @@ from .structures import (
     linear_order,
     make_canonical,
     ordered_graphs,
+    require_fields,
     tree_class,
 )
 from .tuple_types import enumerate_types
@@ -102,10 +104,14 @@ def _envelope(command: str, argv: list[str], result: dict) -> dict:
     }
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_coloring(args, cls: ClassKind) -> Coloring:
     if args.coloring:
-        with open(args.coloring, encoding="utf-8") as fh:
-            col = Coloring.from_doc(json.load(fh))
+        col = Coloring.from_doc(_read_json(args.coloring))
         if col.base.cls != cls:
             raise ValueError("coloring file is over a different class")
         return col
@@ -131,9 +137,8 @@ def cmd_types(args, argv) -> int:
     }
     result = _result_types(params)
     lines = [f"{result['count']} types of arity {args.arity} ({args.cls.label()})"]
-    cls = ClassKind.from_doc(params["class"])
-    for i, t in enumerate(enumerate_types(cls, params["arity"], params["level"])):
-        lines.append(f"[{i}] {t.code.decode('ascii')}")
+    for i, t in enumerate(result["types"]):
+        lines.append(f"[{i}] {base64.b64decode(t['code']).decode('ascii')}")
     _emit(args, lines, _envelope("types", argv, result))
     return 0
 
@@ -307,10 +312,7 @@ def _result_em(params: dict) -> dict:
 
 
 def cmd_em(args, argv) -> int:
-    with open(args.blueprint, encoding="utf-8") as fh:
-        bp_doc = json.load(fh)
-    Blueprint.from_doc(bp_doc)
-    params = {"blueprint": bp_doc, "level": args.level}
+    params = {"blueprint": _read_json(args.blueprint), "level": args.level}
     result = _result_em(params)
     model = result["model"]
     lines = [
@@ -336,13 +338,14 @@ _RERUNNERS = {
 
 
 def cmd_check(args, argv) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        envelope = json.load(fh)
-    command = envelope.get("command")
-    rerun = _RERUNNERS.get(command)
+    envelope = _read_json(args.report)
+    require_fields(envelope, ("command", "result"), "report")
+    command = envelope["command"]
+    rerun = _RERUNNERS.get(command) if isinstance(command, str) else None
     if rerun is None:
         raise ValueError(f"cannot re-verify command {command!r}")
     stored = envelope["result"]
+    require_fields(stored, ("params",), "report result")
     fresh = rerun(stored["params"])
     if _dump(fresh) == _dump(stored):
         _emit(args, [f"report verified ({command})"], _envelope("check", argv, {"verified": True, "command": command}))

@@ -10,22 +10,27 @@ else happens, so types computed in the ambient base agree with types computed
 in the induced structure, and for chi_color only positional subsets (the j-th
 element carrying residue j) are admitted, since only those induce members.
 
-`find_type_homogeneous` runs a depth-first backtracking search over elements
-in increasing order, include-first, pruning on witness conflicts and on
-cheap soundness bounds for bigness; the first subset found is therefore the
-lexicographically least qualifying one, which keeps every search result
-deterministic and reproducible.
+One depth-first walker, `_Walk`, serves every search over admissible
+subsets.  It takes units (runs of increasing elements taken whole or not at
+all) in increasing order, include-first, pruning on the admission rules, on
+witness conflicts when it carries a coloring, and on cheap soundness bounds
+for bigness; the first subset it reaches is therefore the lexicographically
+least qualifying one, which keeps every search result deterministic and
+reproducible.  `find_type_homogeneous` and `iter_big_member_subsets` walk
+one element per unit; the block stage of `reductions.reduce_chicolor` walks
+one residue block per unit.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .structures import (
     FinStructure,
     is_member,
+    require_fields,
     subset_closure,
     subset_induces_member,
     subset_is_big,
@@ -103,14 +108,36 @@ class Coloring:
 
     @staticmethod
     def from_doc(doc: dict) -> "Coloring":
+        """Inverse of `to_doc`.  Raises ValueError on a malformed entry: a row
+        that is not arity + 1 integers, a tuple that is not strictly
+        increasing inside the universe, a color outside the palette, or a
+        repeated tuple.  The table may be partial."""
         from .structures import from_doc as structure_from
 
+        require_fields(doc, ("base", "arity", "colors", "entries"), "coloring")
         base = structure_from(doc["base"])
-        arity = doc["arity"]
-        table = {}
+        arity, colors = doc["arity"], doc["colors"]
+        if not (_is_int(arity) and _is_int(colors)):
+            raise ValueError("coloring arity and colors must be integers")
+        if not isinstance(doc["entries"], list):
+            raise ValueError("coloring entries must be a JSON list")
+        col = Coloring(base, arity, colors, {})
         for row in doc["entries"]:
-            table[tuple(row[:arity])] = row[arity]
-        return Coloring(base, arity, doc["colors"], table)
+            if not (isinstance(row, list) and len(row) == arity + 1 and all(map(_is_int, row))):
+                raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
+            tup, c = tuple(row[:arity]), row[arity]
+            if not all(a < b for a, b in zip((-1,) + tup, tup + (base.size,))):
+                raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{base.size - 1}")
+            if not 0 <= c < colors:
+                raise ValueError(f"color {c} for {tup} outside palette {colors}")
+            if tup in col.table:
+                raise ValueError(f"coloring tuple {tup} appears twice")
+            col.table[tup] = c
+        return col
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def random_coloring(s: FinStructure, arity: int, colors: int, seed: int) -> Coloring:
@@ -188,10 +215,6 @@ class SearchResult:
         return self.subset is not None
 
 
-class _Budget(Exception):
-    pass
-
-
 def _tree_min_size(mu: int, height: int) -> int:
     size = 0
     layer = 1
@@ -239,6 +262,121 @@ def _feasible(base: FinStructure, level: int, chosen: list[int], rest: list[int]
     raise AssertionError(kind)
 
 
+class _Budget(Exception):
+    pass
+
+
+@dataclass(eq=False)
+class _Walk:
+    """Depth-first walk over the admissible subsets built from whole units.
+
+    `units` are runs of increasing elements, each run above the one before;
+    a unit is taken whole or not at all, include-first, so subsets come out
+    in lexicographic order.  Every element of a taken unit must pass the
+    closure and positional admission rules, and, when a coloring is given,
+    keep the incrementally maintained type -> color witness consistent; a
+    unit vetoed partway is rolled back whole.  Branches that `_feasible`
+    rules out are pruned.  Iterating yields every closed, member-inducing,
+    level-big subset reached; `nodes` counts the visited search nodes, and
+    visiting more than `budget` of them raises `_Budget`.
+
+    The path is kept in a list, not on the call stack, so the depth of a
+    walk is not bounded by Python's recursion limit.
+    """
+
+    base: FinStructure
+    level: int
+    units: list[tuple[int, ...]]
+    col: Coloring | None = None
+    budget: int | None = None
+    nodes: int = field(default=0, init=False)
+
+    def first(self) -> tuple[tuple[int, ...] | None, bool]:
+        """The first subset of the walk, or None, and whether the walk stayed
+        within its budget."""
+        try:
+            return next(iter(self), None), True
+        except _Budget:
+            return None, False
+
+    def __iter__(self):
+        base, level, units, col, budget = self.base, self.level, self.units, self.col, self.budget
+        kind = base.cls.kind
+        chi = base.cls.chi if kind == "chi_color" else 0
+        flat = [e for unit in units for e in unit]
+        starts = list(itertools.accumulate(map(len, units), initial=0))
+        if col is not None:
+            type_of, color, arity = col.type_of, col.color, col.arity
+        chosen: list[int] = []
+        witness: dict[TupleType, int] = {}
+
+        def admit(e: int, added: list[TupleType]) -> bool:
+            """Add `e` unless a rule vetoes it; witness types it fixes go to
+            `added`, even when a later tuple of `e` then conflicts."""
+            if kind == "n_tree":
+                for x in chosen:
+                    m = tree_meet(base, x, e)
+                    if m != x and m != e and m not in chosen:
+                        return False
+            if chi and e % chi != len(chosen) % chi:
+                return False
+            if col is not None:
+                for combo in itertools.combinations(chosen, arity - 1):
+                    tup = combo + (e,)
+                    t = type_of(tup)
+                    c = color(tup)
+                    known = witness.get(t)
+                    if known is None:
+                        witness[t] = c
+                        added.append(t)
+                    elif known != c:
+                        return False
+            chosen.append(e)
+            return True
+
+        if level == 0:
+            yield ()
+        # The node visited is (i, changed): units before i are decided, and
+        # changed says whether the step into it took a unit.  `taken` holds
+        # (unit index, len(chosen) before it, witness types it added) for each
+        # unit taken on the current path.  A dead end backtracks to the latest
+        # of them, undoes it and visits the branch without it; a unit vetoed
+        # partway is undone the same way.
+        taken: list[tuple[int, int, list[TupleType]]] = []
+        i, changed = 0, False
+        nodes = 0
+        while True:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                self.nodes = nodes
+                raise _Budget
+            if changed and subset_is_big(base, chosen, level):
+                self.nodes = nodes
+                yield tuple(chosen)
+            if i < len(units) and _feasible(base, level, chosen, flat[starts[i]:]):
+                added: list[TupleType] = []
+                taken.append((i, len(chosen), added))
+                for e in units[i]:
+                    if not admit(e, added):
+                        break
+                else:
+                    i, changed = i + 1, True
+                    continue
+            elif not taken:
+                self.nodes = nodes
+                return
+            i, mark, added = taken.pop()
+            del chosen[mark:]
+            for t in added:
+                del witness[t]
+            i, changed = i + 1, False
+
+
+def _units(base: FinStructure, within) -> list[tuple[int]]:
+    order = sorted(set(within)) if within is not None else range(base.size)
+    return [(e,) for e in order]
+
+
 def find_type_homogeneous(
     col: Coloring,
     level: int,
@@ -258,115 +396,17 @@ def find_type_homogeneous(
         raise ValueError("level must be nonnegative")
     if not is_member(base):
         raise ValueError("coloring base is not a member of its class")
-    order = sorted(set(within)) if within is not None else list(range(base.size))
-    n = col.arity
-    kind = base.cls.kind
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    witness: dict[TupleType, int] = {}
-    nodes = 0
-
-    def try_include(e: int) -> list[TupleType] | None:
-        if kind == "n_tree":
-            for x in chosen:
-                m = tree_meet(base, x, e)
-                if m != x and m != e and m not in chosen_set:
-                    return None
-        if kind == "chi_color":
-            if e % base.cls.chi != len(chosen) % base.cls.chi:
-                return None
-        added: list[TupleType] = []
-        for combo in itertools.combinations(chosen, n - 1):
-            tup = combo + (e,)
-            t = col.type_of(tup)
-            c = col.color(tup)
-            known = witness.get(t)
-            if known is None:
-                witness[t] = c
-                added.append(t)
-            elif known != c:
-                for a in added:
-                    del witness[a]
-                return None
-        return added
-
-    def dfs(i: int, changed: bool) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Budget
-        if changed and subset_is_big(base, chosen, level):
-            return tuple(chosen)
-        if i == len(order):
-            return None
-        if not _feasible(base, level, chosen, order[i:]):
-            return None
-        e = order[i]
-        added = try_include(e)
-        if added is not None:
-            chosen.append(e)
-            chosen_set.add(e)
-            found = dfs(i + 1, True)
-            if found is not None:
-                return found
-            chosen.pop()
-            chosen_set.remove(e)
-            for t in added:
-                del witness[t]
-        return dfs(i + 1, False)
-
-    exhaustive = True
-    try:
-        if level == 0:
-            found: tuple[int, ...] | None = ()
-        else:
-            found = dfs(0, False)
-    except _Budget:
-        found = None
-        exhaustive = False
+    walk = _Walk(base, level, _units(base, within), col, budget)
+    found, exhaustive = walk.first()
     if found is None:
-        return SearchResult(None, None, exhaustive, nodes)
+        return SearchResult(None, None, exhaustive, walk.nodes)
     verified = type_homogeneity_witness(col, found)
     if verified is None or not subset_is_big(base, found, level):
         raise AssertionError("search returned a subset that fails re-verification")
-    return SearchResult(found, verified, True, nodes)
+    return SearchResult(found, verified, True, walk.nodes)
 
 
 def iter_big_member_subsets(base: FinStructure, level: int, within=None):
     """Yield every closed, member-inducing, level-big subset in lexicographic
     order.  Intended for small universes (the exhaustive partition check)."""
-    order = sorted(set(within)) if within is not None else list(range(base.size))
-    kind = base.cls.kind
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    def ok_include(e: int) -> bool:
-        if kind == "n_tree":
-            for x in chosen:
-                m = tree_meet(base, x, e)
-                if m != x and m != e and m not in chosen_set:
-                    return False
-        if kind == "chi_color":
-            if e % base.cls.chi != len(chosen) % base.cls.chi:
-                return False
-        return True
-
-    def dfs(i: int, changed: bool):
-        if changed and subset_is_big(base, chosen, level):
-            yield tuple(chosen)
-        if i == len(order):
-            return
-        if not _feasible(base, level, chosen, order[i:]):
-            return
-        e = order[i]
-        if ok_include(e):
-            chosen.append(e)
-            chosen_set.add(e)
-            yield from dfs(i + 1, True)
-            chosen.pop()
-            chosen_set.remove(e)
-        yield from dfs(i + 1, False)
-
-    if level == 0:
-        yield ()
-    yield from dfs(0, False)
+    yield from _Walk(base, level, _units(base, within))

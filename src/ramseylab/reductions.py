@@ -6,10 +6,12 @@ coloring of a linear order with a larger palette, find a homogeneous set for
 the auxiliary coloring, and lift it back.  In the finite setting the lift is
 not automatic: distinct tuple shapes that share a type can land on different
 digits of the auxiliary palette, and the room needed to align them may be
-missing at small sizes.  Every lift is therefore verification-gated, and when
-the direct lift fails the search falls back to a backtracking pass that
-enforces the target witness incrementally.  Reported subsets are always
-re-verified from scratch; an absent result carries an exhaustiveness flag.
+missing at small sizes.  Every lift is therefore verification-gated.  When
+the chi_color lift fails, the shared subset walker of `colorings` takes over,
+walking whole residue blocks and enforcing the target witness as it goes;
+when the ceq lift fails, a scan of the homogeneous block-id sets does.
+Reported subsets are always re-verified from scratch; an absent result
+carries an exhaustiveness flag.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from .colorings import (
     Coloring,
     HomogeneityWitness,
+    _Walk,
     find_type_homogeneous,
     type_homogeneity_witness,
 )
@@ -28,7 +31,6 @@ from .structures import (
     make_canonical,
     subset_is_big,
 )
-from .tuple_types import TupleType
 
 
 @dataclass
@@ -126,73 +128,6 @@ def _blocks_subset(chi: int, positions) -> tuple[int, ...]:
     return tuple(sorted(chi * g + i for g in positions for i in range(chi)))
 
 
-class _Stop(Exception):
-    pass
-
-
-def _block_search(
-    col: Coloring, lam: int, level: int, budget: int | None
-) -> tuple[tuple[int, ...] | None, bool, int]:
-    """Lexicographically least set of at least `level` whole residue blocks
-    whose union is type-homogeneous.  Include-first backtracking over block
-    positions with an incrementally maintained witness map."""
-    chi = col.base.cls.chi
-    n = col.arity
-    chosen: list[int] = []
-    elems: list[int] = []
-    witness: dict[TupleType, int] = {}
-    nodes = 0
-    out_of_budget = False
-
-    def try_block(g: int) -> list[TupleType] | None:
-        new = [chi * g + i for i in range(chi)]
-        added: list[TupleType] = []
-        merged = sorted(elems + new)
-        for tup in itertools.combinations(merged, n):
-            if not any(t in new for t in tup):
-                continue
-            t = col.type_of(tup)
-            c = col.color(tup)
-            known = witness.get(t)
-            if known is None:
-                witness[t] = c
-                added.append(t)
-            elif known != c:
-                for a in added:
-                    del witness[a]
-                return None
-        return added
-
-    def dfs(g: int, changed: bool) -> tuple[int, ...] | None:
-        nonlocal nodes, out_of_budget
-        nodes += 1
-        if budget is not None and nodes > budget:
-            out_of_budget = True
-            raise _Stop
-        if changed and len(chosen) >= level:
-            return tuple(chosen)
-        if g == lam or len(chosen) + (lam - g) < level:
-            return None
-        added = try_block(g)
-        if added is not None:
-            chosen.append(g)
-            elems.extend(chi * g + i for i in range(chi))
-            found = dfs(g + 1, True)
-            if found is not None:
-                return found
-            chosen.pop()
-            del elems[-chi:]
-            for t in added:
-                del witness[t]
-        return dfs(g + 1, False)
-
-    try:
-        found = dfs(0, False) if level > 0 else ()
-    except _Stop:
-        found = None
-    return found, not out_of_budget, nodes
-
-
 def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
     """Find a homogeneous union of residue blocks via the linear-order
     auxiliary coloring.
@@ -200,8 +135,9 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     The auxiliary palette only constrains tuples whose positions are pairwise
     distinct; tuples that revisit a block share types with ones that do not,
     so a homogeneous set for the auxiliary coloring need not lift.  The lift
-    is checked outright, and on failure a backtracking pass over blocks takes
-    over; a successful lift of either kind is d-homogeneous by construction.
+    is checked outright, and on failure the subset walker, taking whole
+    residue blocks as units, takes over; a successful lift of either kind is
+    d-homogeneous by construction.
     """
     lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
@@ -247,18 +183,17 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
             )
     if subset is None:
         if res.found or not res.exhaustive:
-            found, block_exhaustive, nodes = _block_search(col, lam, level, budget)
+            blocks = [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
+            walk = _Walk(col.base, level, blocks, col, budget)
+            subset, exhaustive = walk.first()
             stages.append(
                 StageRecord(
                     "block_search",
-                    "ok" if found is not None else "absent",
-                    nodes,
-                    {"exhaustive": block_exhaustive},
+                    "ok" if subset is not None else "absent",
+                    walk.nodes,
+                    {"exhaustive": exhaustive},
                 )
             )
-            if found is not None:
-                subset = _blocks_subset(chi, found)
-            exhaustive = block_exhaustive
         else:
             # with no homogeneous position set at all there is no homogeneous
             # block union either, since any such union yields one
@@ -270,7 +205,6 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
                     {"note": "auxiliary search exhausted without a candidate"},
                 )
             )
-            exhaustive = True
 
     if subset is None:
         return ReductionReport("chi_color_to_or", level, stages, None, None, exhaustive)

@@ -786,7 +786,17 @@ def to_doc(s: FinStructure) -> dict:
     return {"class": s.cls.to_doc(), "universe": s.size, "payload": payload}
 
 
+def require_fields(doc, fields, what: str) -> None:
+    """Raise ValueError unless `doc` is a JSON object holding every field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
 def from_doc(doc: dict) -> FinStructure:
+    require_fields(doc, ("class", "universe"), "structure")
     cls = ClassKind.from_doc(doc["class"])
     size = doc["universe"]
     payload = doc.get("payload", {})

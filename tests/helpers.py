@@ -9,13 +9,38 @@ targets for seeded property loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import signal
 
 from ramseylab.blueprints import Blueprint
 from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure
 from ramseylab.structures import ClassKind, FinStructure, make_canonical
 from ramseylab.tuple_types import enumerate_types
+
+def time_limit(seconds: float):
+    """Decorator failing a test with TimeoutError once it has run for
+    `seconds` of wall time.  Uses SIGALRM, so POSIX and the main thread."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            def expire(signum, frame):
+                raise TimeoutError(f"{fn.__name__} ran longer than {seconds} s")
+
+            previous = signal.signal(signal.SIGALRM, expire)
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+
+        return run
+
+    return wrap
+
 
 SMALL_KINDS = (
     ClassKind("or"),

@@ -250,3 +250,58 @@ def test_version(capsys):
     from ramseylab import __version__
 
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_reduce_rejects_color_outside_palette(tmp_path, capsys):
+    doc = Coloring(make_canonical(ClassKind("chi_color", chi=2), 1), 2, 2, {(0, 1): 7}).to_doc()
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(doc))
+    code = main(["reduce", "--cls", "chi_color:2", "--level", "1", "--coloring", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "found" not in out
+    assert "palette" in err
+
+
+def _run_on_json(tmp_path, capsys, doc, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([a if a != "FILE" else str(path) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_check_rejects_top_level_list(tmp_path, capsys):
+    code, err = _run_on_json(tmp_path, capsys, [1, 2], "check", "--report", "FILE")
+    assert code == 3
+    assert "report must be a JSON object" in err
+
+
+def test_em_rejects_top_level_list(tmp_path, capsys):
+    code, err = _run_on_json(
+        tmp_path, capsys, [unary_blueprint().to_doc()], "em", "--blueprint", "FILE", "--level", "2"
+    )
+    assert code == 3
+    assert "blueprint must be a JSON object" in err
+
+
+def test_coloring_file_rejects_top_level_list(tmp_path, capsys):
+    doc = Coloring.from_function(make_canonical(ClassKind("ceq"), 2), 2, 2, lambda t: 0).to_doc()
+    code, err = _run_on_json(
+        tmp_path, capsys, [doc], "reduce", "--cls", "ceq", "--level", "1", "--coloring", "FILE"
+    )
+    assert code == 3
+    assert "coloring must be a JSON object" in err
+
+
+def test_check_names_missing_result(tmp_path, capsys):
+    code, err = _run_on_json(tmp_path, capsys, {"command": "types"}, "check", "--report", "FILE")
+    assert code == 3
+    assert "report is missing 'result'" in err
+
+
+def test_check_names_missing_params(tmp_path, capsys):
+    code, err = _run_on_json(
+        tmp_path, capsys, {"command": "types", "result": {"count": 3}}, "check", "--report", "FILE"
+    )
+    assert code == 3
+    assert "report result is missing 'params'" in err

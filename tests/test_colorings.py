@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from helpers import SMALL_KINDS, random_member
+from helpers import SMALL_KINDS, random_member, time_limit
 from ramseylab.colorings import (
     Coloring,
     HomogeneityWitness,
@@ -191,6 +192,31 @@ def test_iter_big_member_subsets_bruteforce():
             assert set(got) == set(want), (cls.label(), level)
 
 
+@time_limit(60)
+def test_search_deeper_than_recursion_limit():
+    base = make_canonical(ClassKind("or"), 1500)
+    assert sys.getrecursionlimit() < base.size
+    col = Coloring.from_function(base, 1, 1, lambda t: 0)
+    res = find_type_homogeneous(col, 1500)
+    assert res.found and res.exhaustive
+    assert res.subset == tuple(range(1500))
+
+
+@time_limit(60)
+def test_iter_deeper_than_recursion_limit():
+    base = make_canonical(ClassKind("or"), 1200)
+    assert sys.getrecursionlimit() < base.size
+    assert list(iter_big_member_subsets(base, 1200)) == [tuple(range(1200))]
+
+
+@time_limit(10)
+def test_iter_big_member_subsets_is_lazy():
+    # 2^40 - 1 subsets qualify, so only a lazy walk returns the first at once
+    subsets = iter_big_member_subsets(make_canonical(ClassKind("or"), 40), 1)
+    assert next(subsets) == (0,)
+    assert next(subsets) == (0, 1)
+
+
 def test_iter_respects_within():
     base = make_canonical(ClassKind("or"), 5)
     got = list(iter_big_member_subsets(base, 2, within=(0, 2, 4)))
@@ -215,3 +241,30 @@ def test_witness_doc_roundtrip():
     assert witness is not None
     back = HomogeneityWitness.from_doc(witness.to_doc())
     assert back.entries == witness.entries
+
+
+def test_coloring_from_doc_rejects_malformed_entries():
+    base = make_canonical(ClassKind("or"), 4)
+    doc = Coloring(base, 2, 2, {(0, 1): 1, (2, 3): 0}).to_doc()
+    back = Coloring.from_doc(doc)  # partial tables are legal
+    assert back.table == {(0, 1): 1, (2, 3): 0}
+    bad_rows = (
+        [0, 2, 7],  # color outside the palette
+        [0, 2, -1],
+        [0, 2],  # row too short
+        [0, 1, 2, 0],  # row too long
+        [1, 0, 0],  # not increasing
+        [1, 1, 0],
+        [-1, 2, 0],  # outside the universe
+        [2, 4, 0],
+        [0, 1.5, 0],  # not integers
+        [0, True, 0],
+        [2, 3, 1],  # duplicates the (2, 3) row
+    )
+    for row in bad_rows:
+        mutated = dict(doc, entries=doc["entries"] + [row])
+        with pytest.raises(ValueError):
+            Coloring.from_doc(mutated)
+    for mutated in ([doc], dict(doc, entries=7), {k: v for k, v in doc.items() if k != "colors"}):
+        with pytest.raises(ValueError):
+            Coloring.from_doc(mutated)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import time_limit
 from ramseylab.colorings import (
     Coloring,
     find_type_homogeneous,
@@ -159,6 +160,33 @@ def test_reduce_chicolor_sound_on_random():
                             level,
                             blocks,
                         )
+
+
+@time_limit(60)
+def test_block_search_finds_least_homogeneous_block_union():
+    hits = {"ok": 0, "absent": 0}
+    for chi, lam in ((2, 4), (3, 3)):
+        base = make_canonical(ClassKind("chi_color", chi=chi), lam)
+        for seed in range(12):
+            col = random_coloring(base, 2, 2, seed=seed)
+            for level in (1, 2):
+                report = reduce_chicolor(col, level)
+                stage = report.stages[-1]
+                if stage.name != "block_search" or stage.status == "skipped":
+                    continue
+                hits[stage.status] += 1
+                homogeneous = [
+                    union
+                    for r in range(level, lam + 1)
+                    for blocks in itertools.combinations(range(lam), r)
+                    if type_homogeneity_witness(col, union := _block_union(chi, blocks))
+                    is not None
+                ]
+                if homogeneous:
+                    assert report.subset == min(homogeneous), (chi, lam, seed, level)
+                else:
+                    assert report.status == "absent" and report.exhaustive
+    assert hits["ok"] and hits["absent"], hits
 
 
 def test_compositions_with_zeros():
