@@ -34,7 +34,16 @@ from .colorings import (
     iter_big_member_subsets,
     random_coloring,
 )
-from .structures import ClassKind, FinStructure, make_canonical, subset_closure, subset_induces_member, subset_is_big
+from .structures import (
+    ClassKind,
+    FinStructure,
+    _is_int,
+    make_canonical,
+    require_fields,
+    subset_closure,
+    subset_induces_member,
+    subset_is_big,
+)
 from .tuple_types import tuple_type
 
 DEFAULT_CEILING = 2 ** 26
@@ -72,6 +81,10 @@ class ArrowQuery:
 
     @staticmethod
     def from_doc(doc: dict) -> "ArrowQuery":
+        scalars = ("ambient_level", "sub_level", "arity", "colors")
+        require_fields(doc, ("class",) + scalars, "arrow query")
+        if not all(_is_int(doc[f]) for f in scalars):
+            raise ValueError("arrow query levels, arity and colors must be integers")
         return ArrowQuery(
             ClassKind.from_doc(doc["class"]),
             doc["ambient_level"],

@@ -38,43 +38,20 @@ from .blueprints import (
 )
 from .colorings import Coloring, random_coloring
 from .reductions import reduce_ceq, reduce_chicolor
-from .structures import (
-    ClassKind,
-    colored_order,
-    convex_equivalence,
-    disjoint_orders,
-    hypergraphs,
-    linear_order,
-    make_canonical,
-    ordered_graphs,
-    require_fields,
-    tree_class,
-)
+from .structures import TABLE, ClassKind, _is_int, make_canonical, require_fields
 from .tuple_types import enumerate_types
 
 
 def parse_class(text: str) -> ClassKind:
     """Class shorthand: or | chi_or:2 | chi_color:2 | n_tree:2 | ceq |
     ordered_graph | hypergraph:2:3 (edge arity, palette)."""
-    parts = text.split(":")
-    kind, args = parts[0], parts[1:]
-    try:
-        if kind == "or" and not args:
-            return linear_order()
-        if kind == "chi_or" and len(args) == 1:
-            return disjoint_orders(int(args[0]))
-        if kind == "chi_color" and len(args) == 1:
-            return colored_order(int(args[0]))
-        if kind == "n_tree" and len(args) == 1:
-            return tree_class(int(args[0]))
-        if kind == "ceq" and not args:
-            return convex_equivalence()
-        if kind == "ordered_graph" and not args:
-            return ordered_graphs()
-        if kind == "hypergraph" and len(args) == 2:
-            return hypergraphs(int(args[0]), int(args[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    kind, *args = text.split(":")
+    spec = TABLE.get(kind)
+    if spec is not None and len(args) == len(spec.params):
+        try:
+            return ClassKind(kind, **{p: int(a) for p, a in zip(spec.params, args)})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"cannot parse class {text!r}")
 
 
@@ -119,7 +96,18 @@ def _load_coloring(args, cls: ClassKind) -> Coloring:
     return random_coloring(base, args.arity, args.colors, args.seed)
 
 
+def _require_params(params, fields, ints=(), nullable=()) -> None:
+    """Raise ValueError unless report `params` is a JSON object holding
+    `fields`, with integers in `ints` and integers or null in `nullable`."""
+    require_fields(params, fields, "report params")
+    for name in ints + nullable:
+        value = params[name]
+        if not (_is_int(value) or (value is None and name in nullable)):
+            raise ValueError(f"report params field {name!r} must be an integer, not {value!r}")
+
+
 def _result_types(params: dict) -> dict:
+    _require_params(params, ("class", "arity", "level"), ints=("arity", "level"))
     cls = ClassKind.from_doc(params["class"])
     types = enumerate_types(cls, params["arity"], params["level"])
     return {
@@ -144,6 +132,12 @@ def cmd_types(args, argv) -> int:
 
 
 def _result_arrow(params: dict) -> dict:
+    _require_params(
+        params,
+        ("query", "mode", "seed", "samples", "budget", "ceiling"),
+        ints=("seed", "samples", "ceiling"),
+        nullable=("budget",),
+    )
     query = ArrowQuery.from_doc(params["query"])
     verdict = arrow_check(
         query,
@@ -181,6 +175,16 @@ def cmd_arrow(args, argv) -> int:
 
 
 def _result_table(params: dict) -> dict:
+    _require_params(
+        params,
+        ("class", "arity", "colors", "sub_levels", "ambient_levels",
+         "mode", "seed", "samples", "budget", "ceiling"),
+        ints=("arity", "colors", "seed", "samples", "ceiling"),
+        nullable=("budget",),
+    )
+    for name in ("sub_levels", "ambient_levels"):
+        if not (isinstance(params[name], list) and all(map(_is_int, params[name]))):
+            raise ValueError(f"report params field {name!r} must be a list of integers")
     cls = ClassKind.from_doc(params["class"])
     table = ramsey_table(
         cls,
@@ -224,20 +228,21 @@ def cmd_table(args, argv) -> int:
     return 0
 
 
+_REDUCERS = {"chi_color": reduce_chicolor, "ceq": reduce_ceq}
+
+
 def _result_reduce(params: dict) -> dict:
+    _require_params(params, ("coloring", "level", "budget"), ints=("level",), nullable=("budget",))
     col = Coloring.from_doc(params["coloring"])
-    kind = col.base.cls.kind
-    if kind == "chi_color":
-        report = reduce_chicolor(col, params["level"], budget=params["budget"])
-    elif kind == "ceq":
-        report = reduce_ceq(col, params["level"], budget=params["budget"])
-    else:
+    reduce = _REDUCERS.get(col.base.cls.kind)
+    if reduce is None:
         raise ValueError("reduce expects a chi_color or ceq coloring")
+    report = reduce(col, params["level"], budget=params["budget"])
     return {"params": params, "report": report.to_doc()}
 
 
 def cmd_reduce(args, argv) -> int:
-    if args.cls.kind not in ("chi_color", "ceq"):
+    if args.cls.kind not in _REDUCERS:
         raise ValueError("reduce supports chi_color and ceq classes")
     col = _load_coloring(args, args.cls)
     params = {
@@ -262,6 +267,7 @@ def cmd_reduce(args, argv) -> int:
 
 
 def _result_extract(params: dict) -> dict:
+    _require_params(params, ("coloring", "level", "budget"), ints=("level",), nullable=("budget",))
     col = Coloring.from_doc(params["coloring"])
     res = derive_homogeneous(col, params["level"], budget=params["budget"])
     out = {
@@ -300,6 +306,7 @@ def cmd_extract(args, argv) -> int:
 
 
 def _result_em(params: dict) -> dict:
+    _require_params(params, ("blueprint", "level"), ints=("level",))
     bp = Blueprint.from_doc(params["blueprint"])
     index = make_canonical(bp.cls, params["level"])
     model = em_model(bp, index)

@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 
 from .structures import (
     FinStructure,
+    _is_int,
+    from_doc as structure_from,
     is_member,
     require_fields,
     subset_closure,
     subset_induces_member,
     subset_is_big,
-    tree_meet,
-    tree_root,
+    to_doc as structure_doc,
 )
 from .tuple_types import TupleType, tuple_type
 
@@ -97,8 +98,6 @@ class Coloring:
         return Coloring(self.base, self.arity, self.colors, self.table)
 
     def to_doc(self) -> dict:
-        from .structures import to_doc as structure_doc
-
         return {
             "base": structure_doc(self.base),
             "arity": self.arity,
@@ -112,8 +111,6 @@ class Coloring:
         that is not arity + 1 integers, a tuple that is not strictly
         increasing inside the universe, a color outside the palette, or a
         repeated tuple.  The table may be partial."""
-        from .structures import from_doc as structure_from
-
         require_fields(doc, ("base", "arity", "colors", "entries"), "coloring")
         base = structure_from(doc["base"])
         arity, colors = doc["arity"], doc["colors"]
@@ -134,10 +131,6 @@ class Coloring:
                 raise ValueError(f"coloring tuple {tup} appears twice")
             col.table[tup] = c
         return col
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def random_coloring(s: FinStructure, arity: int, colors: int, seed: int) -> Coloring:
@@ -215,53 +208,6 @@ class SearchResult:
         return self.subset is not None
 
 
-def _tree_min_size(mu: int, height: int) -> int:
-    size = 0
-    layer = 1
-    for _ in range(height + 1):
-        size += layer
-        layer *= mu
-    return size
-
-
-def _feasible(base: FinStructure, level: int, chosen: list[int], rest: list[int]) -> bool:
-    """Sound pruning bound: can some subset of chosen + rest containing all of
-    chosen still induce a level-big member?  Overapproximates, never rejects a
-    completable state."""
-    kind = base.cls.kind
-    total = len(chosen) + len(rest)
-    if kind in ("or", "ordered_graph", "hypergraph"):
-        return total >= level
-    if kind == "chi_or":
-        counts = [0] * base.cls.chi
-        for e in chosen:
-            counts[base.part_of(e)] += 1
-        for e in rest:
-            counts[base.part_of(e)] += 1
-        return all(c >= level for c in counts)
-    if kind == "chi_color":
-        return total >= base.cls.chi * level
-    if kind == "ceq":
-        counts: dict[int, int] = {}
-        for e in chosen:
-            b = base.block_of(e)
-            counts[b] = counts.get(b, 0) + 1
-        for e in rest:
-            b = base.block_of(e)
-            counts[b] = counts.get(b, 0) + 1
-        return sum(1 for c in counts.values() if c >= level) >= level
-    if kind == "n_tree":
-        if level == 0:
-            return True
-        if total < _tree_min_size(level, base.cls.height):
-            return False
-        root = tree_root(base)
-        if root is None or base.level[root] != 0:
-            return False
-        return root in chosen or root in rest
-    raise AssertionError(kind)
-
-
 class _Budget(Exception):
     pass
 
@@ -275,10 +221,11 @@ class _Walk:
     in lexicographic order.  Every element of a taken unit must pass the
     closure and positional admission rules, and, when a coloring is given,
     keep the incrementally maintained type -> color witness consistent; a
-    unit vetoed partway is rolled back whole.  Branches that `_feasible`
-    rules out are pruned.  Iterating yields every closed, member-inducing,
-    level-big subset reached; `nodes` counts the visited search nodes, and
-    visiting more than `budget` of them raises `_Budget`.
+    unit vetoed partway is rolled back whole.  Branches that the class's
+    pruning bound (`Kind.pruner`, built once per walk) rules out are pruned.
+    Iterating yields every closed, member-inducing, level-big subset
+    reached; `nodes` counts the visited search nodes, and visiting more than
+    `budget` of them raises `_Budget`.
 
     The path is kept in a list, not on the call stack, so the depth of a
     walk is not bounded by Python's recursion limit.
@@ -301,8 +248,8 @@ class _Walk:
 
     def __iter__(self):
         base, level, units, col, budget = self.base, self.level, self.units, self.col, self.budget
-        kind = base.cls.kind
-        chi = base.cls.chi if kind == "chi_color" else 0
+        spec = base.cls.spec
+        meet_ok, period, feasible = spec.admit, spec.period(base.cls), spec.pruner(base, level)
         flat = [e for unit in units for e in unit]
         starts = list(itertools.accumulate(map(len, units), initial=0))
         if col is not None:
@@ -313,12 +260,9 @@ class _Walk:
         def admit(e: int, added: list[TupleType]) -> bool:
             """Add `e` unless a rule vetoes it; witness types it fixes go to
             `added`, even when a later tuple of `e` then conflicts."""
-            if kind == "n_tree":
-                for x in chosen:
-                    m = tree_meet(base, x, e)
-                    if m != x and m != e and m not in chosen:
-                        return False
-            if chi and e % chi != len(chosen) % chi:
+            if meet_ok is not None and not meet_ok(base, chosen, e):
+                return False
+            if period and e % period != len(chosen) % period:
                 return False
             if col is not None:
                 for combo in itertools.combinations(chosen, arity - 1):
@@ -353,7 +297,7 @@ class _Walk:
             if changed and subset_is_big(base, chosen, level):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if i < len(units) and _feasible(base, level, chosen, flat[starts[i]:]):
+            if i < len(units) and feasible(chosen, flat[starts[i]:]):
                 added: list[TupleType] = []
                 taken.append((i, len(chosen), added))
                 for e in units[i]:

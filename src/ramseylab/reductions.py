@@ -27,6 +27,8 @@ from .colorings import (
     type_homogeneity_witness,
 )
 from .structures import (
+    FinStructure,
+    disjoint_orders,
     linear_order,
     make_canonical,
     subset_is_big,
@@ -85,15 +87,9 @@ def _require_canonical(col: Coloring, kind: str) -> int:
     base = col.base
     if base.cls.kind != kind:
         raise ValueError(f"expected a coloring over a {kind} base")
-    if kind == "chi_color":
-        chi = base.cls.chi
-        if base.size % chi:
-            raise ValueError("base size is not a multiple of chi")
-        lam = base.size // chi
-    else:
-        lam = 0
-        while lam * lam < base.size:
-            lam += 1
+    lam = 0
+    while base.cls.spec.min_size(base.cls, lam) < base.size:
+        lam += 1
     if base != make_canonical(base.cls, lam):
         raise ValueError(f"base must be the canonical {kind} structure")
     if not col.is_total():
@@ -261,10 +257,6 @@ def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Color
     return Coloring(aux_base, n, c ** len(comps), table)
 
 
-def _aux_value(aux: Coloring, combo: tuple[int, ...]) -> int:
-    return aux.color(combo)
-
-
 def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
     """Three-stage reduction for convex-equivalence colorings.
 
@@ -277,8 +269,6 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
     alignment across block positions is not guaranteed at finite sizes, so
     the verification gate does the final selection.
     """
-    from .structures import disjoint_orders, FinStructure
-
     lam = _require_canonical(col, "ceq")
     n = col.arity
     s1 = max(level, n)
@@ -330,9 +320,7 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
         if budget is not None and work > budget:
             scanned_all = False
             break
-        values = {
-            _aux_value(aux, sub) for sub in itertools.combinations(combo, n)
-        }
+        values = {aux.color(sub) for sub in itertools.combinations(combo, n)}
         if len(values) > 1:
             continue
         cand = tuple(

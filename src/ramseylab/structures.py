@@ -28,6 +28,14 @@ a subset for it to count as large; `is_big` fixes the notion per kind, and
 `make_canonical` builds the minimal mu-big member.  The canonical structures
 form a chain: each embeds in the next, which is what keeps type enumeration
 and partition-relation tables monotone.
+
+Everything a kind knows lives in one `Kind` subclass, registered by name in
+`TABLE`: its parameters, its payload fields and their document keys, the
+canonical member, membership and bigness, closure, admission and pruning for
+the subset walker, the fragment a type code records and the decoding back,
+and the canonical embedding.  The module-level functions validate their input
+and dispatch to the table, and no other module tells kinds apart, so a new
+class is one more subclass.
 """
 
 from __future__ import annotations
@@ -36,7 +44,20 @@ import itertools
 import json
 from dataclasses import dataclass
 
-KINDS = ("or", "chi_or", "chi_color", "n_tree", "ceq", "ordered_graph", "hypergraph")
+# the least value of each class parameter; a kind takes the ones it names
+_PARAMS = {"chi": 1, "height": 0, "edge_arity": 1, "palette": 1}
+_PAYLOAD = ("parts", "edges", "parent", "level", "blocks", "hyper")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _spec(kind) -> "Kind":
+    spec = TABLE.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ValueError(f"unknown class kind {kind!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -50,59 +71,38 @@ class ClassKind:
     palette: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        need = {
-            "or": (),
-            "chi_or": ("chi",),
-            "chi_color": ("chi",),
-            "n_tree": ("height",),
-            "ceq": (),
-            "ordered_graph": (),
-            "hypergraph": ("edge_arity", "palette"),
-        }[self.kind]
-        for field in ("chi", "height", "edge_arity", "palette"):
-            value = getattr(self, field)
-            if field in need:
-                if value is None:
-                    raise ValueError(f"{self.kind} needs parameter {field}")
-            elif value is not None:
-                raise ValueError(f"{self.kind} does not take parameter {field}")
-        if self.chi is not None and self.chi < 1:
-            raise ValueError("chi must be at least 1")
-        if self.height is not None and self.height < 0:
-            raise ValueError("height must be nonnegative")
-        if self.edge_arity is not None and self.edge_arity < 1:
-            raise ValueError("edge arity must be at least 1")
-        if self.palette is not None and self.palette < 1:
-            raise ValueError("palette must be at least 1")
+        spec = _spec(self.kind)
+        for name, least in _PARAMS.items():
+            value = getattr(self, name)
+            if name not in spec.params:
+                if value is not None:
+                    raise ValueError(f"{self.kind} does not take parameter {name}")
+            elif value is None:
+                raise ValueError(f"{self.kind} needs parameter {name}")
+            elif not _is_int(value):
+                raise ValueError(f"parameter {name} must be an integer, not {value!r}")
+            elif value < least:
+                raise ValueError(f"{name} must be at least {least}")
+
+    @property
+    def spec(self) -> "Kind":
+        """The table entry for this kind."""
+        return TABLE[self.kind]
 
     def label(self) -> str:
-        if self.kind in ("chi_or", "chi_color"):
-            return f"{self.kind}({self.chi})"
-        if self.kind == "n_tree":
-            return f"n_tree({self.height})"
-        if self.kind == "hypergraph":
-            return f"hypergraph({self.edge_arity},{self.palette})"
-        return self.kind
+        values = [str(getattr(self, p)) for p in self.spec.params]
+        return f"{self.kind}({','.join(values)})" if values else self.kind
 
     def to_doc(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        for field in ("chi", "height", "edge_arity", "palette"):
-            value = getattr(self, field)
-            if value is not None:
-                doc[field] = value
-        return doc
+        return {"kind": self.kind, **{p: getattr(self, p) for p in self.spec.params}}
 
     @staticmethod
     def from_doc(doc: dict) -> "ClassKind":
-        return ClassKind(
-            kind=doc["kind"],
-            chi=doc.get("chi"),
-            height=doc.get("height"),
-            edge_arity=doc.get("edge_arity"),
-            palette=doc.get("palette"),
-        )
+        require_fields(doc, ("kind",), "class")
+        extra = set(doc) - {"kind", *_spec(doc["kind"]).params}
+        if extra:
+            raise ValueError(f"unexpected keys {sorted(extra)} for class {doc['kind']}")
+        return ClassKind(**doc)
 
 
 def linear_order() -> ClassKind:
@@ -134,7 +134,9 @@ def hypergraphs(edge_arity: int, palette: int) -> ClassKind:
 
 
 def _freeze_hyper(entries) -> tuple:
-    return tuple(sorted((tuple(subset), int(color)) for subset, color in entries))
+    # by subset size first: the order documents list subsets in
+    frozen = ((tuple(subset), int(color)) for subset, color in entries)
+    return tuple(sorted(frozen, key=lambda e: (len(e[0]), e)))
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,6 @@ def tree_ancestors(s: FinStructure, e: int) -> list[int]:
     return out
 
 
-def tree_below(s: FinStructure, a: int, b: int) -> bool:
-    """a strictly below b in the tree order."""
-    return a != b and a in tree_ancestors(s, b)
-
-
 def tree_meet(s: FinStructure, a: int, b: int) -> int:
     if a == b:
         return a
@@ -250,228 +247,210 @@ def tree_meet(s: FinStructure, a: int, b: int) -> int:
     raise ValueError(f"elements {a} and {b} have no meet")
 
 
-# canonical mu-big structures
+# the per-kind table
 
 
-def make_canonical(cls: ClassKind, mu: int) -> FinStructure:
-    """Minimal mu-big member of the class; deterministic, and the results for
-    increasing mu form an embedding chain."""
-    if mu < 0:
-        raise ValueError("bigness level must be nonnegative")
-    kind = cls.kind
-    if mu == 0:
-        return _empty_structure(cls)
-    if kind == "or":
-        return FinStructure(cls, mu)
-    if kind == "chi_or":
+class Kind:
+    """Everything one class kind knows.
+
+    `params` names the ClassKind parameters the kind takes, and `fields` maps
+    each FinStructure payload field it uses to the field's document key.  The
+    defaults fit a kind with no payload and bigness by cardinality alone;
+    subclasses override what differs.  `big` and `embed` are called with
+    mu >= 1 only.
+    """
+
+    name = ""
+    params: tuple[str, ...] = ()
+    fields: dict[str, str] = {}
+    # whether make_canonical(cls, mu) embeds into every mu-big member
+    embeds = True
+    # walker veto on adding an element to a closed subset, or None
+    admit = None
+
+    def canonical(self, cls: ClassKind, mu: int) -> FinStructure:
+        return FinStructure(cls, self.min_size(cls, mu))
+
+    def min_size(self, cls: ClassKind, mu: int) -> int:
+        """Size of the canonical mu-big member, the least size of any."""
+        return mu
+
+    def member(self, s: FinStructure) -> bool:
+        """Payload content check; the payload fields are known present."""
+        return True
+
+    def big(self, s: FinStructure, mu: int) -> bool:
+        return s.size >= self.min_size(s.cls, mu)
+
+    def subset_big(self, s: FinStructure, chosen: list[int], mu: int) -> bool:
+        return len(chosen) >= self.min_size(s.cls, mu)
+
+    def close(self, s: FinStructure, chosen: set[int]) -> None:
+        """Add to `chosen` what the class functions generate from it."""
+
+    def period(self, cls: ClassKind) -> int:
+        """Nonzero when the j-th element of a subset must carry residue j
+        modulo it for the subset to induce a member."""
+        return 0
+
+    def pruner(self, base: FinStructure, level: int):
+        """Sound bound for one walk: can a subset of chosen + rest holding
+        all of chosen still induce a level-big member?  May answer yes
+        wrongly, never no."""
+        least = self.min_size(base.cls, level)
+        return lambda chosen, rest: len(chosen) + len(rest) >= least
+
+    def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> dict:
+        """Atomic data of a closed subset relabeled by `pos`, as type-code
+        entries."""
+        return {}
+
+    def decode(self, cls: ClassKind, m: int, frag: dict):
+        """A structure realizing a fragment of m elements, and the element
+        that stands for each fragment position.  By default the fragment's
+        entries are the payload fields, named alike."""
+        return FinStructure(cls, m, **{f: frag[f] for f in self.fields}), range(m)
+
+    def embed(self, cls: ClassKind, mu: int, target: FinStructure) -> tuple[int, ...]:
+        return tuple(range(self.min_size(cls, mu)))
+
+
+class LinearOrder(Kind):
+    name = "or"
+
+
+class DisjointOrders(Kind):
+    name = "chi_or"
+    params = ("chi",)
+    fields = {"parts": "parts"}
+
+    def canonical(self, cls, mu):
         parts = tuple(p for p in range(cls.chi) for _ in range(mu))
         return FinStructure(cls, cls.chi * mu, parts=parts)
-    if kind == "chi_color":
-        return FinStructure(cls, cls.chi * mu)
-    if kind == "n_tree":
-        parent, level = _complete_tree(mu, cls.height)
-        return FinStructure(cls, len(parent), parent=tuple(parent), level=tuple(level))
-    if kind == "ceq":
-        blocks = tuple(tuple(range(b * mu, (b + 1) * mu)) for b in range(mu))
-        return FinStructure(cls, mu * mu, blocks=blocks)
-    if kind == "ordered_graph":
-        edges = frozenset(
-            (i, j) for i in range(mu) for j in range(i + 1, mu) if (j >> i) & 1
-        )
-        return FinStructure(cls, mu, edges=edges)
-    if kind == "hypergraph":
-        entries = []
-        for r in range(cls.edge_arity):
-            for subset in itertools.combinations(range(mu), r):
-                entries.append((subset, (r + sum(subset)) % cls.palette))
-        return FinStructure(cls, mu, hyper=tuple(entries))
-    raise AssertionError(kind)
 
+    def min_size(self, cls, mu):
+        return cls.chi * mu
 
-def _empty_structure(cls: ClassKind) -> FinStructure:
-    kind = cls.kind
-    if kind == "chi_or":
-        return FinStructure(cls, 0, parts=())
-    if kind == "n_tree":
-        return FinStructure(cls, 0, parent=(), level=())
-    if kind == "ceq":
-        return FinStructure(cls, 0, blocks=())
-    if kind == "ordered_graph":
-        return FinStructure(cls, 0, edges=frozenset())
-    if kind == "hypergraph":
-        # F still colors the empty subset when edge_arity > 0
-        entries = [((), 0)] if cls.edge_arity >= 1 else []
-        return FinStructure(cls, 0, hyper=tuple(entries))
-    return FinStructure(cls, 0)
-
-
-def _complete_tree(mu: int, height: int) -> tuple[list[int], list[int]]:
-    """Complete mu-branching tree of height `height`, preorder labels."""
-    parent: list[int] = []
-    level: list[int] = []
-
-    def grow(par: int, lev: int) -> None:
-        me = len(parent)
-        parent.append(par)
-        level.append(lev)
-        if lev < height:
-            for _ in range(mu):
-                grow(me, lev + 1)
-
-    grow(-1, 0)
-    return parent, level
-
-
-# membership
-
-
-def is_member(s: FinStructure) -> bool:
-    """Whether s is a well-formed member of its class.  Malformed payloads
-    answer False, never raise."""
-    try:
-        return _is_member(s)
-    except (TypeError, ValueError, IndexError, AttributeError, AssertionError):
-        return False
-
-
-def _payload_fields_ok(s: FinStructure) -> bool:
-    allowed = {
-        "or": (),
-        "chi_or": ("parts",),
-        "chi_color": (),
-        "n_tree": ("parent", "level"),
-        "ceq": ("blocks",),
-        "ordered_graph": ("edges",),
-        "hypergraph": ("hyper",),
-    }[s.cls.kind]
-    for field in ("parts", "edges", "parent", "level", "blocks", "hyper"):
-        present = getattr(s, field) is not None
-        if present != (field in allowed):
-            return False
-    return True
-
-
-def _is_member(s: FinStructure) -> bool:
-    if not _payload_fields_ok(s):
-        return False
-    kind = s.cls.kind
-    n = s.size
-    if kind in ("or", "chi_color"):
-        return True
-    if kind == "chi_or":
-        if len(s.parts) != n:
+    def member(self, s):
+        if len(s.parts) != s.size:
             return False
         for p in s.parts:
             if not isinstance(p, int) or not 0 <= p < s.cls.chi:
                 return False
-        return all(s.parts[i] <= s.parts[i + 1] for i in range(n - 1))
-    if kind == "n_tree":
-        return _tree_member(s)
-    if kind == "ceq":
-        seen: set[int] = set()
-        for block in s.blocks:
-            if not block:
-                return False
-            if list(block) != sorted(block):
-                return False
-            if block[-1] - block[0] != len(block) - 1:
-                return False  # convexity: each block is an interval
-            for e in block:
-                if not isinstance(e, int) or not 0 <= e < n or e in seen:
-                    return False
-                seen.add(e)
-        return len(seen) == n
-    if kind == "ordered_graph":
-        for edge in s.edges:
-            if len(edge) != 2:
-                return False
-            a, b = edge
-            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < b < n):
-                return False
-        return True
-    if kind == "hypergraph":
-        want = set()
-        for r in range(s.cls.edge_arity):
-            for subset in itertools.combinations(range(n), r):
-                want.add(subset)
-        got = {}
-        for subset, color in s.hyper:
-            if subset in got:
-                return False
-            got[subset] = color
-        if set(got) != want:
-            return False
-        return all(0 <= c < s.cls.palette for c in got.values())
-    raise AssertionError(kind)
+        return all(s.parts[i] <= s.parts[i + 1] for i in range(s.size - 1))
 
-
-def _tree_member(s: FinStructure) -> bool:
-    n = s.size
-    if len(s.parent) != n or len(s.level) != n:
-        return False
-    if n == 0:
-        return True
-    roots = [i for i in range(n) if s.parent[i] < 0]
-    if roots != [0]:
-        return False  # a single root, first in preorder; meet totality follows
-    for i in range(1, n):
-        p = s.parent[i]
-        if not isinstance(p, int) or not 0 <= p < i:
-            return False
-    for i in range(n):
-        lev = s.level[i]
-        if not isinstance(lev, int) or not 0 <= lev <= s.cls.height:
-            return False
-        p = s.parent[i]
-        if p >= 0 and s.level[i] <= s.level[p]:
-            return False
-    # natural order must be the preorder traversal: each subtree is the
-    # interval starting at its root
-    sub = [1] * n
-    for i in range(n - 1, 0, -1):
-        sub[s.parent[i]] += sub[i]
-    for i in range(n):
-        for j in range(i + 1, i + sub[i]):
-            anc = j
-            while anc > i:
-                anc = s.parent[anc]
-            if anc != i:
-                return False
-    return True
-
-
-# bigness
-
-
-def is_big(s: FinStructure, mu: int) -> bool:
-    """The per-kind largeness notion at level mu.
-
-    or / ordered_graph / hypergraph: at least mu elements.
-    chi_or: every part holds at least mu elements.
-    chi_color: at least chi*mu elements.
-    n_tree: level-faithful branching, root at level 0 and every node at level
-        l < height with at least mu children at level l+1 (mu >= 1).
-    ceq: at least mu blocks, each of size at least mu.
-
-    Bigness is antitone in mu.  Every kind except n_tree is also monotone
-    under extension to a larger member; a barren branch can spoil a tree
-    that extends a faithful one.
-    """
-    if mu < 0:
-        raise ValueError("bigness level must be nonnegative")
-    if mu == 0:
-        return True
-    kind = s.cls.kind
-    if kind in ("or", "ordered_graph", "hypergraph"):
-        return s.size >= mu
-    if kind == "chi_or":
+    def big(self, s, mu):
         counts = [0] * s.cls.chi
         for p in s.parts:
             counts[p] += 1
         return all(c >= mu for c in counts)
-    if kind == "chi_color":
-        return s.size >= s.cls.chi * mu
-    if kind == "n_tree":
+
+    def subset_big(self, s, chosen, mu):
+        counts = [0] * s.cls.chi
+        for e in chosen:
+            counts[s.part_of(e)] += 1
+        return all(c >= mu for c in counts)
+
+    def pruner(self, base, level):
+        # bigness only grows with the subset, so the whole of chosen + rest
+        # bounds every completion
+        return lambda chosen, rest: self.subset_big(base, chosen + rest, level)
+
+    def fragment(self, s, closed, pos):
+        return {"parts": [s.part_of(e) for e in closed]}
+
+    def embed(self, cls, mu, target):
+        image: list[int] = []
+        for p in range(cls.chi):
+            image.extend([e for e in range(target.size) if target.part_of(e) == p][:mu])
+        return tuple(image)
+
+
+class ColoredOrder(Kind):
+    name = "chi_color"
+    params = ("chi",)
+
+    def min_size(self, cls, mu):
+        return cls.chi * mu
+
+    def subset_big(self, s, chosen, mu):
+        return subset_induces_member(s, tuple(chosen)) and len(chosen) >= s.cls.chi * mu
+
+    def period(self, cls):
+        return cls.chi
+
+    def fragment(self, s, closed, pos):
+        return {"res": [e % s.cls.chi for e in closed]}
+
+    def decode(self, cls, m, frag):
+        # a fragment need not be positional: place each position at the least
+        # element above the previous one with its residue
+        place: list[int] = []
+        for r in frag["res"]:
+            e = place[-1] + 1 if place else 0
+            place.append(e + (r - e) % cls.chi)
+        return FinStructure(cls, place[-1] + 1 if place else 0), place
+
+
+class Trees(Kind):
+    name = "n_tree"
+    params = ("height",)
+    fields = {"parent": "tree_parent", "level": "levels"}
+
+    def canonical(self, cls, mu):
+        parent: list[int] = []
+        level: list[int] = []
+
+        def grow(par: int, lev: int) -> None:
+            me = len(parent)
+            parent.append(par)
+            level.append(lev)
+            if lev < cls.height:
+                for _ in range(mu):
+                    grow(me, lev + 1)
+
+        if mu > 0:
+            grow(-1, 0)
+        return FinStructure(cls, len(parent), parent=tuple(parent), level=tuple(level))
+
+    def min_size(self, cls, mu):
+        return sum(mu**d for d in range(cls.height + 1)) if mu else 0
+
+    def member(self, s):
+        n = s.size
+        if len(s.parent) != n or len(s.level) != n:
+            return False
+        if n == 0:
+            return True
+        roots = [i for i in range(n) if s.parent[i] < 0]
+        if roots != [0]:
+            return False  # a single root, first in preorder; meet totality follows
+        for i in range(1, n):
+            p = s.parent[i]
+            if not isinstance(p, int) or not 0 <= p < i:
+                return False
+        for i in range(n):
+            lev = s.level[i]
+            if not isinstance(lev, int) or not 0 <= lev <= s.cls.height:
+                return False
+            p = s.parent[i]
+            if p >= 0 and s.level[i] <= s.level[p]:
+                return False
+        # natural order must be the preorder traversal: each subtree is the
+        # interval starting at its root
+        sub = [1] * n
+        for i in range(n - 1, 0, -1):
+            sub[s.parent[i]] += sub[i]
+        for i in range(n):
+            for j in range(i + 1, i + sub[i]):
+                anc = j
+                while anc > i:
+                    anc = s.parent[anc]
+                if anc != i:
+                    return False
+        return True
+
+    def big(self, s, mu):
         if s.size == 0 or s.level[tree_root(s)] != 0:
             return False
         kids = tree_children(s)
@@ -481,71 +460,8 @@ def is_big(s: FinStructure, mu: int) -> bool:
                 if len(faithful) < mu:
                     return False
         return True
-    if kind == "ceq":
-        good = sum(1 for b in s.blocks if len(b) >= mu)
-        return good >= mu
-    raise AssertionError(kind)
 
-
-# subsets: closure, membership, bigness, induced structure
-
-
-def subset_closure(s: FinStructure, elems) -> tuple[int, ...]:
-    """Close a subset under the class functions (the tree meet; identity for
-    every other kind) and return it sorted."""
-    chosen = set(elems)
-    for e in chosen:
-        if not 0 <= e < s.size:
-            raise ValueError(f"element {e} outside universe")
-    if s.cls.kind == "n_tree" and len(chosen) > 1:
-        frontier = list(chosen)
-        while frontier:
-            nxt = []
-            for a in list(chosen):
-                for b in frontier:
-                    m = tree_meet(s, a, b)
-                    if m not in chosen:
-                        chosen.add(m)
-                        nxt.append(m)
-            frontier = nxt
-    return tuple(sorted(chosen))
-
-
-def subset_is_closed(s: FinStructure, subset) -> bool:
-    return tuple(sorted(set(subset))) == subset_closure(s, subset)
-
-
-def subset_induces_member(s: FinStructure, subset) -> bool:
-    """Whether the (closed) subset induces a member of the class.  Only
-    chi_color can fail: its color predicates are positional, so the j-th
-    chosen element must carry residue j mod chi."""
-    if not subset_is_closed(s, subset):
-        return False
-    if s.cls.kind == "chi_color":
-        chi = s.cls.chi
-        for rank, e in enumerate(sorted(set(subset))):
-            if e % chi != rank % chi:
-                return False
-    return True
-
-
-def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
-    """Bigness of the structure a (closed) subset induces, evaluated without
-    materializing it."""
-    if mu == 0:
-        return True
-    chosen = sorted(set(subset))
-    kind = s.cls.kind
-    if kind in ("or", "ordered_graph", "hypergraph"):
-        return len(chosen) >= mu
-    if kind == "chi_or":
-        counts = [0] * s.cls.chi
-        for e in chosen:
-            counts[s.part_of(e)] += 1
-        return all(c >= mu for c in counts)
-    if kind == "chi_color":
-        return subset_induces_member(s, tuple(chosen)) and len(chosen) >= s.cls.chi * mu
-    if kind == "n_tree":
+    def subset_big(self, s, chosen, mu):
         if not chosen:
             return False
         inside = set(chosen)
@@ -567,13 +483,298 @@ def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
                 if len(faithful) < mu:
                     return False
         return True
-    if kind == "ceq":
+
+    def close(self, s, chosen):
+        frontier = list(chosen)
+        while frontier:
+            nxt = []
+            for a in list(chosen):
+                for b in frontier:
+                    m = tree_meet(s, a, b)
+                    if m not in chosen:
+                        chosen.add(m)
+                        nxt.append(m)
+            frontier = nxt
+
+    def admit(self, s, chosen, e):
+        """Refuse e when its meet with a chosen element is new: the walker
+        only grows closed subsets."""
+        for x in chosen:
+            m = tree_meet(s, x, e)
+            if m != x and m != e and m not in chosen:
+                return False
+        return True
+
+    def pruner(self, base, level):
+        if level == 0:
+            return lambda chosen, rest: True
+        root = tree_root(base)
+        if root is None or base.level[root] != 0:
+            return lambda chosen, rest: False
+        least = self.min_size(base.cls, level)
+
+        def feasible(chosen, rest):
+            return len(chosen) + len(rest) >= least and (root in chosen or root in rest)
+
+        return feasible
+
+    def fragment(self, s, closed, pos):
+        inside = set(closed)
+        parent = []
+        for e in closed:
+            par = -1
+            for anc in tree_ancestors(s, e):
+                if anc in inside:
+                    par = pos[anc]
+                    break
+            parent.append(par)
+        return {"parent": parent, "level": [s.level[e] for e in closed]}
+
+    def embed(self, cls, mu, target):
+        kids = tree_children(target)
+        image = []
+
+        def descend(v: int) -> None:
+            image.append(v)
+            if target.level[v] < cls.height:
+                faithful = [c for c in kids[v] if target.level[c] == target.level[v] + 1]
+                for c in faithful[:mu]:
+                    descend(c)
+
+        descend(tree_root(target))
+        return tuple(image)
+
+
+class ConvexEquivalence(Kind):
+    name = "ceq"
+    fields = {"blocks": "eq_blocks"}
+
+    def canonical(self, cls, mu):
+        blocks = tuple(tuple(range(b * mu, (b + 1) * mu)) for b in range(mu))
+        return FinStructure(cls, mu * mu, blocks=blocks)
+
+    def min_size(self, cls, mu):
+        return mu * mu
+
+    def member(self, s):
+        seen: set[int] = set()
+        for block in s.blocks:
+            if not block:
+                return False
+            if list(block) != sorted(block):
+                return False
+            if block[-1] - block[0] != len(block) - 1:
+                return False  # convexity: each block is an interval
+            for e in block:
+                if not isinstance(e, int) or not 0 <= e < s.size or e in seen:
+                    return False
+                seen.add(e)
+        return len(seen) == s.size
+
+    def big(self, s, mu):
+        return sum(1 for b in s.blocks if len(b) >= mu) >= mu
+
+    def subset_big(self, s, chosen, mu):
         counts: dict[int, int] = {}
         for e in chosen:
             b = s.block_of(e)
             counts[b] = counts.get(b, 0) + 1
         return sum(1 for c in counts.values() if c >= mu) >= mu
-    raise AssertionError(kind)
+
+    def pruner(self, base, level):
+        # as for chi_or
+        return lambda chosen, rest: self.subset_big(base, chosen + rest, level)
+
+    def fragment(self, s, closed, pos):
+        # blocks numbered by first occurrence
+        seen: dict[int, int] = {}
+        return {"blocks": [seen.setdefault(s.block_of(e), len(seen)) for e in closed]}
+
+    def decode(self, cls, m, frag):
+        blocks: dict[int, list[int]] = {}
+        for i, b in enumerate(frag["blocks"]):
+            blocks.setdefault(b, []).append(i)
+        return FinStructure(cls, m, blocks=blocks.values()), range(m)
+
+    def embed(self, cls, mu, target):
+        image = []
+        wide = [b for b in target.blocks if len(b) >= mu][:mu]
+        for block in wide:
+            image.extend(block[:mu])
+        return tuple(image)
+
+
+class OrderedGraphs(Kind):
+    name = "ordered_graph"
+    fields = {"edges": "edges"}
+    # cardinality bigness puts no structure on members: the empty graph on mu
+    # vertices is mu-big but contains no edge of the canonical graph
+    embeds = False
+
+    def canonical(self, cls, mu):
+        edges = frozenset(
+            (i, j) for i in range(mu) for j in range(i + 1, mu) if (j >> i) & 1
+        )
+        return FinStructure(cls, mu, edges=edges)
+
+    def member(self, s):
+        for edge in s.edges:
+            if len(edge) != 2:
+                return False
+            a, b = edge
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < b < s.size):
+                return False
+        return True
+
+    def fragment(self, s, closed, pos):
+        return {
+            "edges": [
+                [pos[a], pos[b]]
+                for a, b in itertools.combinations(closed, 2)
+                if s.has_edge(a, b)
+            ]
+        }
+
+
+class Hypergraphs(Kind):
+    name = "hypergraph"
+    params = ("edge_arity", "palette")
+    fields = {"hyper": "hyper_colors"}
+    embeds = False  # as for ordered graphs
+
+    def canonical(self, cls, mu):
+        entries = []
+        for r in range(cls.edge_arity):
+            for subset in itertools.combinations(range(mu), r):
+                entries.append((subset, (r + sum(subset)) % cls.palette))
+        return FinStructure(cls, mu, hyper=tuple(entries))
+
+    def member(self, s):
+        want = set()
+        for r in range(s.cls.edge_arity):
+            for subset in itertools.combinations(range(s.size), r):
+                want.add(subset)
+        got = {}
+        for subset, color in s.hyper:
+            if subset in got:
+                return False
+            got[subset] = color
+        if set(got) != want:
+            return False
+        return all(0 <= c < s.cls.palette for c in got.values())
+
+    def fragment(self, s, closed, pos):
+        colors = []
+        for r in range(s.cls.edge_arity):
+            for sub in itertools.combinations(closed, r):
+                colors.append([[pos[e] for e in sub], s.hyper_color(sub)])
+        return {"colors": colors}
+
+    def decode(self, cls, m, frag):
+        return FinStructure(cls, m, hyper=frag["colors"]), range(m)
+
+
+TABLE: dict[str, Kind] = {
+    spec.name: spec
+    for spec in (
+        LinearOrder(),
+        DisjointOrders(),
+        ColoredOrder(),
+        Trees(),
+        ConvexEquivalence(),
+        OrderedGraphs(),
+        Hypergraphs(),
+    )
+}
+KINDS = tuple(TABLE)
+
+
+# canonical mu-big structures
+
+
+def make_canonical(cls: ClassKind, mu: int) -> FinStructure:
+    """Minimal mu-big member of the class; deterministic, and the results for
+    increasing mu form an embedding chain."""
+    if mu < 0:
+        raise ValueError("bigness level must be nonnegative")
+    return cls.spec.canonical(cls, mu)
+
+
+# membership
+
+
+def is_member(s: FinStructure) -> bool:
+    """Whether s is a well-formed member of its class.  Malformed payloads
+    answer False, never raise."""
+    try:
+        spec = s.cls.spec
+        for field in _PAYLOAD:
+            if (getattr(s, field) is not None) != (field in spec.fields):
+                return False
+        return spec.member(s)
+    except (TypeError, ValueError, IndexError, AttributeError, AssertionError):
+        return False
+
+
+# bigness
+
+
+def is_big(s: FinStructure, mu: int) -> bool:
+    """The per-kind largeness notion at level mu.
+
+    or / ordered_graph / hypergraph: at least mu elements.
+    chi_or: every part holds at least mu elements.
+    chi_color: at least chi*mu elements.
+    n_tree: level-faithful branching, root at level 0 and every node at level
+        l < height with at least mu children at level l+1 (mu >= 1).
+    ceq: at least mu blocks, each of size at least mu.
+
+    Bigness is antitone in mu.  Every kind except n_tree is also monotone
+    under extension to a larger member; a barren branch can spoil a tree
+    that extends a faithful one.
+    """
+    if mu < 0:
+        raise ValueError("bigness level must be nonnegative")
+    return mu == 0 or s.cls.spec.big(s, mu)
+
+
+# subsets: closure, membership, bigness, induced structure
+
+
+def subset_closure(s: FinStructure, elems) -> tuple[int, ...]:
+    """Close a subset under the class functions (the tree meet; identity for
+    every other kind) and return it sorted."""
+    chosen = set(elems)
+    for e in chosen:
+        if not 0 <= e < s.size:
+            raise ValueError(f"element {e} outside universe")
+    if len(chosen) > 1:
+        s.cls.spec.close(s, chosen)
+    return tuple(sorted(chosen))
+
+
+def subset_is_closed(s: FinStructure, subset) -> bool:
+    return tuple(sorted(set(subset))) == subset_closure(s, subset)
+
+
+def subset_induces_member(s: FinStructure, subset) -> bool:
+    """Whether the (closed) subset induces a member of the class.  Only
+    chi_color can fail: its color predicates are positional, so the j-th
+    chosen element must carry residue j mod chi."""
+    if not subset_is_closed(s, subset):
+        return False
+    period = s.cls.spec.period(s.cls)
+    if period:
+        for rank, e in enumerate(sorted(set(subset))):
+            if e % period != rank % period:
+                return False
+    return True
+
+
+def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
+    """Bigness of the structure a (closed) subset induces, evaluated without
+    materializing it."""
+    return mu == 0 or s.cls.spec.subset_big(s, sorted(set(subset)), mu)
 
 
 def induced_substructure(s: FinStructure, subset) -> tuple[FinStructure, tuple[int, ...]]:
@@ -586,74 +787,20 @@ def induced_substructure(s: FinStructure, subset) -> tuple[FinStructure, tuple[i
     closed = subset_closure(s, subset)
     if not subset_induces_member(s, closed):
         raise ValueError("subset does not induce a member of the class")
-    m = len(closed)
     pos = {e: i for i, e in enumerate(closed)}
-    cls = s.cls
-    kind = cls.kind
-    if kind == "or":
-        return FinStructure(cls, m), closed
-    if kind == "chi_or":
-        return FinStructure(cls, m, parts=tuple(s.part_of(e) for e in closed)), closed
-    if kind == "chi_color":
-        return FinStructure(cls, m), closed
-    if kind == "n_tree":
-        inside = set(closed)
-        parent = []
-        for e in closed:
-            par = -1
-            for anc in tree_ancestors(s, e):
-                if anc in inside:
-                    par = pos[anc]
-                    break
-            parent.append(par)
-        level = tuple(s.level[e] for e in closed)
-        return FinStructure(cls, m, parent=tuple(parent), level=level), closed
-    if kind == "ceq":
-        blocks: list[list[int]] = []
-        last_block = None
-        for e in closed:
-            b = s.block_of(e)
-            if b != last_block:
-                blocks.append([])
-                last_block = b
-            blocks[-1].append(pos[e])
-        return FinStructure(cls, m, blocks=tuple(tuple(b) for b in blocks)), closed
-    if kind == "ordered_graph":
-        edges = frozenset(
-            (pos[a], pos[b])
-            for a, b in itertools.combinations(closed, 2)
-            if s.has_edge(a, b)
-        )
-        return FinStructure(cls, m, edges=edges), closed
-    if kind == "hypergraph":
-        entries = []
-        for r in range(cls.edge_arity):
-            for sub in itertools.combinations(closed, r):
-                entries.append((tuple(pos[e] for e in sub), s.hyper_color(sub)))
-        return FinStructure(cls, m, hyper=tuple(entries)), closed
-    raise AssertionError(kind)
+    spec = s.cls.spec
+    frag, _ = spec.decode(s.cls, len(closed), spec.fragment(s, closed, pos))
+    return frag, closed
 
 
 # canonical embeddings
-
-EMBEDS_CANONICALLY = {
-    "or": True,
-    "chi_or": True,
-    "chi_color": True,
-    "n_tree": True,
-    "ceq": True,
-    # cardinality bigness puts no structure on members: the empty graph on mu
-    # vertices is mu-big but contains no edge of the canonical graph
-    "ordered_graph": False,
-    "hypergraph": False,
-}
 
 
 def embeds_canonically(cls: ClassKind) -> bool:
     """Whether the canonical mu-big structure embeds into every mu-big member
     of the class (the lemma behind checking colorings of the canonical ambient
     only)."""
-    return EMBEDS_CANONICALLY[cls.kind]
+    return cls.spec.embeds
 
 
 def embed_canonical(cls: ClassKind, mu: int, target: FinStructure) -> tuple[int, ...]:
@@ -669,120 +816,42 @@ def embed_canonical(cls: ClassKind, mu: int, target: FinStructure) -> tuple[int,
         raise ValueError("target is from a different class")
     if not is_member(target) or not is_big(target, mu):
         raise ValueError("target is not a mu-big member")
-    kind = cls.kind
     if mu == 0:
         return ()
-    if kind in ("or", "chi_color"):
-        size = mu if kind == "or" else cls.chi * mu
-        return tuple(range(size))
-    if kind == "chi_or":
-        image: list[int] = []
-        for p in range(cls.chi):
-            image.extend([e for e in range(target.size) if target.part_of(e) == p][:mu])
-        return tuple(image)
-    if kind == "ceq":
-        image = []
-        wide = [b for b in target.blocks if len(b) >= mu][:mu]
-        for block in wide:
-            image.extend(block[:mu])
-        return tuple(image)
-    if kind == "n_tree":
-        kids = tree_children(target)
-        image = []
-
-        def descend(v: int) -> None:
-            image.append(v)
-            if target.level[v] < cls.height:
-                faithful = [c for c in kids[v] if target.level[c] == target.level[v] + 1]
-                for c in faithful[:mu]:
-                    descend(c)
-
-        descend(tree_root(target))
-        return tuple(image)
-    raise AssertionError(kind)
+    return cls.spec.embed(cls, mu, target)
 
 
 def is_embedding(src: FinStructure, dst: FinStructure, image) -> bool:
     """Check that `image` (src element i goes to image[i]) preserves the order
-    and all atomic structure in both directions."""
+    and all atomic structure in both directions: the image is closed in dst
+    and cuts out the same fragment as the whole of src."""
     image = tuple(image)
-    if len(image) != src.size or len(set(image)) != src.size:
+    if len(image) != src.size or src.cls != dst.cls:
         return False
     if any(not 0 <= e < dst.size for e in image):
         return False
-    if list(image) != sorted(image):
+    # its own closure: strictly increasing and closed in dst
+    if subset_closure(dst, image) != image:
         return False
-    kind = src.cls.kind
-    if src.cls != dst.cls:
-        return False
-    if kind == "or":
-        return True
-    if kind == "chi_or":
-        return all(src.part_of(i) == dst.part_of(image[i]) for i in range(src.size))
-    if kind == "chi_color":
-        chi = src.cls.chi
-        return all(i % chi == image[i] % chi for i in range(src.size))
-    if kind == "ceq":
-        for i, j in itertools.combinations(range(src.size), 2):
-            if (src.block_of(i) == src.block_of(j)) != (
-                dst.block_of(image[i]) == dst.block_of(image[j])
-            ):
-                return False
-        return True
-    if kind == "ordered_graph":
-        for i, j in itertools.combinations(range(src.size), 2):
-            if src.has_edge(i, j) != dst.has_edge(image[i], image[j]):
-                return False
-        return True
-    if kind == "hypergraph":
-        for r in range(src.cls.edge_arity):
-            for sub in itertools.combinations(range(src.size), r):
-                if src.hyper_color(sub) != dst.hyper_color(tuple(image[e] for e in sub)):
-                    return False
-        return True
-    if kind == "n_tree":
-        if any(src.level[i] != dst.level[image[i]] for i in range(src.size)):
-            return False
-        for i, j in itertools.combinations(range(src.size), 2):
-            if tree_below(src, i, j) != tree_below(dst, image[i], image[j]):
-                return False
-            mi = tree_meet(src, i, j)
-            if image[mi] != tree_meet(dst, image[i], image[j]):
-                return False
-        return True
-    raise AssertionError(kind)
+    spec = src.cls.spec
+    whole = tuple(range(src.size))
+    at = {e: i for i, e in enumerate(image)}
+    return spec.fragment(dst, image, at) == spec.fragment(src, whole, dict(zip(whole, whole)))
 
 
 # JSON documents
 
-_PAYLOAD_KEYS = {
-    "or": (),
-    "chi_or": ("parts",),
-    "chi_color": (),
-    "n_tree": ("tree_parent", "levels"),
-    "ceq": ("eq_blocks",),
-    "ordered_graph": ("edges",),
-    "hypergraph": ("hyper_colors",),
-}
+
+def _plain(value):
+    if isinstance(value, frozenset):
+        return sorted(_plain(v) for v in value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def to_doc(s: FinStructure) -> dict:
-    payload: dict = {}
-    kind = s.cls.kind
-    if kind == "chi_or":
-        payload["parts"] = list(s.parts)
-    elif kind == "n_tree":
-        payload["tree_parent"] = list(s.parent)
-        payload["levels"] = list(s.level)
-    elif kind == "ceq":
-        payload["eq_blocks"] = [list(b) for b in s.blocks]
-    elif kind == "ordered_graph":
-        payload["edges"] = sorted([list(e) for e in s.edges])
-    elif kind == "hypergraph":
-        payload["hyper_colors"] = [
-            [list(sub), color]
-            for sub, color in sorted(s.hyper, key=lambda e: (len(e[0]), e[0]))
-        ]
+    payload = {key: _plain(getattr(s, field)) for field, key in s.cls.spec.fields.items()}
     return {"class": s.cls.to_doc(), "universe": s.size, "payload": payload}
 
 
@@ -799,31 +868,18 @@ def from_doc(doc: dict) -> FinStructure:
     require_fields(doc, ("class", "universe"), "structure")
     cls = ClassKind.from_doc(doc["class"])
     size = doc["universe"]
+    if not _is_int(size):
+        raise ValueError(f"structure universe must be an integer, not {size!r}")
+    fields = cls.spec.fields
     payload = doc.get("payload", {})
-    extra = set(payload) - set(_PAYLOAD_KEYS[cls.kind])
+    require_fields(payload, fields.values(), f"{cls.label()} payload")
+    extra = set(payload) - set(fields.values())
     if extra:
         raise ValueError(f"unexpected payload keys {sorted(extra)} for {cls.label()}")
-    kind = cls.kind
-    if kind == "chi_or":
-        return FinStructure(cls, size, parts=tuple(payload["parts"]))
-    if kind == "n_tree":
-        return FinStructure(
-            cls,
-            size,
-            parent=tuple(payload["tree_parent"]),
-            level=tuple(payload["levels"]),
-        )
-    if kind == "ceq":
-        return FinStructure(cls, size, blocks=tuple(tuple(b) for b in payload["eq_blocks"]))
-    if kind == "ordered_graph":
-        return FinStructure(cls, size, edges=frozenset(tuple(e) for e in payload["edges"]))
-    if kind == "hypergraph":
-        return FinStructure(
-            cls,
-            size,
-            hyper=tuple((tuple(sub), color) for sub, color in payload["hyper_colors"]),
-        )
-    return FinStructure(cls, size)
+    try:
+        return FinStructure(cls, size, **{field: payload[key] for field, key in fields.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {cls.label()} payload: {exc}") from None
 
 
 def dumps(s: FinStructure) -> str:

@@ -61,61 +61,6 @@ def _encode(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _fragment_payload(s: FinStructure, closed: tuple[int, ...], gens: list[int]) -> dict:
-    """Atomic data of the closure fragment, relabeled to 0..m-1."""
-    pos = {e: i for i, e in enumerate(closed)}
-    kind = s.cls.kind
-    payload: dict = {"m": len(closed), "gen": gens}
-    if kind == "or":
-        return payload
-    if kind == "chi_or":
-        payload["parts"] = [s.part_of(e) for e in closed]
-        return payload
-    if kind == "chi_color":
-        payload["res"] = [s.residue_of(e) for e in closed]
-        return payload
-    if kind == "ceq":
-        pattern: list[int] = []
-        seen: dict[int, int] = {}
-        for e in closed:
-            b = s.block_of(e)
-            if b not in seen:
-                seen[b] = len(seen)
-            pattern.append(seen[b])
-        payload["blocks"] = pattern
-        return payload
-    if kind == "ordered_graph":
-        payload["edges"] = [
-            [pos[a], pos[b]]
-            for a, b in itertools.combinations(closed, 2)
-            if s.has_edge(a, b)
-        ]
-        return payload
-    if kind == "hypergraph":
-        colors = []
-        for r in range(s.cls.edge_arity):
-            for sub in itertools.combinations(closed, r):
-                colors.append([[pos[e] for e in sub], s.hyper_color(sub)])
-        payload["colors"] = colors
-        return payload
-    if kind == "n_tree":
-        from .structures import tree_ancestors
-
-        inside = set(closed)
-        parent = []
-        for e in closed:
-            par = -1
-            for anc in tree_ancestors(s, e):
-                if anc in inside:
-                    par = pos[anc]
-                    break
-            parent.append(par)
-        payload["parent"] = parent
-        payload["level"] = [s.level[e] for e in closed]
-        return payload
-    raise AssertionError(kind)
-
-
 def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
     """Type of an increasing tuple of s, computed in the ambient structure."""
     tup = tuple(tup)
@@ -128,18 +73,8 @@ def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
         raise ValueError(f"tuple {tup} outside universe of size {s.size}")
     closed = subset_closure(s, tup)
     pos = {e: i for i, e in enumerate(closed)}
-    gens = [pos[e] for e in tup]
-    return TupleType(s.cls, len(tup), _encode(_fragment_payload(s, closed, gens)))
-
-
-def _renumber_first_occurrence(values: list[int]) -> list[int]:
-    seen: dict[int, int] = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return out
+    payload = {"m": len(closed), "gen": [pos[e] for e in tup], **s.cls.spec.fragment(s, closed, pos)}
+    return TupleType(s.cls, len(tup), _encode(payload))
 
 
 def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
@@ -158,43 +93,8 @@ def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
     if positions[0] < 0 or positions[-1] >= p.arity:
         raise ValueError(f"positions {positions} outside arity {p.arity}")
     payload = json.loads(p.code)
-    gens = payload["gen"]
-    sub = [gens[i] for i in positions]
-    kind = p.cls.kind
-    if kind == "n_tree":
-        frag = FinStructure(
-            p.cls,
-            payload["m"],
-            parent=tuple(payload["parent"]),
-            level=tuple(payload["level"]),
-        )
-        return tuple_type(frag, tuple(sub))
-    out: dict = {"m": len(sub), "gen": list(range(len(sub)))}
-    if kind == "chi_or":
-        out["parts"] = [payload["parts"][e] for e in sub]
-    elif kind == "chi_color":
-        out["res"] = [payload["res"][e] for e in sub]
-    elif kind == "ceq":
-        out["blocks"] = _renumber_first_occurrence([payload["blocks"][e] for e in sub])
-    elif kind == "ordered_graph":
-        old = {tuple(e) for e in payload["edges"]}
-        pos = {e: i for i, e in enumerate(sub)}
-        out["edges"] = [
-            [pos[a], pos[b]]
-            for a, b in itertools.combinations(sub, 2)
-            if (a, b) in old
-        ]
-    elif kind == "hypergraph":
-        table = {tuple(subset): color for subset, color in payload["colors"]}
-        pos = {e: i for i, e in enumerate(sub)}
-        colors = []
-        for r in range(p.cls.edge_arity):
-            for chosen in itertools.combinations(sub, r):
-                colors.append([[pos[e] for e in chosen], table[tuple(chosen)]])
-        out["colors"] = colors
-    elif kind != "or":
-        raise AssertionError(kind)
-    return TupleType(p.cls, len(sub), _encode(out))
+    frag, place = p.cls.spec.decode(p.cls, payload["m"], payload)
+    return tuple_type(frag, tuple(place[payload["gen"][i]] for i in positions))
 
 
 def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[TupleType]:

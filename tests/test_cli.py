@@ -305,3 +305,50 @@ def test_check_names_missing_params(tmp_path, capsys):
     )
     assert code == 3
     assert "report result is missing 'params'" in err
+
+
+def _types_report(**params):
+    return {"command": "types", "result": {"params": {"class": {"kind": "or"}, "arity": 2, "level": 2, **params}}}
+
+
+def _ceq_coloring(**base):
+    doc = Coloring.from_function(make_canonical(ClassKind("ceq"), 2), 2, 2, lambda t: 0).to_doc()
+    doc["base"].update(base)
+    return doc
+
+
+CHECK = ("check", "--report", "FILE")
+REDUCE = ("reduce", "--cls", "ceq", "--level", "1", "--coloring", "FILE")
+
+
+@pytest.mark.parametrize(
+    "doc, argv, named",
+    [
+        ({"command": "types", "result": {"params": []}}, CHECK, "report params"),
+        (_types_report(**{"class": ["or"]}), CHECK, "class must be a JSON object"),
+        (_types_report(**{"class": {"kind": "chi_or", "chi": "2"}}), CHECK, "chi"),
+        (_types_report(arity="2"), CHECK, "arity"),
+        (_ceq_coloring(**{"class": ["ceq"]}), REDUCE, "class must be a JSON object"),
+        (_ceq_coloring(payload={"eq_blocks": 5}), REDUCE, "ceq payload"),
+        (_ceq_coloring(payload=[]), REDUCE, "ceq payload"),
+        (
+            {"command": "arrow", "result": {"params": {
+                "query": [], "mode": "exhaustive", "seed": 0, "samples": 1, "budget": None, "ceiling": 9}}},
+            CHECK,
+            "arrow query must be a JSON object",
+        ),
+        (
+            {"command": "table", "result": {"params": {
+                "class": {"kind": "or"}, "arity": 2, "colors": 2, "sub_levels": ["1"], "ambient_levels": [2],
+                "mode": "exhaustive", "seed": 0, "samples": 1, "budget": None, "ceiling": 9}}},
+            CHECK,
+            "sub_levels",
+        ),
+    ],
+    ids=["params-list", "class-list", "class-param-string", "arity-string",
+         "coloring-class-list", "eq-blocks-int", "payload-list", "query-list", "level-list-strings"],
+)
+def test_malformed_nested_fields_exit_3(tmp_path, capsys, doc, argv, named):
+    code, err = _run_on_json(tmp_path, capsys, doc, *argv)
+    assert code == 3
+    assert named in err

@@ -1,10 +1,13 @@
-"""Per-class behaviour: canonical embeddings and pinned document and
-type-code bytes."""
+"""Per-class behaviour: canonical embeddings, pinned document and type-code
+bytes, and the rule that only `structures` tells class kinds apart."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import ramseylab
 from helpers import SMALL_KINDS, _atoms, closure_bruteforce, random_member
 from ramseylab.structures import (
     ClassKind,
@@ -128,3 +131,16 @@ def test_pinned_bytes():
         '[[[],0],[[0],1],[[1],0],[[2],1],[[0,1],1],[[0,2],0],[[1,2],1]]},"universe":3}'
     )
     assert tuple_type(s, (1, 2)).code == b'{"colors":[[[],0],[[0],0],[[1],1],[[0,1],1]],"gen":[0,1],"m":2}'
+
+
+def test_only_structures_tells_kinds_apart():
+    # per-kind behaviour belongs in the structures.Kind table
+    compares = re.compile(r"""\bkind\s*(==|!=|in|not in)\s*[("']""")
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(ramseylab.__file__).parent.glob("*.py"))
+        if path.name != "structures.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if compares.search(line)
+    ]
+    assert hits == []
