@@ -37,7 +37,6 @@ from .colorings import (
 from .structures import (
     ClassKind,
     FinStructure,
-    _is_int,
     make_canonical,
     require_fields,
     subset_closure,
@@ -81,10 +80,11 @@ class ArrowQuery:
 
     @staticmethod
     def from_doc(doc: dict) -> "ArrowQuery":
-        scalars = ("ambient_level", "sub_level", "arity", "colors")
-        require_fields(doc, ("class",) + scalars, "arrow query")
-        if not all(_is_int(doc[f]) for f in scalars):
-            raise ValueError("arrow query levels, arity and colors must be integers")
+        require_fields(
+            doc,
+            {"class": dict, "ambient_level": int, "sub_level": int, "arity": int, "colors": int},
+            "arrow query",
+        )
         return ArrowQuery(
             ClassKind.from_doc(doc["class"]),
             doc["ambient_level"],

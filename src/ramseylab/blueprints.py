@@ -5,9 +5,12 @@ arity) a diagram over an output signature.  It is coherent when restricting
 a type's diagram to a sub-tuple always gives the assigned diagram of the
 restricted type.  A coherent blueprint turns any member of the index class
 into a concrete target structure: instantiate every tuple's diagram, close
-the instantiated equalities under congruence, and read the relations off the
-diagrams.  The generators then sit inside the model as an indiscernible
-family, with each tuple's diagram realized on its images.
+the instantiated equalities under congruence, and read each function value
+and relation atom off the instantiated diagrams whose term classes cover its
+arguments.  Coherence makes those diagrams agree; a value, atom or constant
+that no instantiated diagram covers raises SupportOverflowError.  The
+generators then sit inside the model as an indiscernible family, with each
+tuple's diagram realized on its images.
 
 Extraction runs the other way: given a target and an assignment of index
 elements into it, shrink the index until the diagram of a tuple depends only
@@ -40,6 +43,7 @@ from .diagrams import (
     var,
 )
 from .structures import ClassKind, FinStructure, is_member, require_fields, subset_is_big
+from .structures import to_doc as structure_doc
 from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
 
 
@@ -83,12 +87,6 @@ class Blueprint:
     def as_map(self) -> dict[TupleType, Diagram]:
         return dict(self.assignments)
 
-    def diagram(self, t: TupleType) -> Diagram:
-        for key, d in self.assignments:
-            if key == t:
-                return d
-        raise BlueprintDomainError("type outside the blueprint domain")
-
     def validate(self) -> None:
         table = self.as_map()
         if len(table) != len(self.assignments):
@@ -119,7 +117,16 @@ class Blueprint:
     @staticmethod
     def from_doc(doc: dict) -> "Blueprint":
         require_fields(
-            doc, ("class", "signature", "n_max", "depth", "levels", "assignments"), "blueprint"
+            doc,
+            {
+                "class": dict,
+                "signature": dict,
+                "n_max": int,
+                "depth": int,
+                "levels": [int],
+                "assignments": [(dict, dict)],
+            },
+            "blueprint",
         )
         sig = OutputSignature.from_doc(doc["signature"])
         bp = Blueprint(
@@ -180,8 +187,6 @@ class EmModel:
     generator_images: tuple[int, ...]
 
     def to_doc(self) -> dict:
-        from .structures import to_doc as structure_doc
-
         return {
             "blueprint": self.blueprint.to_doc(),
             "index": structure_doc(self.index),
@@ -207,10 +212,17 @@ def _key_str(key) -> str:
 def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     """Instantiate a coherent blueprint over a member of its index class.
 
+    Every increasing tuple of the index up to arity n_max instantiates its
+    type's diagram; the instantiated terms are closed under the diagrams'
+    equalities and congruence, and each closed class becomes one element.
+    A function value or relation atom is decided by every instantiated
+    diagram whose term classes cover its arguments, and read off there.
+
     Raises BlueprintDomainError when a tuple of the index realizes a type the
-    blueprint misses, SupportOverflowError when the diagrams leave a function
-    value or relation atom undecided, and InternalCheckError when the closure
-    contradicts a diagram, which coherence rules out.
+    blueprint misses, SupportOverflowError when no instantiated diagram
+    covers some function value, relation atom or constant, and
+    InternalCheckError when the closure contradicts a diagram or two
+    diagrams disagree on an atom, which coherence rules out.
     """
     failures = check_coherence(bp)
     if failures:
@@ -221,140 +233,90 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     if not is_member(index):
         raise ValueError("index structure is not a member of its class")
 
-    if index.size == 0:
-        if bp.sig.constants:
-            raise SupportOverflowError("an empty index cannot interpret constants")
-        target = TargetStructure(
-            bp.sig,
-            0,
-            {n: {} for n, _ in bp.sig.functions},
-            {n: frozenset() for n, _ in bp.sig.relations},
-            {},
-        )
-        return EmModel(bp, index, target, ())
-
     table = bp.as_map()
     instantiated: list[tuple[tuple[int, ...], Diagram, list]] = []
     uf = UnionFind()
-    pool: set = set()
     for arity in range(1, min(bp.n_max, index.size) + 1):
         for tup in itertools.combinations(range(index.size), arity):
-            t = tuple_type(index, tup)
-            diag = table.get(t)
+            diag = table.get(tuple_type(index, tup))
             if diag is None:
                 raise BlueprintDomainError(
                     f"tuple {tup} realizes a type outside the blueprint domain"
                 )
             keys = [_inst_key(term, tup) for term in diag.terms()]
-            for k in keys:
-                uf.add(k)
-                pool.add(k)
             for i, k in enumerate(keys):
+                uf.add(k)
                 uf.union(k, keys[diag.eq_reps[i]])
             instantiated.append((tup, diag, keys))
 
     # congruence closure: equal arguments force equal applications
+    apps = [k for k in uf.parent if k[0] == 1]
     changed = True
     while changed:
         changed = False
         seen: dict = {}
-        for key in pool:
-            if key[0] != 1:
-                continue
+        for key in apps:
             norm = (key[1], tuple(uf.find(ch) for ch in key[2:]))
             other = seen.setdefault(norm, key)
             if other is not key and uf.union(other, key):
                 changed = True
 
+    # generators first, then the other classes by spelling
+    root = {k: uf.find(k) for k in uf.parent}
+    ordered = list(dict.fromkeys(root[(0, "e", e)] for e in range(index.size)))
+    ordered += sorted(set(root.values()) - set(ordered), key=_key_str)
+    elem_of = {r: i for i, r in enumerate(ordered)}
+    elem = {k: elem_of[r] for k, r in root.items()}
+
+    # every term already shares its representative's class, so the closure
+    # agrees with a diagram exactly when distinct representatives stay apart
     for tup, diag, keys in instantiated:
-        roots = [uf.find(k) for k in keys]
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                same = diag.eq_reps[i] == diag.eq_reps[j]
-                if same != (roots[i] == roots[j]):
-                    raise InternalCheckError(
-                        f"closure disagrees with the diagram of {tup} "
-                        f"on terms {i} and {j}"
-                    )
+        reps = diag.reps()
+        if len({elem[keys[r]] for r in reps}) != len(reps):
+            raise InternalCheckError(f"closure merges distinct terms of the diagram of {tup}")
 
-    gen_roots = []
-    for e in range(index.size):
-        gen_roots.append(uf.find((0, "e", e)))
-    ordered_roots: list = []
-    for r in gen_roots:
-        if r not in ordered_roots:
-            ordered_roots.append(r)
-    rest = sorted(
-        {uf.find(k) for k in pool} - set(ordered_roots),
-        key=_key_str,
-    )
-    ordered_roots += rest
-    elem_of = {r: i for i, r in enumerate(ordered_roots)}
-
-    fn_table: dict = {}
-    for key in pool:
-        if key[0] != 1:
-            continue
-        norm = (key[1], tuple(uf.find(ch) for ch in key[2:]))
-        fn_table[norm] = uf.find(key)
+    fn_table = {(k[1], tuple(elem[ch] for ch in k[2:])): elem[k] for k in apps}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
     for fname, farity in bp.sig.functions:
         m: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(range(len(ordered_roots)), repeat=farity):
-            norm = (fname, tuple(ordered_roots[a] for a in args))
-            got = fn_table.get(norm)
+        for args in itertools.product(range(len(ordered)), repeat=farity):
+            got = fn_table.get((fname, args))
             if got is None:
                 raise SupportOverflowError(
                     f"function {fname!r} is undecided on {args}; the blueprint's "
                     "arity and depth do not reach that combination"
                 )
-            m[args] = elem_of[got]
+            m[args] = got
         functions[fname] = m
 
-    # a root decides an atom slot through any diagram whose term classes hit it
-    decider_maps = []
-    for tup, diag, keys in instantiated:
-        root_to_rep: dict = {}
-        for i, k in enumerate(keys):
-            root_to_rep[uf.find(k)] = diag.eq_reps[i]
-        decider_maps.append((diag, root_to_rep))
     relations: dict[str, frozenset] = {}
     for rname, rarity in bp.sig.relations:
-        rows = set()
-        for combo in itertools.product(range(len(ordered_roots)), repeat=rarity):
-            combo_roots = tuple(ordered_roots[c] for c in combo)
-            verdict = None
-            for diag, root_to_rep in decider_maps:
-                reps = []
-                for r in combo_roots:
-                    rep = root_to_rep.get(r)
-                    if rep is None:
-                        break
-                    reps.append(rep)
-                else:
-                    this = (rname, tuple(reps)) in diag.true_atoms
-                    if verdict is None:
-                        verdict = this
-                    elif verdict != this:
-                        raise InternalCheckError(
-                            f"diagrams disagree on atom {rname}{combo}"
-                        )
-            if verdict is None:
-                raise SupportOverflowError(
-                    f"relation {rname!r} is undecided on {combo}; no diagram "
-                    "covers that support"
-                )
-            if verdict:
-                rows.add(combo)
-        relations[rname] = frozenset(rows)
+        decided: dict[tuple[int, ...], bool] = {}
+        for tup, diag, keys in instantiated:
+            for combo in itertools.product(diag.reps(), repeat=rarity):
+                slot = tuple(elem[keys[i]] for i in combo)
+                verdict = (rname, combo) in diag.true_atoms
+                if decided.setdefault(slot, verdict) != verdict:
+                    raise InternalCheckError(f"diagrams disagree on atom {rname}{slot}")
+        if len(decided) != len(ordered) ** rarity:
+            slots = itertools.product(range(len(ordered)), repeat=rarity)
+            slot = next(s for s in slots if s not in decided)
+            raise SupportOverflowError(
+                f"relation {rname!r} is undecided on {slot}; no diagram "
+                "covers that support"
+            )
+        relations[rname] = frozenset(slot for slot, holds in decided.items() if holds)
 
     constants = {}
     for cname in bp.sig.constants:
-        root = uf.find((0, "c", cname))
-        constants[cname] = elem_of[root]
+        if (0, "c", cname) not in elem:
+            raise SupportOverflowError(
+                f"constant {cname!r} is undecided; no diagram is instantiated"
+            )
+        constants[cname] = elem[(0, "c", cname)]
 
-    target = TargetStructure(bp.sig, len(ordered_roots), functions, relations, constants)
-    images = tuple(elem_of[r] for r in gen_roots)
+    target = TargetStructure(bp.sig, len(ordered), functions, relations, constants)
+    images = tuple(elem[(0, "e", e)] for e in range(index.size))
     return EmModel(bp, index, target, images)
 
 
@@ -569,9 +531,10 @@ def derive_homogeneous(col: Coloring, level: int, budget: int | None = None) -> 
     terms = enumerate_terms(target.sig, n, 0)
     var_idx = [terms.index(var(i)) for i in range(n)]
     const_idx = [terms.index(const(f"k{a}")) for a in range(col.colors)]
+    table = bp.as_map()
     mapping: dict[TupleType, int] = {}
     for t in bp.domain(n):
-        diag = bp.diagram(t)
+        diag = table[t]
         hits = [
             a
             for a in range(col.colors)

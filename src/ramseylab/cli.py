@@ -96,18 +96,18 @@ def _load_coloring(args, cls: ClassKind) -> Coloring:
     return random_coloring(base, args.arity, args.colors, args.seed)
 
 
-def _require_params(params, fields, ints=(), nullable=()) -> None:
-    """Raise ValueError unless report `params` is a JSON object holding
-    `fields`, with integers in `ints` and integers or null in `nullable`."""
-    require_fields(params, fields, "report params")
-    for name in ints + nullable:
-        value = params[name]
-        if not (_is_int(value) or (value is None and name in nullable)):
-            raise ValueError(f"report params field {name!r} must be an integer, not {value!r}")
+def _require_params(params, fields: dict, nullable=()) -> None:
+    """Raise ValueError unless report `params` is a JSON object whose fields
+    fit `fields` (see `require_fields`), with an integer or null in each
+    `nullable` field."""
+    require_fields(params, {**fields, **dict.fromkeys(nullable, object)}, "report params")
+    for name in nullable:
+        if not (params[name] is None or _is_int(params[name])):
+            raise ValueError(f"report params field {name!r} is malformed")
 
 
 def _result_types(params: dict) -> dict:
-    _require_params(params, ("class", "arity", "level"), ints=("arity", "level"))
+    _require_params(params, {"class": object, "arity": int, "level": int})
     cls = ClassKind.from_doc(params["class"])
     types = enumerate_types(cls, params["arity"], params["level"])
     return {
@@ -134,8 +134,7 @@ def cmd_types(args, argv) -> int:
 def _result_arrow(params: dict) -> dict:
     _require_params(
         params,
-        ("query", "mode", "seed", "samples", "budget", "ceiling"),
-        ints=("seed", "samples", "ceiling"),
+        {"query": object, "mode": object, "seed": int, "samples": int, "ceiling": int},
         nullable=("budget",),
     )
     query = ArrowQuery.from_doc(params["query"])
@@ -177,14 +176,10 @@ def cmd_arrow(args, argv) -> int:
 def _result_table(params: dict) -> dict:
     _require_params(
         params,
-        ("class", "arity", "colors", "sub_levels", "ambient_levels",
-         "mode", "seed", "samples", "budget", "ceiling"),
-        ints=("arity", "colors", "seed", "samples", "ceiling"),
+        {"class": object, "arity": int, "colors": int, "sub_levels": [int], "ambient_levels": [int],
+         "mode": object, "seed": int, "samples": int, "ceiling": int},
         nullable=("budget",),
     )
-    for name in ("sub_levels", "ambient_levels"):
-        if not (isinstance(params[name], list) and all(map(_is_int, params[name]))):
-            raise ValueError(f"report params field {name!r} must be a list of integers")
     cls = ClassKind.from_doc(params["class"])
     table = ramsey_table(
         cls,
@@ -232,7 +227,7 @@ _REDUCERS = {"chi_color": reduce_chicolor, "ceq": reduce_ceq}
 
 
 def _result_reduce(params: dict) -> dict:
-    _require_params(params, ("coloring", "level", "budget"), ints=("level",), nullable=("budget",))
+    _require_params(params, {"coloring": object, "level": int}, nullable=("budget",))
     col = Coloring.from_doc(params["coloring"])
     reduce = _REDUCERS.get(col.base.cls.kind)
     if reduce is None:
@@ -267,7 +262,7 @@ def cmd_reduce(args, argv) -> int:
 
 
 def _result_extract(params: dict) -> dict:
-    _require_params(params, ("coloring", "level", "budget"), ints=("level",), nullable=("budget",))
+    _require_params(params, {"coloring": object, "level": int}, nullable=("budget",))
     col = Coloring.from_doc(params["coloring"])
     res = derive_homogeneous(col, params["level"], budget=params["budget"])
     out = {
@@ -306,7 +301,7 @@ def cmd_extract(args, argv) -> int:
 
 
 def _result_em(params: dict) -> dict:
-    _require_params(params, ("blueprint", "level"), ints=("level",))
+    _require_params(params, {"blueprint": object, "level": int})
     bp = Blueprint.from_doc(params["blueprint"])
     index = make_canonical(bp.cls, params["level"])
     model = em_model(bp, index)
@@ -346,13 +341,13 @@ _RERUNNERS = {
 
 def cmd_check(args, argv) -> int:
     envelope = _read_json(args.report)
-    require_fields(envelope, ("command", "result"), "report")
+    require_fields(envelope, {"command": object, "result": object}, "report")
     command = envelope["command"]
     rerun = _RERUNNERS.get(command) if isinstance(command, str) else None
     if rerun is None:
         raise ValueError(f"cannot re-verify command {command!r}")
     stored = envelope["result"]
-    require_fields(stored, ("params",), "report result")
+    require_fields(stored, {"params": object}, "report result")
     fresh = rerun(stored["params"])
     if _dump(fresh) == _dump(stored):
         _emit(args, [f"report verified ({command})"], _envelope("check", argv, {"verified": True, "command": command}))

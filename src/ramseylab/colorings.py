@@ -111,13 +111,9 @@ class Coloring:
         that is not arity + 1 integers, a tuple that is not strictly
         increasing inside the universe, a color outside the palette, or a
         repeated tuple.  The table may be partial."""
-        require_fields(doc, ("base", "arity", "colors", "entries"), "coloring")
+        require_fields(doc, {"base": dict, "arity": int, "colors": int, "entries": list}, "coloring")
         base = structure_from(doc["base"])
         arity, colors = doc["arity"], doc["colors"]
-        if not (_is_int(arity) and _is_int(colors)):
-            raise ValueError("coloring arity and colors must be integers")
-        if not isinstance(doc["entries"], list):
-            raise ValueError("coloring entries must be a JSON list")
         col = Coloring(base, arity, colors, {})
         for row in doc["entries"]:
             if not (isinstance(row, list) and len(row) == arity + 1 and all(map(_is_int, row))):
@@ -155,12 +151,6 @@ class HomogeneityWitness:
 
     def as_dict(self) -> dict[TupleType, int]:
         return dict(self.entries)
-
-    def color_of(self, t: TupleType) -> int:
-        for entry_type, color in self.entries:
-            if entry_type == t:
-                return color
-        raise KeyError(t)
 
     def to_doc(self) -> list:
         return [[t.to_doc(), c] for t, c in self.entries]

@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .structures import require_fields
+
 _RESERVED = re.compile(r"^x[0-9]*$")
 
 
@@ -102,6 +104,9 @@ class OutputSignature:
 
     @staticmethod
     def from_doc(doc: dict) -> "OutputSignature":
+        require_fields(
+            doc, {"functions": [(str, int)], "relations": [(str, int)], "constants": [str]}, "signature"
+        )
         return OutputSignature(
             tuple((n, a) for n, a in doc["functions"]),
             tuple((n, a) for n, a in doc["relations"]),
@@ -232,26 +237,16 @@ class Diagram:
             raise ValueError("positions must be strictly increasing and nonempty")
         if positions[-1] >= self.arity:
             raise ValueError("position outside tuple")
-        big_terms = self.terms()
-        big_index = {t: i for i, t in enumerate(big_terms)}
-        small_terms = enumerate_terms(self.sig, k, self.depth)
-        embed = [big_index[t.rename(positions)] for t in small_terms]
-        big_rep_of = [self.eq_reps[e] for e in embed]
-        small_rep: dict[int, int] = {}
-        eq = []
-        for i in range(len(small_terms)):
-            eq.append(small_rep.setdefault(big_rep_of[i], i))
-        eq_reps = tuple(eq)
-        small_reps = sorted(set(eq_reps))
-        # atoms transfer along big representatives; only classes visible in
-        # the sub-tuple's term pool survive
-        atoms = set()
-        for rname, rarity in self.sig.relations:
-            for combo in itertools.product(small_reps, repeat=rarity):
-                big_combo = tuple(big_rep_of[i] for i in combo)
-                if (rname, big_combo) in self.true_atoms:
-                    atoms.add((rname, combo))
-        return Diagram(self.sig, k, self.depth, eq_reps, frozenset(atoms))
+        # each small term denotes the class of its renaming in this diagram,
+        # and atoms transfer along those classes
+        big_index = {t: i for i, t in enumerate(self.terms())}
+        values = [
+            self.eq_reps[big_index[t.rename(positions)]]
+            for t in enumerate_terms(self.sig, k, self.depth)
+        ]
+        return _build_diagram(
+            self.sig, k, self.depth, values, lambda r, row: (r, row) in self.true_atoms
+        )
 
     def sort_key(self):
         return (self.arity, self.eq_reps, tuple(sorted(self.true_atoms)))
@@ -266,6 +261,9 @@ class Diagram:
 
     @staticmethod
     def from_doc(doc: dict, sig: OutputSignature) -> "Diagram":
+        require_fields(
+            doc, {"arity": int, "depth": int, "eq": [int], "atoms": [(str, [int])]}, "diagram"
+        )
         d = Diagram(
             sig,
             doc["arity"],
@@ -373,6 +371,21 @@ class TargetStructure:
         )
 
 
+def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, holds) -> Diagram:
+    """Diagram in which term i denotes values[i]: equal values share the
+    index of their first occurrence as representative, and an atom over
+    representatives is true when holds(relation, row of values) is."""
+    first: dict = {}
+    eq_reps = tuple(first.setdefault(v, i) for i, v in enumerate(values))
+    atoms = frozenset(
+        (rname, combo)
+        for rname, rarity in sig.relations
+        for combo in itertools.product(first.values(), repeat=rarity)
+        if holds(rname, tuple(values[i] for i in combo))
+    )
+    return Diagram(sig, arity, depth, eq_reps, atoms)
+
+
 def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) -> Diagram:
     """Diagram of a value tuple inside a target, up to the given term depth.
 
@@ -383,18 +396,6 @@ def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) 
         raise ValueError("generator values must be pairwise distinct")
     terms = enumerate_terms(target.sig, len(values), depth)
     evals = [target.eval_term(t, values) for t in terms]
-    rep_of_value: dict[int, int] = {}
-    eq = []
-    for i, v in enumerate(evals):
-        eq.append(rep_of_value.setdefault(v, i))
-    eq_reps = tuple(eq)
-    reps = sorted(set(eq_reps))
-    atoms = set()
-    for rname, rarity in target.sig.relations:
-        for combo in itertools.product(reps, repeat=rarity):
-            row = tuple(evals[i] for i in combo)
-            if target.holds(rname, row):
-                atoms.add((rname, combo))
-    d = Diagram(target.sig, len(values), depth, eq_reps, frozenset(atoms))
+    d = _build_diagram(target.sig, len(values), depth, evals, target.holds)
     d.validate()
     return d

@@ -98,7 +98,7 @@ class ClassKind:
 
     @staticmethod
     def from_doc(doc: dict) -> "ClassKind":
-        require_fields(doc, ("kind",), "class")
+        require_fields(doc, {"kind": object}, "class")
         extra = set(doc) - {"kind", *_spec(doc["kind"]).params}
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)} for class {doc['kind']}")
@@ -855,24 +855,39 @@ def to_doc(s: FinStructure) -> dict:
     return {"class": s.cls.to_doc(), "universe": s.size, "payload": payload}
 
 
-def require_fields(doc, fields, what: str) -> None:
-    """Raise ValueError unless `doc` is a JSON object holding every field."""
+def _fits(value, shape) -> bool:
+    """Whether a JSON value has `shape`: a type (int excludes bool), [shape]
+    for a list of any length, or a tuple of shapes for a list of that many."""
+    if isinstance(shape, type):
+        return _is_int(value) if shape is int else isinstance(value, shape)
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, list):
+        return all(_fits(v, shape[0]) for v in value)
+    return len(value) == len(shape) and all(map(_fits, value, shape))
+
+
+def require_fields(doc, fields: dict, what: str) -> None:
+    """Raise ValueError unless `doc` is a JSON object holding every field in
+    `fields`, a map from field names to shapes (see `_fits`); the shape
+    `object` asks only that the field be present."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     missing = [f for f in fields if f not in doc]
     if missing:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    for name, shape in fields.items():
+        if not _fits(doc[name], shape):
+            raise ValueError(f"{what} field {name!r} is malformed")
 
 
 def from_doc(doc: dict) -> FinStructure:
-    require_fields(doc, ("class", "universe"), "structure")
+    require_fields(doc, {"class": object, "universe": int}, "structure")
     cls = ClassKind.from_doc(doc["class"])
     size = doc["universe"]
-    if not _is_int(size):
-        raise ValueError(f"structure universe must be an integer, not {size!r}")
     fields = cls.spec.fields
     payload = doc.get("payload", {})
-    require_fields(payload, fields.values(), f"{cls.label()} payload")
+    require_fields(payload, dict.fromkeys(fields.values(), object), f"{cls.label()} payload")
     extra = set(payload) - set(fields.values())
     if extra:
         raise ValueError(f"unexpected payload keys {sorted(extra)} for {cls.label()}")

@@ -26,6 +26,7 @@ from .structures import (
     ClassKind,
     FinStructure,
     make_canonical,
+    require_fields,
     subset_closure,
 )
 
@@ -50,6 +51,7 @@ class TupleType:
 
     @staticmethod
     def from_doc(doc: dict) -> "TupleType":
+        require_fields(doc, {"class": dict, "arity": int, "code": str}, "tuple type")
         return TupleType(
             cls=ClassKind.from_doc(doc["class"]),
             arity=doc["arity"],

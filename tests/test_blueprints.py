@@ -1,6 +1,8 @@
 """Blueprints: coherence, term models, extraction, and the derive pipeline."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -263,3 +265,58 @@ def test_unary_blueprint_term_sanity():
     terms = Diagram(UNARY, 1, 2, (0, 1, 1)).terms()
     assert [t.spelling() for t in terms] == ["x0", "f(x0)", "f(f(x0))"]
     assert terms[2] == app("f", app("f", var(0)))
+
+
+def _model_sha256(bp, level):
+    doc = em_model(bp, make_canonical(OR, level)).to_doc()
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "size, seed, level, digest",
+    [
+        (2, 0, 3, "f366bca003efca81dc6215dae2e1ed8992d5794f03aa56e4925d0d9df1ef95c9"),
+        (2, 1, 6, "124778e3b6bf07be0020878767e2899fb205992109b9ce15dd23ce149f114cd3"),
+        (3, 0, 6, "02e352d58252e9c14bf06099e0a861d147c51ed76601b6daf92715f26601fe85"),
+        (3, 2, 9, "6250cddf1bf6856a9385b74a6cc7a77612f1bba77b2360b047a890190b030fe8"),
+        (4, 1, 4, "35ad2d7dd37e98d2b9724ebff3304c993a9f03cab13d420bef23e29364d99017"),
+        (4, 2, 8, "635f1102ef5a56fffcb73048d947b0eb0f1594773c613b303959acf7ace4662b"),
+    ],
+)
+def test_em_model_bytes_pinned_on_fiber_blueprints(size, seed, level, digest):
+    # the model document, element numbering included, must not drift
+    target, assignment = fiber_target(size, seed)
+    bp = extract_blueprint(target, assignment, make_canonical(OR, size), 2, 2, (1, 2)).blueprint
+    assert _model_sha256(bp, level) == digest
+
+
+@pytest.mark.parametrize(
+    "level, digest",
+    [
+        (0, "1a53fb64343263e23521217ded1cdf832d776028b50a2492baf047e07908adae"),
+        (2, "28ba8ccedfc932b4ce89cc911a1e3f6a29ada951d2ece51891eeae94473e0e4a"),
+        (5, "f590a7703b874d7cbd077c8c54cbf6632bf7857e8d9a4736ab3db6ca559d1cc9"),
+    ],
+)
+def test_em_model_bytes_pinned_on_unary_blueprint(level, digest):
+    assert _model_sha256(_unary_blueprint(), level) == digest
+
+
+def test_em_support_overflow_on_uncovered_relation_slot():
+    # unary diagrams decide R on (e, e) only; no diagram covers two generators
+    sig = OutputSignature(relations=(("R", 2),))
+    t1 = enumerate_types(OR, 1, 1)[0]
+    bp = Blueprint(OR, sig, 1, 0, (1,), ((t1, Diagram(sig, 1, 0, (0,))),))
+    assert check_coherence(bp) == []
+    with pytest.raises(SupportOverflowError, match=r"'R' is undecided on \(0, 1\)"):
+        em_model(bp, make_canonical(OR, 2))
+
+
+def test_em_support_overflow_on_constant_over_empty_index():
+    sig = OutputSignature(constants=("c",))
+    t1 = enumerate_types(OR, 1, 1)[0]
+    bp = Blueprint(OR, sig, 1, 0, (1,), ((t1, Diagram(sig, 1, 0, (0, 1))),))
+    assert em_model(bp, make_canonical(OR, 1)).target.constants == {"c": 1}
+    with pytest.raises(SupportOverflowError):
+        em_model(bp, make_canonical(OR, 0))

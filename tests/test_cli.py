@@ -352,3 +352,43 @@ def test_malformed_nested_fields_exit_3(tmp_path, capsys, doc, argv, named):
     code, err = _run_on_json(tmp_path, capsys, doc, *argv)
     assert code == 3
     assert named in err
+
+
+def _em_report(mutate):
+    """An `em` report of the unary blueprint, with one nested field changed."""
+    bp = unary_blueprint().to_doc()
+    mutate(bp)
+    return {"command": "em", "result": {"params": {"blueprint": bp, "level": 2}}}
+
+
+def _set(*path):
+    *keys, last, value = path
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (_set("assignments", 5), "assignments"),
+        (_set("levels", 5), "levels"),
+        (_set("n_max", "2"), "n_max"),
+        (_set("assignments", 0, 0, "code", 5), "code"),
+        (_set("assignments", 0, 0, "arity", "1"), "arity"),
+        (_set("assignments", 0, 1, "atoms", 5), "atoms"),
+        (_set("assignments", 0, 1, "arity", "1"), "arity"),
+        (_set("signature", "functions", 5), "functions"),
+        (_set("signature", "functions", [["f", "1"]]), "functions"),
+    ],
+    ids=["assignments-int", "levels-int", "n_max-string", "type-code-int", "type-arity-string",
+         "diagram-atoms-int", "diagram-arity-string", "functions-int", "function-arity-string"],
+)
+def test_malformed_em_report_exits_3(tmp_path, capsys, mutate, named):
+    code, err = _run_on_json(tmp_path, capsys, _em_report(mutate), *CHECK)
+    assert code == 3
+    assert named in err
