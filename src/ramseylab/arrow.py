@@ -9,16 +9,22 @@ statement about the canonical ambient only (see structures.embeds_canonically).
 
 Three modes:
 
-  exhaustive      enumerate every coloring (odometer over the tuple table) and
-                  certify each one; a failing coloring is re-verified by an
-                  independent search before it is reported.
+  exhaustive      enumerate every coloring and certify each one, by scanning
+                  the candidate subsets (ambients of at most 20 elements) or
+                  by searching the coloring directly (larger ones); a failing
+                  coloring is re-verified by an independent search before it
+                  is reported.
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.
   counterexample  simulated-annealing descent on the number of candidate
                   subsets consistent with the coloring; a zero-energy coloring
                   is verified exhaustively before a refutation is reported.
 
-Work counters are deterministic node counts, never wall-clock times.
+One typed tuple table per query serves both exhaustive forks and the
+counterexample pool: the increasing tuples in lexicographic order, and one
+coloring over them that a single odometer repaints, whose type cache types
+each tuple once.  Work counters are deterministic node counts, never
+wall-clock times.
 """
 
 from __future__ import annotations
@@ -36,14 +42,12 @@ from .colorings import (
 )
 from .structures import (
     ClassKind,
-    FinStructure,
     make_canonical,
     require_fields,
     subset_closure,
     subset_induces_member,
     subset_is_big,
 )
-from .tuple_types import tuple_type
 
 DEFAULT_CEILING = 2 ** 26
 _MATERIALIZE_CAP = 20  # largest universe whose subset lattice we enumerate
@@ -116,41 +120,57 @@ class Verdict:
         return doc
 
 
-def _candidate_groups(base: FinStructure, sub_level: int, arity: int, tuple_index: dict):
-    """Materialized candidate subsets with their same-type tuple groups.
+class _TupleTable:
+    """The increasing `arity`-tuples of a query's canonical ambient, in
+    lexicographic order, with one coloring over them that the engines paint.
 
-    Each candidate is paired with the groups of tuple-table indices that share
-    a type within it; a coloring is consistent with the candidate exactly when
-    every group is monochromatic, so singleton groups are dropped.
+    Same-type groups are read through the coloring's type cache, so each
+    tuple is typed at most once per query however many candidates hold it.
     """
-    return [
-        (cand, _same_type_groups(base, cand, arity, tuple_index))
-        for cand in iter_big_member_subsets(base, sub_level)
-    ]
+
+    def __init__(self, query: ArrowQuery):
+        self.base = make_canonical(query.cls, query.ambient_level)
+        self.tuples = list(itertools.combinations(range(self.base.size), query.arity))
+        self.index = {tup: i for i, tup in enumerate(self.tuples)}
+        self.col = Coloring(self.base, query.arity, query.colors, dict.fromkeys(self.tuples, 0))
+
+    def paint(self, digits) -> Coloring:
+        """The shared coloring with tuple i colored digits[i]."""
+        self.col.table.update(zip(self.tuples, digits))
+        return self.col
+
+    def groups(self, subset) -> list[list[int]]:
+        """Table indices of the `arity`-tuples of `subset`, grouped by type.
+
+        A coloring is consistent with the subset exactly when every group is
+        monochromatic, so singleton groups are dropped.
+        """
+        groups: dict = {}
+        for combo in itertools.combinations(subset, self.col.arity):
+            groups.setdefault(self.col.type_of(combo), []).append(self.index[combo])
+        return [g for g in groups.values() if len(g) > 1]
+
+    def candidates(self, sub_level: int) -> list:
+        """Every candidate subset of the ambient with its same-type groups."""
+        return [(cand, self.groups(cand)) for cand in iter_big_member_subsets(self.base, sub_level)]
 
 
-def _same_type_groups(base: FinStructure, subset, arity: int, tuple_index: dict) -> list[list[int]]:
-    """Tuple-table indices of the `arity`-tuples of `subset`, grouped by type;
-    singleton groups are dropped."""
-    groups: dict = {}
-    for combo in itertools.combinations(subset, arity):
-        groups.setdefault(tuple_type(base, combo), []).append(tuple_index[combo])
-    return [g for g in groups.values() if len(g) > 1]
+def _distinct_types(pool, mode: str) -> Verdict | None:
+    """The verdict when some candidate realizes pairwise distinct types, so
+    that every coloring whatsoever is homogeneous on it: the query holds, and
+    no coloring can refute it."""
+    for cand, groups in pool:
+        if not groups:
+            note = f"subset {list(cand)} realizes pairwise distinct types"
+            if mode == "exhaustive":
+                return Verdict("holds", mode, len(pool), 0, notes=(note,))
+            return Verdict(
+                "unknown", mode, len(pool), 0, notes=(f"{note}; no coloring can refute the query",)
+            )
+    return None
 
 
-def _advance(digits: list[int], colors: int) -> bool:
-    """Step the odometer to the next coloring; False once it wraps around."""
-    i = len(digits) - 1
-    while i >= 0:
-        digits[i] += 1
-        if digits[i] < colors:
-            return True
-        digits[i] = 0
-        i -= 1
-    return False
-
-
-def _consistent(digits: list[int], groups) -> bool:
+def _consistent(digits, groups) -> bool:
     for g in groups:
         c0 = digits[g[0]]
         for gi in g[1:]:
@@ -171,74 +191,46 @@ def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
 
 
 def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
-    base = make_canonical(query.cls, query.ambient_level)
-    tuples = list(itertools.combinations(range(base.size), query.arity))
-    ntup = len(tuples)
+    table = _TupleTable(query)
+    ntup = len(table.tuples)
     total = query.colors ** ntup
     if total > ceiling:
         raise SearchSpaceTooLarge(
             f"{query.colors}^{ntup} colorings exceed the ceiling {ceiling}; "
             "use the randomized or counterexample mode"
         )
-    tuple_index = {tup: i for i, tup in enumerate(tuples)}
     work = 0
-    if base.size <= _MATERIALIZE_CAP:
-        cands = _candidate_groups(base, query.sub_level, query.arity, tuple_index)
-        work += len(cands)
-        for cand, groups in cands:
-            if not groups:
-                # every tuple of this candidate has its own type, so any
-                # coloring whatsoever is homogeneous on it
-                return Verdict(
-                    "holds",
-                    "exhaustive",
-                    work,
-                    0,
-                    notes=(
-                        f"subset {list(cand)} realizes pairwise distinct types",
-                    ),
-                )
-        digits = [0] * ntup
-        checked = 0
-        while True:
-            checked += 1
-            good = False
-            for cand, groups in cands:
-                work += 1
+    if table.base.size <= _MATERIALIZE_CAP:
+        cands = table.candidates(query.sub_level)
+        shortcut = _distinct_types(cands, "exhaustive")
+        if shortcut is not None:
+            return shortcut
+        work = len(cands)
+
+        def homogeneous(digits) -> tuple[bool, int]:
+            """Scan the candidates; the cost is the candidates scanned."""
+            for scanned, (_, groups) in enumerate(cands, 1):
                 if _consistent(digits, groups):
-                    good = True
-                    break
-            if not good:
-                col = Coloring(
-                    base,
-                    query.arity,
-                    query.colors,
-                    {tuples[i]: digits[i] for i in range(ntup)},
-                )
-                if not verify_refutation(query, col):
-                    raise AssertionError(
-                        "candidate scan and direct search disagree on a coloring"
-                    )
-                return Verdict("fails", "exhaustive", work, checked, col)
-            if not _advance(digits, query.colors):
-                return Verdict("holds", "exhaustive", work, checked)
-    # universe too large for the subset lattice: search each coloring directly
-    digits = [0] * ntup
-    col = Coloring(base, query.arity, query.colors, {tup: 0 for tup in tuples})
+                    return True, scanned
+            return False, len(cands)
+    else:
+        # universe too large for the subset lattice: search each coloring
+        # directly; the cost is the search nodes
+
+        def homogeneous(digits) -> tuple[bool, int]:
+            res = find_type_homogeneous(table.paint(digits), query.sub_level)
+            return res.found, res.nodes
+
     checked = 0
-    while True:
-        checked += 1
-        for i, tup in enumerate(tuples):
-            col.table[tup] = digits[i]
-        res = find_type_homogeneous(col, query.sub_level)
-        work += res.nodes
-        if not res.found:
-            frozen = col.copy()
-            if not verify_refutation(query, frozen):
+    for checked, digits in enumerate(itertools.product(range(query.colors), repeat=ntup), 1):
+        found, cost = homogeneous(digits)
+        work += cost
+        if not found:
+            col = table.paint(digits).copy()
+            if not verify_refutation(query, col):
                 raise AssertionError("refutation failed independent verification")
-            return Verdict("fails", "exhaustive", work, checked, frozen)
-        if not _advance(digits, query.colors):
-            return Verdict("holds", "exhaustive", work, checked)
+            return Verdict("fails", "exhaustive", work, checked, col)
+    return Verdict("holds", "exhaustive", work, checked)
 
 
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:
@@ -268,15 +260,13 @@ def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) 
 
 
 def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict:
-    base = make_canonical(query.cls, query.ambient_level)
-    tuples = list(itertools.combinations(range(base.size), query.arity))
-    ntup = len(tuples)
-    tuple_index = {tup: i for i, tup in enumerate(tuples)}
+    table = _TupleTable(query)
+    base = table.base
     rng = random.Random(seed)
 
     enumerated = base.size <= _MATERIALIZE_CAP
     if enumerated:
-        pool = _candidate_groups(base, query.sub_level, query.arity, tuple_index)
+        pool = table.candidates(query.sub_level)
     else:
         # seeded sample of candidate subsets; misses are repaired below by
         # adding whatever the verification search finds
@@ -292,7 +282,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                 continue
             if subset_induces_member(base, closed) and subset_is_big(base, closed, query.sub_level):
                 seen.add(closed)
-                pool.append((closed, _same_type_groups(base, closed, query.arity, tuple_index)))
+                pool.append((closed, table.groups(closed)))
     if not pool:
         return Verdict(
             "unknown",
@@ -301,19 +291,11 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
             0,
             notes=("no candidate subsets found to steer the descent",),
         )
-    for cand, groups in pool:
-        if not groups:
-            return Verdict(
-                "unknown",
-                "counterexample",
-                len(pool),
-                0,
-                notes=(
-                    f"subset {list(cand)} realizes pairwise distinct types; "
-                    "no coloring can refute the query",
-                ),
-            )
+    shortcut = _distinct_types(pool, "counterexample")
+    if shortcut is not None:
+        return shortcut
 
+    ntup = len(table.tuples)
     digits = [rng.randrange(query.colors) for _ in range(ntup)]
 
     def energy() -> int:
@@ -328,13 +310,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
         work += 1
         if e == 0:
             attempts += 1
-            col = Coloring(
-                base,
-                query.arity,
-                query.colors,
-                {tuples[i]: digits[i] for i in range(ntup)},
-            )
-            res = find_type_homogeneous(col, query.sub_level)
+            res = find_type_homogeneous(table.paint(digits), query.sub_level)
             work += res.nodes
             if res.exhaustive and not res.found:
                 return Verdict(
@@ -342,7 +318,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                     "counterexample",
                     work,
                     attempts,
-                    col,
+                    table.col.copy(),
                     notes=(f"refutation found after {step} flips",),
                 )
             if enumerated:
@@ -350,7 +326,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                     "enumerated candidate pool and direct search disagree"
                 )
             # the sampled pool missed this subset; learn it and keep going
-            pool.append((res.subset, _same_type_groups(base, res.subset, query.arity, tuple_index)))
+            pool.append((res.subset, table.groups(res.subset)))
             e = energy()
             continue
         temp = temp0 * (0.999 ** step)
@@ -384,6 +360,10 @@ def arrow_check(
 ) -> Verdict:
     """Decide or probe the partition relation for `query`.  See the module
     docstring for the three modes."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
     if mode == "exhaustive":
         return _exhaustive(query, ceiling)
     if mode == "randomized":

@@ -350,17 +350,6 @@ class ExtractReport:
     def status(self) -> str:
         return "found" if self.blueprint is not None else "absent"
 
-    def to_doc(self) -> dict:
-        doc = {
-            "status": self.status,
-            "stages": self.stages,
-            "exhaustive": self.exhaustive,
-        }
-        if self.blueprint is not None:
-            doc["blueprint"] = self.blueprint.to_doc()
-            doc["subset"] = list(self.subset)
-        return doc
-
 
 def _diagram_coloring(
     target: TargetStructure,
@@ -369,7 +358,7 @@ def _diagram_coloring(
     subset: tuple[int, ...],
     arity: int,
     depth: int,
-) -> tuple[Coloring, list[Diagram]]:
+) -> Coloring:
     """Color the increasing tuples of `subset` by their diagram in the
     target; colors number distinct diagrams in first-occurrence order."""
     palette: dict[Diagram, int] = {}
@@ -378,9 +367,7 @@ def _diagram_coloring(
         values = tuple(assignment[e] for e in tup)
         d = model_diagram(target, values, depth)
         table[tup] = palette.setdefault(d, len(palette))
-    col = Coloring(index, arity, max(len(palette), 1), table)
-    ordered = [d for d, _ in sorted(palette.items(), key=lambda e: e[1])]
-    return col, ordered
+    return Coloring(index, arity, max(len(palette), 1), table)
 
 
 def extract_blueprint(
@@ -410,6 +397,8 @@ def extract_blueprint(
         raise ValueError("assignment value outside the target")
     if not is_member(index):
         raise ValueError("index structure is not a member of its class")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
     levels = tuple(levels)
     if len(levels) != n_max:
         raise ValueError("levels must list one level per arity")
@@ -417,7 +406,7 @@ def extract_blueprint(
     current = tuple(range(index.size))
     stages: list = []
     for arity in range(1, n_max + 1):
-        col, _ = _diagram_coloring(target, assignment, index, current, arity, depth)
+        col = _diagram_coloring(target, assignment, index, current, arity, depth)
         whole = type_homogeneity_witness(col, current)
         if whole is not None and subset_is_big(index, current, levels[arity - 1]):
             stages.append(

@@ -328,6 +328,8 @@ def find_type_homogeneous(
     base = col.base
     if level < 0:
         raise ValueError("level must be nonnegative")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
     if not is_member(base):
         raise ValueError("coloring base is not a member of its class")
     walk = _Walk(base, level, _units(base, within), col, budget)

@@ -212,20 +212,9 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:
     """All tuples (a1..an) of nonnegative counts summing to n, lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
     if n < 1:
         return [()]
-    rec([], n, n)
-    out.sort()
-    return out
+    return [comp for comp in itertools.product(range(n + 1), repeat=n) if sum(comp) == n]
 
 
 def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Coloring:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 # the least value of each class parameter; a kind takes the ones it names
 _PARAMS = {"chi": 1, "height": 0, "edge_arity": 1, "palette": 1}
@@ -183,25 +184,43 @@ class FinStructure:
         assert self.cls.kind == "chi_color"
         return e % self.cls.chi
 
+    @cached_property
+    def _block_index(self) -> dict[int, int]:
+        # built on first use, so malformed payloads still construct; the
+        # first block holding an element wins
+        index: dict[int, int] = {}
+        for idx, block in enumerate(self.blocks):
+            for e in block:
+                index.setdefault(e, idx)
+        return index
+
     def block_of(self, e: int) -> int:
         assert self.blocks is not None
-        for idx, block in enumerate(self.blocks):
-            if e in block:
-                return idx
-        raise ValueError(f"element {e} in no block")
+        try:
+            return self._block_index[e]
+        except KeyError:
+            raise ValueError(f"element {e} in no block") from None
 
     def has_edge(self, a: int, b: int) -> bool:
         assert self.edges is not None
         lo, hi = (a, b) if a < b else (b, a)
         return (lo, hi) in self.edges
 
+    @cached_property
+    def _hyper_colors(self) -> dict[tuple[int, ...], int]:
+        # as for _block_index: the first entry for a subset wins
+        colors: dict[tuple[int, ...], int] = {}
+        for stored, color in self.hyper:
+            colors.setdefault(stored, color)
+        return colors
+
     def hyper_color(self, subset: tuple[int, ...]) -> int:
         assert self.hyper is not None
         key = tuple(sorted(subset))
-        for stored, color in self.hyper:
-            if stored == key:
-                return color
-        raise ValueError(f"no color stored for subset {key}")
+        try:
+            return self._hyper_colors[key]
+        except KeyError:
+            raise ValueError(f"no color stored for subset {key}") from None
 
 
 # tree helpers (valid on n_tree members)

@@ -392,3 +392,39 @@ def test_malformed_em_report_exits_3(tmp_path, capsys, mutate, named):
     code, err = _run_on_json(tmp_path, capsys, _em_report(mutate), *CHECK)
     assert code == 3
     assert named in err
+
+
+ARROW5 = ("arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2")
+TABLE = ("table", "--cls", "or", "-n", "2", "-c", "2", "--sub-levels", "3", "--ambient-levels", "4,5")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (ARROW5 + ("--mode", "randomized", "--samples", "-3"), "samples"),
+        (ARROW5 + ("--mode", "counterexample", "--budget", "-1"), "budget"),
+        (ARROW5 + ("--budget", "-1"), "budget"),
+        (TABLE + ("--samples", "-1"), "samples"),
+        (TABLE + ("--mode", "counterexample", "--budget", "-1"), "budget"),
+        (("reduce", "--cls", "chi_color:2", "--level", "2", "--budget", "-1"), "budget"),
+        (("reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--budget", "-1"), "budget"),
+        (("extract", "--cls", "or", "--level", "2", "--ambient", "1", "--budget", "-1"), "budget"),
+        (("extract", "--cls", "or", "--level", "2", "--ambient", "4", "--budget", "-1"), "budget"),
+    ],
+    ids=["arrow-samples", "arrow-budget", "arrow-exhaustive-budget", "table-samples", "table-budget",
+         "reduce-chicolor-budget", "reduce-ceq-budget", "extract-absent-budget", "extract-found-budget"],
+)
+def test_negative_samples_and_budget_exit_3(capsys, argv, named):
+    code = main(list(argv))
+    assert code == 3
+    assert f"{named} must be nonnegative" in capsys.readouterr().err
+
+
+def test_report_with_negative_samples_exits_3(tmp_path, capsys):
+    path = tmp_path / "arrow.json"
+    assert main([*ARROW5, "--mode", "randomized", "--samples", "3", "--json", "--out", str(path)]) == 2
+    doc = json.loads(path.read_text())
+    doc["result"]["params"]["samples"] = -1
+    code, err = _run_on_json(tmp_path, capsys, doc, *CHECK)
+    assert code == 3
+    assert "samples must be nonnegative" in err

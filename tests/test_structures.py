@@ -288,3 +288,21 @@ def test_doc_roundtrip():
         for seed in range(10):
             s = random_member(cls, random.Random(seed))
             assert from_doc(to_doc(s)) == s
+
+
+def test_block_and_hyper_lookups_keep_first_entry():
+    # the lookup maps are built on first use, so malformed payloads still
+    # construct; the first block or entry holding a key wins, and a missing
+    # key raises ValueError
+    s = FinStructure(ClassKind("ceq"), 4, blocks=((0, 1), (1, 2)))
+    assert not is_member(s)
+    assert [s.block_of(e) for e in range(3)] == [0, 0, 1]
+    with pytest.raises(ValueError, match="element 3 in no block"):
+        s.block_of(3)
+    h = FinStructure(
+        ClassKind("hypergraph", edge_arity=2, palette=3), 2, hyper=[((0,), 2), ((), 0), ((0,), 1)]
+    )
+    assert not is_member(h)
+    assert h.hyper_color((0,)) == 1
+    with pytest.raises(ValueError, match=r"no color stored for subset \(1,\)"):
+        h.hyper_color((1,))
