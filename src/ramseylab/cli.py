@@ -5,7 +5,7 @@ can emit a JSON report (--json) whose envelope embeds the tool version, the
 argument vector, and all inputs needed to reproduce the run; reports carry
 deterministic work counters and no timestamps, so identical invocations
 produce identical bytes.  `check` re-runs a report from its embedded inputs
-and compares the results.
+and names the first JSON path where the results differ.
 
 Exit codes: 0 success (holds / found / verified), 1 refuted (fails, witness
 emitted, or a report that does not re-verify), 2 inconclusive (unknown or
@@ -339,6 +339,28 @@ _RERUNNERS = {
 }
 
 
+def _first_difference(stored, fresh, path: str) -> str | None:
+    """JSON path of the first place, in sorted-key order, where two
+    documents differ, or None when they are equal."""
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for key in sorted(stored.keys() | fresh.keys()):
+            if key not in stored or key not in fresh:
+                return f"{path}.{key}"
+            found = _first_difference(stored[key], fresh[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(stored, list) and isinstance(fresh, list):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(stored) != len(fresh):
+            return f"{path}[{min(len(stored), len(fresh))}]"
+        return None
+    return None if _dump(stored) == _dump(fresh) else path
+
+
 def cmd_check(args, argv) -> int:
     envelope = _read_json(args.report)
     require_fields(envelope, {"command": object, "result": object}, "report")
@@ -348,11 +370,12 @@ def cmd_check(args, argv) -> int:
         raise ValueError(f"cannot re-verify command {command!r}")
     stored = envelope["result"]
     require_fields(stored, {"params": object}, "report result")
-    fresh = rerun(stored["params"])
-    if _dump(fresh) == _dump(stored):
+    fresh = _dump(rerun(stored["params"]))
+    if fresh == _dump(stored):
         _emit(args, [f"report verified ({command})"], _envelope("check", argv, {"verified": True, "command": command}))
         return 0
-    _emit(args, [f"report does not re-verify ({command})"], _envelope("check", argv, {"verified": False, "command": command}))
+    differs = _first_difference(stored, json.loads(fresh), "result")
+    _emit(args, [f"report does not re-verify ({command}): first difference at {differs}"], _envelope("check", argv, {"verified": False, "command": command}))
     return 1
 
 

@@ -11,14 +11,12 @@ in the induced structure, and for chi_color only positional subsets (the j-th
 element carrying residue j) are admitted, since only those induce members.
 
 One depth-first walker, `_Walk`, serves every search over admissible
-subsets.  It takes units (runs of increasing elements taken whole or not at
-all) in increasing order, include-first, pruning on the admission rules, on
-witness conflicts when it carries a coloring, and on cheap soundness bounds
-for bigness; the first subset it reaches is therefore the lexicographically
-least qualifying one, which keeps every search result deterministic and
-reproducible.  `find_type_homogeneous` and `iter_big_member_subsets` walk
-one element per unit; the block stage of `reductions.reduce_chicolor` walks
-one residue block per unit.
+subsets, `find_type_homogeneous` and `iter_big_member_subsets` alike.  It
+decides the elements in increasing order, include-first, pruning on the
+admission rules, on witness conflicts when it carries a coloring, and on
+cheap soundness bounds for bigness; the first subset it reaches is therefore
+the lexicographically least qualifying one, which keeps every search result
+deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -204,18 +202,17 @@ class _Budget(Exception):
 
 @dataclass(eq=False)
 class _Walk:
-    """Depth-first walk over the admissible subsets built from whole units.
+    """Depth-first walk over the admissible subsets of `elements`.
 
-    `units` are runs of increasing elements, each run above the one before;
-    a unit is taken whole or not at all, include-first, so subsets come out
-    in lexicographic order.  Every element of a taken unit must pass the
-    closure and positional admission rules, and, when a coloring is given,
-    keep the incrementally maintained type -> color witness consistent; a
-    unit vetoed partway is rolled back whole.  Branches that the class's
-    pruning bound (`Kind.pruner`, built once per walk) rules out are pruned.
-    Iterating yields every closed, member-inducing, level-big subset
-    reached; `nodes` counts the visited search nodes, and visiting more than
-    `budget` of them raises `_Budget`.
+    `elements` are increasing; each is decided in turn, include-first, so
+    subsets come out in lexicographic order.  An element is taken only when
+    it passes the closure and positional admission rules and, when a
+    coloring is given, keeps the incrementally maintained type -> color
+    witness consistent.  Branches that the class's pruning bound
+    (`Kind.pruner`, built once per walk) rules out are pruned.  Iterating
+    yields every closed, member-inducing, level-big subset reached; `nodes`
+    counts the visited search nodes, and visiting more than `budget` of them
+    raises `_Budget`.
 
     The path is kept in a list, not on the call stack, so the depth of a
     walk is not bounded by Python's recursion limit.
@@ -223,25 +220,15 @@ class _Walk:
 
     base: FinStructure
     level: int
-    units: list[tuple[int, ...]]
+    elements: list[int]
     col: Coloring | None = None
     budget: int | None = None
     nodes: int = field(default=0, init=False)
 
-    def first(self) -> tuple[tuple[int, ...] | None, bool]:
-        """The first subset of the walk, or None, and whether the walk stayed
-        within its budget."""
-        try:
-            return next(iter(self), None), True
-        except _Budget:
-            return None, False
-
     def __iter__(self):
-        base, level, units, col, budget = self.base, self.level, self.units, self.col, self.budget
+        base, level, elements, col, budget = self.base, self.level, self.elements, self.col, self.budget
         spec = base.cls.spec
         meet_ok, period, feasible = spec.admit, spec.period(base.cls), spec.pruner(base, level)
-        flat = [e for unit in units for e in unit]
-        starts = list(itertools.accumulate(map(len, units), initial=0))
         if col is not None:
             type_of, color, arity = col.type_of, col.color, col.arity
         chosen: list[int] = []
@@ -270,13 +257,13 @@ class _Walk:
 
         if level == 0:
             yield ()
-        # The node visited is (i, changed): units before i are decided, and
-        # changed says whether the step into it took a unit.  `taken` holds
-        # (unit index, len(chosen) before it, witness types it added) for each
-        # unit taken on the current path.  A dead end backtracks to the latest
-        # of them, undoes it and visits the branch without it; a unit vetoed
-        # partway is undone the same way.
-        taken: list[tuple[int, int, list[TupleType]]] = []
+        # The node visited is (i, changed): elements before i are decided, and
+        # changed says whether the step into it took an element.  `taken`
+        # holds (index, witness types it added) for each element taken on the
+        # current path.  A dead end backtracks to the latest of them, undoes
+        # it and visits the branch without it; a vetoed element goes straight
+        # to the branch without it, once the witness types it fixed are undone.
+        taken: list[tuple[int, list[TupleType]]] = []
         i, changed = 0, False
         nodes = 0
         while True:
@@ -287,28 +274,25 @@ class _Walk:
             if changed and subset_is_big(base, chosen, level):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if i < len(units) and feasible(chosen, flat[starts[i]:]):
+            if i < len(elements) and feasible(chosen, elements[i:]):
                 added: list[TupleType] = []
-                taken.append((i, len(chosen), added))
-                for e in units[i]:
-                    if not admit(e, added):
-                        break
-                else:
+                if admit(elements[i], added):
+                    taken.append((i, added))
                     i, changed = i + 1, True
                     continue
             elif not taken:
                 self.nodes = nodes
                 return
-            i, mark, added = taken.pop()
-            del chosen[mark:]
+            else:
+                i, added = taken.pop()
+                chosen.pop()
             for t in added:
                 del witness[t]
             i, changed = i + 1, False
 
 
-def _units(base: FinStructure, within) -> list[tuple[int]]:
-    order = sorted(set(within)) if within is not None else range(base.size)
-    return [(e,) for e in order]
+def _elements(base: FinStructure, within) -> list[int]:
+    return sorted(set(within)) if within is not None else list(range(base.size))
 
 
 def find_type_homogeneous(
@@ -332,10 +316,13 @@ def find_type_homogeneous(
         raise ValueError("budget must be nonnegative")
     if not is_member(base):
         raise ValueError("coloring base is not a member of its class")
-    walk = _Walk(base, level, _units(base, within), col, budget)
-    found, exhaustive = walk.first()
+    walk = _Walk(base, level, _elements(base, within), col, budget)
+    try:
+        found = next(iter(walk), None)
+    except _Budget:
+        return SearchResult(None, None, False, walk.nodes)
     if found is None:
-        return SearchResult(None, None, exhaustive, walk.nodes)
+        return SearchResult(None, None, True, walk.nodes)
     verified = type_homogeneity_witness(col, found)
     if verified is None or not subset_is_big(base, found, level):
         raise AssertionError("search returned a subset that fails re-verification")
@@ -345,4 +332,4 @@ def find_type_homogeneous(
 def iter_big_member_subsets(base: FinStructure, level: int, within=None):
     """Yield every closed, member-inducing, level-big subset in lexicographic
     order.  Intended for small universes (the exhaustive partition check)."""
-    yield from _Walk(base, level, _units(base, within))
+    yield from _Walk(base, level, _elements(base, within))

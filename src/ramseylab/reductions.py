@@ -7,11 +7,10 @@ the auxiliary coloring, and lift it back.  In the finite setting the lift is
 not automatic: distinct tuple shapes that share a type can land on different
 digits of the auxiliary palette, and the room needed to align them may be
 missing at small sizes.  Every lift is therefore verification-gated.  When
-the chi_color lift fails, the shared subset walker of `colorings` takes over,
-walking whole residue blocks and enforcing the target witness as it goes;
-when the ceq lift fails, a scan of the homogeneous block-id sets does.
-Reported subsets are always re-verified from scratch; an absent result
-carries an exhaustiveness flag.
+no lift verifies, both reductions end in a `direct` stage that runs
+`find_type_homogeneous` on the coloring itself, so an absent result, and its
+exhaustiveness flag, always come from that search.  Reported subsets are
+always re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from .colorings import (
     Coloring,
     HomogeneityWitness,
-    _Walk,
     find_type_homogeneous,
     type_homogeneity_witness,
 )
@@ -38,7 +36,7 @@ from .structures import (
 @dataclass
 class StageRecord:
     name: str
-    status: str  # "ok" | "absent" | "failed" | "skipped"
+    status: str  # "ok" | "absent" | "failed"
     work: int = 0
     details: dict = field(default_factory=dict)
 
@@ -120,8 +118,37 @@ def aux_coloring_chicolor(col: Coloring) -> Coloring:
     return Coloring(aux_base, n, c ** (chi ** n), table)
 
 
-def _blocks_subset(chi: int, positions) -> tuple[int, ...]:
-    return tuple(sorted(chi * g + i for g in positions for i in range(chi)))
+def _finish(
+    kind: str,
+    col: Coloring,
+    level: int,
+    budget: int | None,
+    stages: list[StageRecord],
+    subset: tuple[int, ...] | None,
+) -> ReductionReport:
+    """Shared tail of both reductions.
+
+    With no verified subset from the reduction's own stages, a final
+    `direct` stage searches the coloring itself; an absence and its
+    exhaustiveness flag are that search's.  Any subset is re-verified.
+    """
+    if subset is None:
+        res = find_type_homogeneous(col, level, budget=budget)
+        stages.append(
+            StageRecord(
+                "direct",
+                "ok" if res.found else "absent",
+                res.nodes,
+                {"exhaustive": res.exhaustive},
+            )
+        )
+        if not res.found:
+            return ReductionReport(kind, level, stages, None, None, res.exhaustive)
+        subset = res.subset
+    witness = type_homogeneity_witness(col, subset)
+    if witness is None or not subset_is_big(col.base, subset, level):
+        raise AssertionError("reduction produced a subset that fails re-verification")
+    return ReductionReport(kind, level, stages, subset, witness, True)
 
 
 def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
@@ -131,9 +158,9 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     The auxiliary palette only constrains tuples whose positions are pairwise
     distinct; tuples that revisit a block share types with ones that do not,
     so a homogeneous set for the auxiliary coloring need not lift.  The lift
-    is checked outright, and on failure the subset walker, taking whole
-    residue blocks as units, takes over; a successful lift of either kind is
-    d-homogeneous by construction.
+    is checked outright, and on failure, or when the auxiliary search finds
+    nothing, direct search over all positional subsets takes over; every
+    union of residue blocks is one of them.
     """
     lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
@@ -161,11 +188,9 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     )
 
     subset: tuple[int, ...] | None = None
-    exhaustive = True
     if res.found:
-        lifted = _blocks_subset(chi, res.subset)
-        lift_witness = type_homogeneity_witness(col, lifted)
-        if lift_witness is not None and subset_is_big(col.base, lifted, level):
+        lifted = tuple(sorted(chi * g + i for g in res.subset for i in range(chi)))
+        if type_homogeneity_witness(col, lifted) is not None and subset_is_big(col.base, lifted, level):
             stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
             subset = lifted
         else:
@@ -177,37 +202,7 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
                     {"note": "auxiliary homogeneity did not transfer"},
                 )
             )
-    if subset is None:
-        if res.found or not res.exhaustive:
-            blocks = [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
-            walk = _Walk(col.base, level, blocks, col, budget)
-            subset, exhaustive = walk.first()
-            stages.append(
-                StageRecord(
-                    "block_search",
-                    "ok" if subset is not None else "absent",
-                    walk.nodes,
-                    {"exhaustive": exhaustive},
-                )
-            )
-        else:
-            # with no homogeneous position set at all there is no homogeneous
-            # block union either, since any such union yields one
-            stages.append(
-                StageRecord(
-                    "block_search",
-                    "skipped",
-                    0,
-                    {"note": "auxiliary search exhausted without a candidate"},
-                )
-            )
-
-    if subset is None:
-        return ReductionReport("chi_color_to_or", level, stages, None, None, exhaustive)
-    witness = type_homogeneity_witness(col, subset)
-    if witness is None or not subset_is_big(col.base, subset, level):
-        raise AssertionError("reduction produced a subset that fails re-verification")
-    return ReductionReport("chi_color_to_or", level, stages, subset, witness, True)
+    return _finish("chi_color_to_or", col, level, budget, stages, subset)
 
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:
@@ -256,7 +251,8 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
     homogeneous block-id sets of stage two in order and keeps the first whose
     union of pieces verifies as a type-homogeneous, level-big member; digit
     alignment across block positions is not guaranteed at finite sizes, so
-    the verification gate does the final selection.
+    the verification gate does the final selection.  When stage one or three
+    comes up empty, direct search on the coloring itself decides.
     """
     lam = _require_canonical(col, "ceq")
     n = col.arity
@@ -280,7 +276,7 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
         )
     )
     if not res1.found:
-        return ReductionReport("ceq_to_or", level, stages, None, None, res1.exhaustive)
+        return _finish("ceq_to_or", col, level, budget, stages, None)
 
     pieces: dict[int, list[int]] = {}
     for e in res1.subset:
@@ -299,12 +295,10 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
 
     # stage 3: verification-gated scan of the homogeneous block-id sets
     ids = sorted(pieces)
-    s2 = max(level, n)
     work = 0
     subset: tuple[int, ...] | None = None
-    witness: HomogeneityWitness | None = None
     scanned_all = True
-    for combo in itertools.combinations(range(len(ids)), s2):
+    for combo in itertools.combinations(range(len(ids)), s1):
         work += 1
         if budget is not None and work > budget:
             scanned_all = False
@@ -315,24 +309,15 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
         cand = tuple(
             sorted(e for slot in combo for e in pieces[ids[slot]])
         )
-        w = type_homogeneity_witness(col, cand)
-        if w is not None and subset_is_big(col.base, cand, level):
+        if type_homogeneity_witness(col, cand) is not None and subset_is_big(col.base, cand, level):
             subset = cand
-            witness = w
             break
     stages.append(
         StageRecord(
             "lift_scan",
             "ok" if subset is not None else "absent",
             work,
-            {"piece_size": s1, "sets_needed": s2, "exhaustive": scanned_all},
+            {"piece_size": s1, "sets_needed": s1, "exhaustive": scanned_all},
         )
     )
-    if subset is None:
-        # absence here only exhausts unions of stage-one pieces, not all
-        # subsets of the base
-        return ReductionReport("ceq_to_or", level, stages, None, None, False)
-    check = type_homogeneity_witness(col, subset)
-    if check != witness or not subset_is_big(col.base, subset, level):
-        raise AssertionError("reduction produced a subset that fails re-verification")
-    return ReductionReport("ceq_to_or", level, stages, subset, witness, True)
+    return _finish("ceq_to_or", col, level, budget, stages, subset)

@@ -168,36 +168,37 @@ def test_c5_reduction_soundness(capsys):
     def body():
         t0 = time.perf_counter()
         unsound = 0
-        chi_base = make_canonical(ClassKind("chi_color", chi=2), 40)
-        chi_found = 0
-        for seed in range(100):
-            col = random_coloring(chi_base, 2, 2, seed)
-            report = reduce_chicolor(col, 3)
-            if report.subset is not None:
-                chi_found += 1
-                sound = type_homogeneity_witness(
-                    col, report.subset
-                ) is not None and subset_is_big(chi_base, report.subset, 3)
-                if not sound:
-                    unsound += 1
-        ceq_base = make_canonical(ClassKind("ceq"), 6)
-        ceq_found = 0
-        for seed in range(100):
-            col = random_coloring(ceq_base, 2, 2, seed)
-            report = reduce_ceq(col, 2)
-            if report.subset is not None:
-                ceq_found += 1
-                sound = type_homogeneity_witness(
-                    col, report.subset
-                ) is not None and subset_is_big(ceq_base, report.subset, 2)
-                if not sound:
-                    unsound += 1
+        exhausted = 0
+        found = {}
+        arms = (
+            ("chi_color", make_canonical(ClassKind("chi_color", chi=2), 40), reduce_chicolor, 3),
+            ("ceq", make_canonical(ClassKind("ceq"), 6), reduce_ceq, 2),
+        )
+        for name, base, reduce, level in arms:
+            found[name] = 0
+            for seed in range(100):
+                col = random_coloring(base, 2, 2, seed)
+                report = reduce(col, level)
+                if report.subset is not None:
+                    found[name] += 1
+                    sound = type_homogeneity_witness(
+                        col, report.subset
+                    ) is not None and subset_is_big(base, report.subset, level)
+                    if not sound:
+                        unsound += 1
+                elif report.exhaustive:
+                    # an exhaustive absence must survive direct search
+                    exhausted += 1
+                    if find_type_homogeneous(col, level).found:
+                        unsound += 1
         elapsed = time.perf_counter() - t0
         assert unsound == 0
+        assert found["ceq"] >= 50
         assert elapsed < 300.0
         return (
-            f"chi_color 100 colorings ({chi_found} found), ceq 100 colorings "
-            f"({ceq_found} found), every returned subset re-verified, "
+            f"chi_color 100 colorings ({found['chi_color']} found), ceq 100 colorings "
+            f"({found['ceq']} found), every returned subset re-verified, "
+            f"{exhausted} exhaustive absences confirmed by direct search, "
             f"0 unsound, {elapsed:.1f}s"
         )
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helpers import unary_blueprint
+from ramseylab import __version__
 from ramseylab.cli import main, parse_class
 from ramseylab.colorings import Coloring
 from ramseylab.structures import ClassKind, make_canonical
@@ -108,6 +109,37 @@ def test_check_verifies_and_catches_tampering(tmp_path, capsys):
     assert "does not re-verify" in out
 
 
+@pytest.mark.parametrize(
+    "tamper, where",
+    [
+        (lambda rep: rep["stages"][3].update(name="block_search"), "result.report.stages[3].name"),
+        (lambda rep: rep["stages"].pop(), "result.report.stages[3]"),
+        (lambda rep: rep.pop("work"), "result.report.work"),
+    ],
+    ids=["stage-name", "stage-dropped", "field-dropped"],
+)
+def test_check_names_first_difference_of_reduce_report(tmp_path, capsys, tamper, where):
+    path = tmp_path / "reduce.json"
+    main([
+        "reduce", "--cls", "chi_color:2", "--level", "2", "--ambient", "4", "--seed", "0",
+        "--json", "--out", str(path),
+    ])
+    doc = json.loads(path.read_text())
+    assert [st["name"] for st in doc["result"]["report"]["stages"]] == ["aux", "aux_search", "lift", "direct"]
+    tamper(doc["result"]["report"])
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", "--report", str(path))
+    assert code == 1
+    assert out == f"report does not re-verify (reduce): first difference at {where}\n"
+    argv = ["check", "--report", str(path), "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "tool": "ramseylab", "version": __version__, "command": "check", "argv": argv,
+        "result": {"verified": False, "command": "reduce"},
+    }
+
+
 def test_check_rejects_unknown_command(tmp_path, capsys):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"command": "zzz", "result": {"params": {}}}))
@@ -132,18 +164,13 @@ def test_reduce_found_and_absent(tmp_path, capsys):
     assert code == 0
     assert "found subset" in out
 
-    gap = Coloring.from_function(
-        make_canonical(ClassKind("chi_color", chi=2), 4),
-        2, 2, lambda t: 1 if t[0] // 2 == t[1] // 2 else 0,
-    )
-    path2 = tmp_path / "gap.json"
-    path2.write_text(json.dumps(gap.to_doc()))
+    # at seed 0 direct search finds no 2-big homogeneous subset either
     code, out = run(
         capsys,
-        "reduce", "--cls", "chi_color:2", "--level", "2", "--coloring", str(path2),
+        "reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--seed", "0",
     )
     assert code == 2
-    assert "absent (exhaustive)" in out
+    assert out.endswith("stage direct: absent (work 8)\nabsent (exhaustive)\n")
 
 
 def test_reduce_class_mismatch(tmp_path, capsys):

@@ -31,10 +31,6 @@ CHI2 = ClassKind("chi_color", chi=2)
 CEQ = ClassKind("ceq")
 
 
-def _block_union(chi, blocks):
-    return tuple(sorted(chi * g + i for g in blocks for i in range(chi)))
-
-
 def _gap_coloring(lam):
     """Pairs inside one residue block get 1, pairs across blocks get 0."""
     base = make_canonical(CHI2, lam)
@@ -102,31 +98,33 @@ def test_reduce_chicolor_gap_level_one():
 
 def test_reduce_chicolor_gap_level_two():
     # the auxiliary coloring is constant yet nothing lifts: within-block and
-    # cross-block pairs share their residue type but not their color
+    # cross-block pairs share their residue type but not their color; direct
+    # search finds a subset that is no union of residue blocks
     report = reduce_chicolor(_gap_coloring(4), 2)
-    assert report.status == "absent"
-    assert report.exhaustive
     names = [st.name for st in report.stages]
-    assert names == ["aux", "aux_search", "lift", "block_search"]
+    assert names == ["aux", "aux_search", "lift", "direct"]
     assert report.stages[2].status == "failed"
-    assert report.stages[3].status == "absent"
-    # block unions exhaust the reduction's scope, not the whole subset space
+    assert report.stages[3].status == "ok"
     direct = find_type_homogeneous(_gap_coloring(4), 2)
-    assert direct.found
-    assert any(a // 2 == b // 2 for a, b in itertools.combinations(direct.subset, 2)) is False
+    assert report.subset == direct.subset
+    assert report.witness == direct.witness
+    assert not any(a // 2 == b // 2 for a, b in itertools.combinations(report.subset, 2))
 
 
-def test_reduce_chicolor_skips_block_search_when_aux_exhausts():
-    # three colors on pairs of positions force an absent auxiliary search
+def test_reduce_chicolor_searches_directly_when_aux_exhausts():
+    # the three pairs of positions get three different auxiliary colors, so
+    # no three positions are homogeneous; the absence comes from direct search
     base = make_canonical(CHI2, 3)
     col = Coloring.from_function(
         base, 2, 3, lambda t: (t[0] // 2 + t[1] // 2) % 3 if t[0] // 2 != t[1] // 2 else 0
     )
-    report = reduce_chicolor(col, 2)
-    if report.status == "absent" and report.stages[1].status == "absent":
-        assert report.stages[-1].name == "block_search"
-        assert report.stages[-1].status == "skipped"
-        assert report.exhaustive
+    report = reduce_chicolor(col, 3)
+    assert [(st.name, st.status) for st in report.stages] == [
+        ("aux", "ok"), ("aux_search", "absent"), ("direct", "absent"),
+    ]
+    assert report.stages[1].details["exhaustive"]
+    assert report.exhaustive and report.stages[-1].details["exhaustive"]
+    assert not find_type_homogeneous(col, 3).found
 
 
 def test_reduce_chicolor_budget():
@@ -151,19 +149,11 @@ def test_reduce_chicolor_sound_on_random():
                     assert direct is not None
                     assert direct.entries == report.witness.entries
                 elif report.exhaustive:
-                    for blocks in itertools.combinations(range(lam), level):
-                        union = _block_union(chi, blocks)
-                        assert type_homogeneity_witness(col, union) is None, (
-                            chi,
-                            lam,
-                            seed,
-                            level,
-                            blocks,
-                        )
+                    assert not find_type_homogeneous(col, level).found, (chi, lam, seed, level)
 
 
 @time_limit(60)
-def test_block_search_finds_least_homogeneous_block_union():
+def test_reduce_chicolor_failed_lift_returns_direct_search_subset():
     hits = {"ok": 0, "absent": 0}
     for chi, lam in ((2, 4), (3, 3)):
         base = make_canonical(ClassKind("chi_color", chi=chi), lam)
@@ -172,20 +162,15 @@ def test_block_search_finds_least_homogeneous_block_union():
             for level in (1, 2):
                 report = reduce_chicolor(col, level)
                 stage = report.stages[-1]
-                if stage.name != "block_search" or stage.status == "skipped":
+                if stage.name == "lift" and stage.status == "ok":
                     continue
+                assert stage.name == "direct"
                 hits[stage.status] += 1
-                homogeneous = [
-                    union
-                    for r in range(level, lam + 1)
-                    for blocks in itertools.combinations(range(lam), r)
-                    if type_homogeneity_witness(col, union := _block_union(chi, blocks))
-                    is not None
-                ]
-                if homogeneous:
-                    assert report.subset == min(homogeneous), (chi, lam, seed, level)
-                else:
-                    assert report.status == "absent" and report.exhaustive
+                direct = find_type_homogeneous(col, level)
+                assert report.subset == direct.subset, (chi, lam, seed, level)
+                assert report.exhaustive == direct.exhaustive
+                assert stage.details == {"exhaustive": direct.exhaustive}
+                assert stage.work == direct.nodes
     assert hits["ok"] and hits["absent"], hits
 
 
@@ -263,14 +248,24 @@ def test_reduce_ceq_sound_on_random():
 
 
 def test_reduce_ceq_absent_scope_is_flagged():
-    # when the lift scan comes up empty only piece unions were exhausted
-    base = make_canonical(CEQ, 2)
-    for seed in range(40):
-        col = random_coloring(base, 2, 2, seed=seed)
-        report = reduce_ceq(col, 2)
-        if report.status == "absent" and report.stages[-1].name == "lift_scan":
-            assert not report.exhaustive
-            return
+    # an empty partition view or lift scan exhausts only the reduction's own
+    # candidates; direct search then decides, and its flag is the report's
+    seen = set()
+    for lam in (2, 3):
+        base = make_canonical(CEQ, lam)
+        for seed in range(30):
+            col = random_coloring(base, 2, 2, seed=seed)
+            report = reduce_ceq(col, 2)
+            if report.stages[-1].name == "lift_scan":
+                continue
+            empty = next(st.name for st in report.stages if st.status == "absent")
+            stage = report.stages[-1]
+            assert stage.name == "direct"
+            seen.add((empty, stage.status))
+            direct = find_type_homogeneous(col, 2)
+            assert report.subset == direct.subset, (lam, seed)
+            assert report.exhaustive == direct.exhaustive == stage.details["exhaustive"]
+    assert {("partition_view", "ok"), ("partition_view", "absent"), ("lift_scan", "absent")} <= seen
 
 
 def test_report_shapes():
