@@ -1,13 +1,17 @@
 """Constructive reductions of colored-order and convex-equivalence colorings
 to plain linear-order colorings.
 
-Both reductions package a coloring of a richer class into an auxiliary
-coloring of a linear order with a larger palette, find a homogeneous set for
-the auxiliary coloring, and lift it back.  In the finite setting the lift is
-not automatic: distinct tuple shapes that share a type can land on different
-digits of the auxiliary palette, and the room needed to align them may be
-missing at small sizes.  Every lift is therefore verification-gated.  When
-no lift verifies, both reductions end in a `direct` stage that runs
+Both reductions run one pipeline and differ only in how they pack the
+coloring.  Each cuts the base into pieces (residue blocks for colored
+orders, the first elements of each canonical block for convex
+equivalences), packs the coloring into an auxiliary coloring of a linear
+order whose positions are the pieces and whose larger palette records the
+colors of the tuples drawn from them, searches that for a homogeneous set,
+and lifts it back to the union of its pieces.  In the finite setting the lift
+is not automatic: distinct tuple shapes that share a type can land on
+different digits of the auxiliary palette, and the room needed to align them
+may be missing at small sizes.  Every lift is therefore verification-gated.
+When no lift verifies, both reductions end in a `direct` stage that runs
 `find_type_homogeneous` on the coloring itself, so an absent result, and its
 exhaustiveness flag, always come from that search.  Reported subsets are
 always re-verified from scratch.
@@ -24,13 +28,7 @@ from .colorings import (
     find_type_homogeneous,
     type_homogeneity_witness,
 )
-from .structures import (
-    FinStructure,
-    disjoint_orders,
-    linear_order,
-    make_canonical,
-    subset_is_big,
-)
+from .structures import linear_order, make_canonical, subset_is_big
 
 
 @dataclass
@@ -151,6 +149,57 @@ def _finish(
     return ReductionReport(kind, level, stages, subset, witness, True)
 
 
+def _reduce(
+    kind: str,
+    col: Coloring,
+    level: int,
+    budget: int | None,
+    aux: Coloring,
+    pieces: list[tuple[int, ...]],
+    aux_level: int,
+) -> ReductionReport:
+    """The pipeline both reductions share: search the auxiliary coloring,
+    whose position g stands for the elements pieces[g], and lift a found
+    set of positions to the union of their pieces.  The lift is kept only if
+    it verifies; otherwise `_finish` searches the coloring directly."""
+    stages = [
+        StageRecord(
+            "aux",
+            "ok",
+            len(aux.table),
+            {"palette": aux.colors, "positions": len(pieces)},
+        )
+    ]
+
+    res = find_type_homogeneous(aux, aux_level, budget=budget)
+    stages.append(
+        StageRecord(
+            "aux_search",
+            "ok" if res.found else "absent",
+            res.nodes,
+            {"exhaustive": res.exhaustive}
+            | ({"positions": list(res.subset)} if res.found else {}),
+        )
+    )
+
+    subset: tuple[int, ...] | None = None
+    if res.found:
+        lifted = tuple(sorted(e for g in res.subset for e in pieces[g]))
+        if type_homogeneity_witness(col, lifted) is not None and subset_is_big(col.base, lifted, level):
+            stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
+            subset = lifted
+        else:
+            stages.append(
+                StageRecord(
+                    "lift",
+                    "failed",
+                    1,
+                    {"note": "auxiliary homogeneity did not transfer"},
+                )
+            )
+    return _finish(kind, col, level, budget, stages, subset)
+
+
 def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
     """Find a homogeneous union of residue blocks via the linear-order
     auxiliary coloring.
@@ -164,45 +213,8 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     """
     lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
-    stages: list[StageRecord] = []
-
-    aux = aux_coloring_chicolor(col)
-    stages.append(
-        StageRecord(
-            "aux",
-            "ok",
-            len(aux.table),
-            {"palette": aux.colors, "positions": lam},
-        )
-    )
-
-    res = find_type_homogeneous(aux, level, budget=budget)
-    stages.append(
-        StageRecord(
-            "aux_search",
-            "ok" if res.found else "absent",
-            res.nodes,
-            {"exhaustive": res.exhaustive}
-            | ({"positions": list(res.subset)} if res.found else {}),
-        )
-    )
-
-    subset: tuple[int, ...] | None = None
-    if res.found:
-        lifted = tuple(sorted(chi * g + i for g in res.subset for i in range(chi)))
-        if type_homogeneity_witness(col, lifted) is not None and subset_is_big(col.base, lifted, level):
-            stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
-            subset = lifted
-        else:
-            stages.append(
-                StageRecord(
-                    "lift",
-                    "failed",
-                    1,
-                    {"note": "auxiliary homogeneity did not transfer"},
-                )
-            )
-    return _finish("chi_color_to_or", col, level, budget, stages, subset)
+    pieces = [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
+    return _reduce("chi_color_to_or", col, level, budget, aux_coloring_chicolor(col), pieces, level)
 
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:
@@ -219,9 +231,9 @@ def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Color
     `pieces` maps each block id to its chosen representatives (at least n per
     block).  The auxiliary color of b1 < .. < bn concatenates, over all count
     tuples (a1..an) summing to n in lexicographic order, the color of the
-    tuple that takes the first aj representatives of block bj.  Homogeneity
-    of the source coloring on the pieces is what makes each digit independent
-    of the representative choice; callers establish that first.
+    tuple that takes the first aj representatives of block bj.  Only these
+    tuples are read, so a homogeneous set of block ids need not make the
+    coloring homogeneous on the union of its pieces; callers verify the lift.
     """
     n, c = col.arity, col.colors
     ids = sorted(pieces)
@@ -242,82 +254,21 @@ def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Color
 
 
 def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
-    """Three-stage reduction for convex-equivalence colorings.
+    """Find a homogeneous union of block prefixes via the linear-order
+    auxiliary coloring over block ids.
 
-    Stage one searches the coloring viewed over its block partition for a
-    subset homogeneous with respect to full block patterns, with max(level, n)
-    elements in every block.  Stage two packs that subset's representatives
-    into a linear-order coloring of the block ids.  Stage three walks the
-    homogeneous block-id sets of stage two in order and keeps the first whose
-    union of pieces verifies as a type-homogeneous, level-big member; digit
-    alignment across block positions is not guaranteed at finite sizes, so
-    the verification gate does the final selection.  When stage one or three
-    comes up empty, direct search on the coloring itself decides.
+    With width = max(level, n), each block contributes its first width
+    elements as its piece, and the auxiliary search looks for width
+    homogeneous block ids, whose union of pieces is level-big.  The digits
+    read only tuples built from leading representatives, so the lift is
+    checked outright; when it fails, when the auxiliary search finds
+    nothing, or when the blocks are too short to hold an n-tuple, direct
+    search on the coloring itself decides.
     """
-    lam = _require_canonical(col, "ceq")
-    n = col.arity
-    s1 = max(level, n)
-    stages: list[StageRecord] = []
-
-    # stage 1: the same table read over the block partition
-    part_base = FinStructure(
-        disjoint_orders(lam),
-        col.base.size,
-        parts=tuple(col.base.block_of(e) for e in range(col.base.size)),
-    )
-    part_col = Coloring(part_base, n, col.colors, col.table)
-    res1 = find_type_homogeneous(part_col, s1, budget=budget)
-    stages.append(
-        StageRecord(
-            "partition_view",
-            "ok" if res1.found else "absent",
-            res1.nodes,
-            {"per_block": s1, "exhaustive": res1.exhaustive},
-        )
-    )
-    if not res1.found:
-        return _finish("ceq_to_or", col, level, budget, stages, None)
-
-    pieces: dict[int, list[int]] = {}
-    for e in res1.subset:
-        pieces.setdefault(col.base.block_of(e), []).append(e)
-    pieces = {b: tuple(sorted(v)[:s1]) for b, v in pieces.items()}
-
-    aux = aux_coloring_ceq(col, pieces)
-    stages.append(
-        StageRecord(
-            "aux",
-            "ok",
-            len(aux.table),
-            {"palette": aux.colors, "blocks": len(pieces)},
-        )
-    )
-
-    # stage 3: verification-gated scan of the homogeneous block-id sets
-    ids = sorted(pieces)
-    work = 0
-    subset: tuple[int, ...] | None = None
-    scanned_all = True
-    for combo in itertools.combinations(range(len(ids)), s1):
-        work += 1
-        if budget is not None and work > budget:
-            scanned_all = False
-            break
-        values = {aux.color(sub) for sub in itertools.combinations(combo, n)}
-        if len(values) > 1:
-            continue
-        cand = tuple(
-            sorted(e for slot in combo for e in pieces[ids[slot]])
-        )
-        if type_homogeneity_witness(col, cand) is not None and subset_is_big(col.base, cand, level):
-            subset = cand
-            break
-    stages.append(
-        StageRecord(
-            "lift_scan",
-            "ok" if subset is not None else "absent",
-            work,
-            {"piece_size": s1, "sets_needed": s1, "exhaustive": scanned_all},
-        )
-    )
-    return _finish("ceq_to_or", col, level, budget, stages, subset)
+    _require_canonical(col, "ceq")
+    width = max(level, col.arity)
+    pieces = [block[:width] for block in col.base.blocks]
+    if any(len(piece) < col.arity for piece in pieces):
+        return _finish("ceq_to_or", col, level, budget, [], None)
+    aux = aux_coloring_ceq(col, dict(enumerate(pieces)))
+    return _reduce("ceq_to_or", col, level, budget, aux, pieces, width)

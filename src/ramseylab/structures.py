@@ -273,7 +273,8 @@ class Kind:
     """Everything one class kind knows.
 
     `params` names the ClassKind parameters the kind takes, and `fields` maps
-    each FinStructure payload field it uses to the field's document key.  The
+    each FinStructure payload field it uses to the field's document key and
+    that key's JSON shape (see `_fits`), which `from_doc` checks.  The
     defaults fit a kind with no payload and bigness by cardinality alone;
     subclasses override what differs.  `big` and `embed` are called with
     mu >= 1 only.
@@ -281,7 +282,7 @@ class Kind:
 
     name = ""
     params: tuple[str, ...] = ()
-    fields: dict[str, str] = {}
+    fields: dict[str, tuple[str, object]] = {}
     # whether make_canonical(cls, mu) embeds into every mu-big member
     embeds = True
     # walker veto on adding an element to a closed subset, or None
@@ -341,7 +342,7 @@ class LinearOrder(Kind):
 class DisjointOrders(Kind):
     name = "chi_or"
     params = ("chi",)
-    fields = {"parts": "parts"}
+    fields = {"parts": ("parts", [int])}
 
     def canonical(self, cls, mu):
         parts = tuple(p for p in range(cls.chi) for _ in range(mu))
@@ -354,7 +355,7 @@ class DisjointOrders(Kind):
         if len(s.parts) != s.size:
             return False
         for p in s.parts:
-            if not isinstance(p, int) or not 0 <= p < s.cls.chi:
+            if not _is_int(p) or not 0 <= p < s.cls.chi:
                 return False
         return all(s.parts[i] <= s.parts[i + 1] for i in range(s.size - 1))
 
@@ -414,7 +415,7 @@ class ColoredOrder(Kind):
 class Trees(Kind):
     name = "n_tree"
     params = ("height",)
-    fields = {"parent": "tree_parent", "level": "levels"}
+    fields = {"parent": ("tree_parent", [int]), "level": ("levels", [int])}
 
     def canonical(self, cls, mu):
         parent: list[int] = []
@@ -446,11 +447,11 @@ class Trees(Kind):
             return False  # a single root, first in preorder; meet totality follows
         for i in range(1, n):
             p = s.parent[i]
-            if not isinstance(p, int) or not 0 <= p < i:
+            if not _is_int(p) or not 0 <= p < i:
                 return False
         for i in range(n):
             lev = s.level[i]
-            if not isinstance(lev, int) or not 0 <= lev <= s.cls.height:
+            if not _is_int(lev) or not 0 <= lev <= s.cls.height:
                 return False
             p = s.parent[i]
             if p >= 0 and s.level[i] <= s.level[p]:
@@ -566,7 +567,7 @@ class Trees(Kind):
 
 class ConvexEquivalence(Kind):
     name = "ceq"
-    fields = {"blocks": "eq_blocks"}
+    fields = {"blocks": ("eq_blocks", [[int]])}
 
     def canonical(self, cls, mu):
         blocks = tuple(tuple(range(b * mu, (b + 1) * mu)) for b in range(mu))
@@ -585,7 +586,7 @@ class ConvexEquivalence(Kind):
             if block[-1] - block[0] != len(block) - 1:
                 return False  # convexity: each block is an interval
             for e in block:
-                if not isinstance(e, int) or not 0 <= e < s.size or e in seen:
+                if not _is_int(e) or not 0 <= e < s.size or e in seen:
                     return False
                 seen.add(e)
         return len(seen) == s.size
@@ -625,7 +626,7 @@ class ConvexEquivalence(Kind):
 
 class OrderedGraphs(Kind):
     name = "ordered_graph"
-    fields = {"edges": "edges"}
+    fields = {"edges": ("edges", [(int, int)])}
     # cardinality bigness puts no structure on members: the empty graph on mu
     # vertices is mu-big but contains no edge of the canonical graph
     embeds = False
@@ -641,7 +642,7 @@ class OrderedGraphs(Kind):
             if len(edge) != 2:
                 return False
             a, b = edge
-            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < b < s.size):
+            if not (_is_int(a) and _is_int(b) and 0 <= a < b < s.size):
                 return False
         return True
 
@@ -658,7 +659,7 @@ class OrderedGraphs(Kind):
 class Hypergraphs(Kind):
     name = "hypergraph"
     params = ("edge_arity", "palette")
-    fields = {"hyper": "hyper_colors"}
+    fields = {"hyper": ("hyper_colors", [([int], int)])}
     embeds = False  # as for ordered graphs
 
     def canonical(self, cls, mu):
@@ -870,7 +871,7 @@ def _plain(value):
 
 
 def to_doc(s: FinStructure) -> dict:
-    payload = {key: _plain(getattr(s, field)) for field, key in s.cls.spec.fields.items()}
+    payload = {key: _plain(getattr(s, field)) for field, (key, _) in s.cls.spec.fields.items()}
     return {"class": s.cls.to_doc(), "universe": s.size, "payload": payload}
 
 
@@ -906,12 +907,13 @@ def from_doc(doc: dict) -> FinStructure:
     size = doc["universe"]
     fields = cls.spec.fields
     payload = doc.get("payload", {})
-    require_fields(payload, dict.fromkeys(fields.values(), object), f"{cls.label()} payload")
-    extra = set(payload) - set(fields.values())
+    shapes = dict(fields.values())
+    require_fields(payload, shapes, f"{cls.label()} payload")
+    extra = set(payload) - set(shapes)
     if extra:
         raise ValueError(f"unexpected payload keys {sorted(extra)} for {cls.label()}")
     try:
-        return FinStructure(cls, size, **{field: payload[key] for field, key in fields.items()})
+        return FinStructure(cls, size, **{field: payload[key] for field, (key, _) in fields.items()})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {cls.label()} payload: {exc}") from None
 

@@ -140,6 +140,24 @@ def test_check_names_first_difference_of_reduce_report(tmp_path, capsys, tamper,
     }
 
 
+def test_check_rejects_boolean_in_report_payload(tmp_path, capsys):
+    # JSON true equals 1 in Python; the stored base must still be refused
+    path = tmp_path / "reduce.json"
+    main([
+        "reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--seed", "15",
+        "--json", "--out", str(path),
+    ])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    blocks = doc["result"]["params"]["coloring"]["base"]["payload"]["eq_blocks"]
+    assert blocks == [[0, 1], [2, 3]]
+    blocks[0][1] = True
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--report", str(path)])
+    assert code == 3
+    assert "ceq payload field 'eq_blocks' is malformed" in capsys.readouterr().err
+
+
 def test_check_rejects_unknown_command(tmp_path, capsys):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"command": "zzz", "result": {"params": {}}}))
@@ -193,7 +211,8 @@ def test_reduce_seeded_ceq(capsys):
         "reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--seed", "15",
     )
     assert code == 0  # seed 15 aligns the cross pairs at this size
-    assert "stage partition_view: ok" in out
+    assert "stage lift: ok" in out
+    assert out.endswith("found subset [0, 1, 2, 3]\n")
 
 
 def test_extract_exit_codes(capsys):

@@ -208,8 +208,10 @@ def test_reduce_ceq_constant():
     col = Coloring.from_function(make_canonical(CEQ, 3), 2, 2, lambda t: 1)
     report = reduce_ceq(col, 2)
     assert report.status == "found"
-    assert [st.name for st in report.stages] == ["partition_view", "aux", "lift_scan"]
-    assert subset_is_big(col.base, report.subset, 2)
+    assert [st.name for st in report.stages] == ["aux", "aux_search", "lift"]
+    # width max(level, n) = 2: the first two elements of blocks 0 and 1
+    assert report.subset == (0, 1, 3, 4)
+    assert report.stages[0].details == {"palette": 2 ** 3, "positions": 3}
     assert all(c == 1 for _, c in report.witness.entries)
 
 
@@ -234,6 +236,12 @@ def test_reduce_ceq_sound_on_random():
             col = random_coloring(base, 2, 2, seed=seed)
             for level in (1, 2):
                 report = reduce_ceq(col, level)
+                names = [st.name for st in report.stages]
+                assert names in (
+                    ["aux", "aux_search", "lift"],
+                    ["aux", "aux_search", "lift", "direct"],
+                    ["aux", "aux_search", "direct"],
+                ), names
                 if report.status == "found":
                     found += 1
                     sub = report.subset
@@ -243,29 +251,44 @@ def test_reduce_ceq_sound_on_random():
                     assert direct.entries == report.witness.entries
                 else:
                     absent += 1
-                    assert report.stages[0].name == "partition_view"
+                    assert names[-1] == "direct"
     assert found and absent  # both paths exercised
 
 
+@time_limit(60)
 def test_reduce_ceq_absent_scope_is_flagged():
-    # an empty partition view or lift scan exhausts only the reduction's own
-    # candidates; direct search then decides, and its flag is the report's
-    seen = set()
-    for lam in (2, 3):
+    # whenever nothing lifts, direct search decides: the report's subset,
+    # flag and last-stage work are exactly that search's
+    hits = {"ok": 0, "absent": 0, "lift": 0}
+    for lam in (2, 3, 4):
         base = make_canonical(CEQ, lam)
         for seed in range(30):
             col = random_coloring(base, 2, 2, seed=seed)
-            report = reduce_ceq(col, 2)
-            if report.stages[-1].name == "lift_scan":
-                continue
-            empty = next(st.name for st in report.stages if st.status == "absent")
-            stage = report.stages[-1]
-            assert stage.name == "direct"
-            seen.add((empty, stage.status))
-            direct = find_type_homogeneous(col, 2)
-            assert report.subset == direct.subset, (lam, seed)
-            assert report.exhaustive == direct.exhaustive == stage.details["exhaustive"]
-    assert {("partition_view", "ok"), ("partition_view", "absent"), ("lift_scan", "absent")} <= seen
+            for level in (1, 2):
+                report = reduce_ceq(col, level)
+                stage = report.stages[-1]
+                if stage.name == "lift":
+                    assert stage.status == "ok"
+                    hits["lift"] += 1
+                    continue
+                assert stage.name == "direct"
+                hits[stage.status] += 1
+                direct = find_type_homogeneous(col, level)
+                assert report.subset == direct.subset, (lam, seed, level)
+                assert report.exhaustive == direct.exhaustive == stage.details["exhaustive"]
+                assert stage.work == direct.nodes
+    assert all(hits.values()), hits
+
+
+def test_reduce_ceq_short_pieces_search_directly():
+    # ceq at ambient 1 is one block of one element: no piece holds a pair
+    col = Coloring.from_function(make_canonical(CEQ, 1), 2, 2, lambda t: 0)
+    report = reduce_ceq(col, 1)
+    assert [st.name for st in report.stages] == ["direct"]
+    direct = find_type_homogeneous(col, 1)
+    assert report.subset == direct.subset
+    assert report.exhaustive == direct.exhaustive
+    assert report.stages[0].work == direct.nodes
 
 
 def test_report_shapes():

@@ -9,10 +9,12 @@ from helpers import SMALL_KINDS, closure_bruteforce, random_member
 from ramseylab.structures import (
     ClassKind,
     FinStructure,
+    dumps,
     from_doc,
     induced_substructure,
     is_big,
     is_member,
+    loads,
     make_canonical,
     subset_closure,
     subset_induces_member,
@@ -306,3 +308,39 @@ def test_block_and_hyper_lookups_keep_first_entry():
     assert h.hyper_color((0,)) == 1
     with pytest.raises(ValueError, match=r"no color stored for subset \(1,\)"):
         h.hyper_color((1,))
+
+
+@pytest.mark.parametrize(
+    "cls, key, path",
+    [
+        (ClassKind("chi_or", chi=2), "parts", (2,)),
+        (ClassKind("n_tree", height=2), "tree_parent", (2,)),
+        (ClassKind("n_tree", height=2), "levels", (1,)),
+        (ClassKind("ceq"), "eq_blocks", (0, 1)),
+        (ClassKind("ordered_graph"), "edges", (0, 1)),
+        (ClassKind("hypergraph", edge_arity=2, palette=2), "hyper_colors", (2, 0, 0)),
+        (ClassKind("hypergraph", edge_arity=2, palette=2), "hyper_colors", (1, 1)),
+    ],
+    ids=["chi_or", "n_tree-parent", "n_tree-levels", "ceq", "ordered_graph", "hypergraph-subset",
+         "hypergraph-color"],
+)
+def test_payload_rejects_json_booleans(cls, key, path):
+    # JSON true is a Python bool, an int subclass: payloads must still refuse
+    # it in place of the integer 1
+    doc = to_doc(make_canonical(cls, 2))
+    *outer, last = path
+    slot = doc["payload"][key]
+    for i in outer:
+        slot = slot[i]
+    assert slot[last] == 1
+    slot[last] = True
+    with pytest.raises(ValueError, match=f"payload field '{key}' is malformed"):
+        from_doc(doc)
+    slot[last] = 1
+    assert loads(dumps(from_doc(doc))) == make_canonical(cls, 2)
+
+
+def test_members_refuse_booleans():
+    assert not is_member(FinStructure(ClassKind("ceq"), 4, blocks=((0, True), (2, 3))))
+    assert not is_member(FinStructure(ClassKind("chi_or", chi=2), 2, parts=(0, True)))
+    assert not is_member(FinStructure(ClassKind("ordered_graph"), 2, edges={(0, True)}))
