@@ -17,14 +17,17 @@ Three modes:
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.
   counterexample  simulated-annealing descent on the number of candidate
-                  subsets consistent with the coloring; a zero-energy coloring
-                  is verified exhaustively before a refutation is reported.
+                  subsets consistent with the coloring; the energy is kept
+                  exact across single-tuple flips by updating only the
+                  same-type groups that hold the flipped tuple, and a
+                  zero-energy coloring is verified exhaustively before a
+                  refutation is reported.
 
 One typed tuple table per query serves both exhaustive forks and the
-counterexample pool: the increasing tuples in lexicographic order, and one
-coloring over them that a single odometer repaints, whose type cache types
-each tuple once.  Work counters are deterministic node counts, never
-wall-clock times.
+counterexample pool: the increasing tuples in lexicographic order, each
+typed at most once into a small integer type id, and one coloring over them
+that a single odometer repaints.  Work counters are deterministic node
+counts, never wall-clock times.
 """
 
 from __future__ import annotations
@@ -124,8 +127,11 @@ class _TupleTable:
     """The increasing `arity`-tuples of a query's canonical ambient, in
     lexicographic order, with one coloring over them that the engines paint.
 
-    Same-type groups are read through the coloring's type cache, so each
-    tuple is typed at most once per query however many candidates hold it.
+    A tuple is typed through the coloring's type cache the first time a
+    candidate holds it, and the type is kept as a small integer id (types
+    numbered in order of first sight), so same-type groups are formed by
+    integer keys and each tuple is typed at most once per query however many
+    candidates hold it.
     """
 
     def __init__(self, query: ArrowQuery):
@@ -133,6 +139,8 @@ class _TupleTable:
         self.tuples = list(itertools.combinations(range(self.base.size), query.arity))
         self.index = {tup: i for i, tup in enumerate(self.tuples)}
         self.col = Coloring(self.base, query.arity, query.colors, dict.fromkeys(self.tuples, 0))
+        self._type_ids: list[int | None] = [None] * len(self.tuples)
+        self._id_of: dict = {}  # TupleType -> type id
 
     def paint(self, digits) -> Coloring:
         """The shared coloring with tuple i colored digits[i]."""
@@ -145,9 +153,14 @@ class _TupleTable:
         A coloring is consistent with the subset exactly when every group is
         monochromatic, so singleton groups are dropped.
         """
-        groups: dict = {}
+        groups: dict[int, list[int]] = {}
+        ids = self._type_ids
         for combo in itertools.combinations(subset, self.col.arity):
-            groups.setdefault(self.col.type_of(combo), []).append(self.index[combo])
+            i = self.index[combo]
+            t = ids[i]
+            if t is None:
+                t = ids[i] = self._id_of.setdefault(self.col.type_of(combo), len(self._id_of))
+            groups.setdefault(t, []).append(i)
         return [g for g in groups.values() if len(g) > 1]
 
     def candidates(self, sub_level: int) -> list:
@@ -168,6 +181,62 @@ def _distinct_types(pool, mode: str) -> Verdict | None:
                 "unknown", mode, len(pool), 0, notes=(f"{note}; no coloring can refute the query",)
             )
     return None
+
+
+class _Energy:
+    """The number of pool candidates consistent with `digits` (every
+    same-type group monochromatic), kept exact across single-tuple flips.
+
+    Each group keeps a count of its tuples in every color, each candidate the
+    number of its groups that are not monochromatic, and each tuple index the
+    groups that hold it.  A tuple lies in at most one group of a candidate,
+    so a flip walks only the groups listed for that tuple.  `digits` is
+    shared with the caller and changed only through `flip`.
+    """
+
+    def __init__(self, pool, digits: list[int], colors: int):
+        self.digits = digits
+        self.colors = colors
+        self.value = 0
+        self.mixed: list[int] = []  # per candidate: groups not monochromatic
+        self.holders: list[list] = [[] for _ in digits]
+        for _, groups in pool:
+            self.add(groups)
+
+    def add(self, groups) -> None:
+        """Add one candidate, given by its same-type groups."""
+        k = len(self.mixed)
+        mixed = 0
+        for g in groups:
+            counts = [0] * self.colors
+            for i in g:
+                counts[self.digits[i]] += 1
+            entry = (counts, len(g), k)
+            for i in g:
+                self.holders[i].append(entry)
+            mixed += max(counts) < len(g)
+        self.mixed.append(mixed)
+        self.value += not mixed
+
+    def flip(self, i: int, new: int) -> int:
+        """Paint tuple i with color `new`; returns the change in energy."""
+        old = self.digits[i]
+        self.digits[i] = new
+        mixed = self.mixed
+        delta = 0
+        for counts, size, k in self.holders[i]:
+            if counts[old] == size:
+                if not mixed[k]:
+                    delta -= 1
+                mixed[k] += 1
+            counts[old] -= 1
+            counts[new] += 1
+            if counts[new] == size:
+                mixed[k] -= 1
+                if not mixed[k]:
+                    delta += 1
+        self.value += delta
+        return delta
 
 
 def _consistent(digits, groups) -> bool:
@@ -297,18 +366,15 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
 
     ntup = len(table.tuples)
     digits = [rng.randrange(query.colors) for _ in range(ntup)]
-
-    def energy() -> int:
-        return sum(1 for _, groups in pool if _consistent(digits, groups))
+    energy = _Energy(pool, digits, query.colors)
 
     steps = budget if budget is not None else 20000
-    e = energy()
     work = 0
     attempts = 0
     temp0 = max(1.0, len(pool) / 4)
     for step in range(steps):
         work += 1
-        if e == 0:
+        if energy.value == 0:
             attempts += 1
             res = find_type_homogeneous(table.paint(digits), query.sub_level)
             work += res.nodes
@@ -326,8 +392,7 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
                     "enumerated candidate pool and direct search disagree"
                 )
             # the sampled pool missed this subset; learn it and keep going
-            pool.append((res.subset, table.groups(res.subset)))
-            e = energy()
+            energy.add(table.groups(res.subset))
             continue
         temp = temp0 * (0.999 ** step)
         i = rng.randrange(ntup)
@@ -335,18 +400,15 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
         new = rng.randrange(query.colors)
         if new == old:
             continue
-        digits[i] = new
-        e2 = energy()
-        if e2 <= e or rng.random() < math.exp((e - e2) / max(temp, 1e-9)):
-            e = e2
-        else:
-            digits[i] = old
+        delta = energy.flip(i, new)
+        if delta > 0 and rng.random() >= math.exp(-delta / max(temp, 1e-9)):
+            energy.flip(i, old)
     return Verdict(
         "unknown",
         "counterexample",
         work,
         attempts,
-        notes=(f"no refutation within {steps} flips (final energy {e})",),
+        notes=(f"no refutation within {steps} flips (final energy {energy.value})",),
     )
 
 

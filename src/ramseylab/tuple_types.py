@@ -106,10 +106,12 @@ def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[Tu
 
     Types realized at level n stay realized at every higher level because the
     canonical structures form an embedding chain, so raising `level` can only
-    extend the list.
+    extend the list.  A negative `level` raises ValueError.
     """
     if n < 1:
         raise ValueError("arity must be at least 1")
+    if level is not None and level < 0:
+        raise ValueError("level must be nonnegative")
     lv = n if level is None else max(level, n)
     base = make_canonical(cls, lv)
     seen: set[bytes] = set()

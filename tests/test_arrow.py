@@ -1,12 +1,18 @@
 """Partition relation checks in all three modes."""
 
+import random
+
 import pytest
 
+from ramseylab import arrow
 from ramseylab.arrow import (
     ArrowQuery,
     DEFAULT_CEILING,
     SearchSpaceTooLarge,
     Verdict,
+    _consistent,
+    _Energy,
+    _TupleTable,
     arrow_check,
     ramsey_table,
     verify_refutation,
@@ -162,3 +168,67 @@ def test_table_doc_roundtrip_keys():
 
 def test_default_ceiling_is_sane():
     assert DEFAULT_CEILING == 2 ** 26
+
+
+def _rescan(digits, pool) -> int:
+    return sum(_consistent(digits, groups) for _, groups in pool)
+
+
+@pytest.mark.parametrize(
+    "cls, ambient, sub, colors, most_groups",
+    [(OR, 8, 3, 3, 1), (ClassKind("ceq"), 3, 2, 2, 2), (ClassKind("chi_or", chi=2), 5, 2, 2, 3)],
+    ids=["or-8", "ceq-3", "chi_or2-5"],
+)
+def test_incremental_energy_matches_rescan(cls, ambient, sub, colors, most_groups):
+    # seeded flips and flip-backs; after every step the kept energy and the
+    # returned change equal a full rescan of the pool
+    table = _TupleTable(ArrowQuery(cls, ambient, sub, 2, colors))
+    pool = table.candidates(sub)
+    assert max(len(groups) for _, groups in pool) == most_groups
+    rng = random.Random(ambient)
+    digits = [rng.randrange(colors) for _ in table.tuples]
+    energy = _Energy(pool, digits, colors)
+    assert energy.value == _rescan(digits, pool)
+    values = set()
+    for _ in range(400):
+        i = rng.randrange(len(digits))
+        old, new = digits[i], rng.randrange(colors)
+        before = energy.value
+        delta = energy.flip(i, new)
+        assert digits[i] == new
+        assert energy.value == before + delta == _rescan(digits, pool)
+        if rng.random() < 0.3:
+            assert energy.flip(i, old) == -delta
+            assert energy.value == before == _rescan(digits, pool)
+        values.add(energy.value)
+    assert len(values) > 1
+
+
+def test_incremental_energy_on_learning_sampled_pool(monkeypatch):
+    # or at 22 exceeds the enumeration cap, so the descent steers by a sampled
+    # pool and learns the subsets its verification search finds
+    made = []
+
+    class Checked(arrow._Energy):
+        def __init__(self, pool, digits, colors):
+            self.pool = []
+            super().__init__(pool, digits, colors)
+            self.sampled = len(self.pool)
+            made.append(self)
+
+        def add(self, groups):
+            super().add(groups)
+            self.pool.append((None, groups))
+            assert self.value == _rescan(self.digits, self.pool)
+
+        def flip(self, i, new):
+            delta = super().flip(i, new)
+            assert self.value == _rescan(self.digits, self.pool)
+            return delta
+
+    monkeypatch.setattr(arrow, "_Energy", Checked)
+    v = arrow_check(ArrowQuery(OR, 22, 3, 2, 2), mode="counterexample", seed=2, budget=300)
+    (energy,) = made
+    learned = len(energy.pool) - energy.sampled
+    assert learned >= 2
+    assert learned == v.colorings_checked - (v.status == "fails")

@@ -63,6 +63,11 @@ PINS = [
     ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 3, "budget": 300}, "9913d775baf960572b416aa48cca77a5c28c3ad101d5dc02e775a3e525bd2485"),
     ("or", 22, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "0920a86445cac5344d5d46d67bbf5ac1558889773b0e9c6a4e278c07505e95da"),
     ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "c7e32e22012fa801a91c460d612cb39ef580bb22468884d1af30e308d0601f1d"),
+    # the benchmark's counterexample shapes: 3 colours below R(3,3,3) = 17
+    ("or", 11, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "67974d53b1e2f0b91e1c4c67187cedef7ce399885295b0f9e5947e5fde4bfe0b"),
+    ("or", 11, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "6d3a6ab45aef71fa82c0cded774081214d979ef8e3bb81198bf43c3d98772506"),
+    ("or", 12, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "ed90dfdf781157e5b4681eeddec2647f3fb5437f28e34a28374572647e811ccc"),
+    ("or", 12, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "b08fafbf6b4c98fa16ccb8ae7cd4ff35907ecbbe6ac05cb3e6d9dcf98a567e40"),
 ]
 
 

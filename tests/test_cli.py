@@ -474,3 +474,19 @@ def test_report_with_negative_samples_exits_3(tmp_path, capsys):
     code, err = _run_on_json(tmp_path, capsys, doc, *CHECK)
     assert code == 3
     assert "samples must be nonnegative" in err
+
+
+def test_types_negative_level_exits_3(capsys):
+    code = main(["types", "--cls", "or", "-n", "2", "--level", "-1"])
+    assert code == 3
+    assert "level must be nonnegative" in capsys.readouterr().err
+
+
+def test_types_report_with_negative_level_exits_3(tmp_path, capsys):
+    path = tmp_path / "types.json"
+    assert main(["types", "--cls", "or", "-n", "2", "--json", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["result"]["params"]["level"] = -1
+    code, err = _run_on_json(tmp_path, capsys, doc, *CHECK)
+    assert code == 3
+    assert "level must be nonnegative" in err

@@ -167,3 +167,8 @@ def test_doc_roundtrip():
             back = TupleType.from_doc(t.to_doc())
             assert back == t
             assert back.sort_key() == t.sort_key()
+
+
+def test_enumeration_rejects_negative_level():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        enumerate_types(ClassKind("or"), 2, -1)
