@@ -260,14 +260,15 @@ def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
 
 
 def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
-    table = _TupleTable(query)
-    ntup = len(table.tuples)
-    total = query.colors ** ntup
-    if total > ceiling:
+    ntup = math.comb(make_canonical(query.cls, query.ambient_level).size, query.arity)
+    # checked before the table is built; 2^ntup alone passes the ceiling once
+    # ntup reaches its bit length, so the power is only formed while small
+    if (query.colors > 1 and ntup >= ceiling.bit_length()) or query.colors ** ntup > ceiling:
         raise SearchSpaceTooLarge(
             f"{query.colors}^{ntup} colorings exceed the ceiling {ceiling}; "
             "use the randomized or counterexample mode"
         )
+    table = _TupleTable(query)
     work = 0
     if table.base.size <= _MATERIALIZE_CAP:
         cands = table.candidates(query.sub_level)

@@ -155,6 +155,7 @@ class HomogeneityWitness:
 
     @staticmethod
     def from_doc(doc: list) -> "HomogeneityWitness":
+        require_fields({"entries": doc}, {"entries": [(dict, int)]}, "homogeneity witness")
         return HomogeneityWitness(
             tuple((TupleType.from_doc(t), c) for t, c in doc)
         )

@@ -355,7 +355,12 @@ class TargetStructure:
 
     @staticmethod
     def from_doc(doc: dict) -> "TargetStructure":
+        # the shape of every value in each symbol map
+        maps = {"functions": [([int], int)], "relations": [[int]], "constants": int}
+        require_fields(doc, {"signature": dict, "size": int, **dict.fromkeys(maps, dict)}, "target")
         sig = OutputSignature.from_doc(doc["signature"])
+        for name, shape in maps.items():
+            require_fields(doc[name], dict.fromkeys(doc[name], shape), f"target {name}")
         return TargetStructure(
             sig,
             doc["size"],

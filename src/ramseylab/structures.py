@@ -2,7 +2,7 @@
 
 Every structure lives on the universe 0..N-1 carrying the natural order as its
 designated linear order.  The order rigidifies everything: a structure has no
-nontrivial automorphisms, so canonical forms, substructures, and type codes
+nontrivial automorphisms, so canonical forms, substructures, and tuple types
 reduce to plain tuple bookkeeping with no isomorphism search.
 
 The class kinds:
@@ -31,11 +31,11 @@ and partition-relation tables monotone.
 
 Everything a kind knows lives in one `Kind` subclass, registered by name in
 `TABLE`: its parameters, its payload fields and their document keys, the
-canonical member, membership and bigness, closure, admission and pruning for
-the subset walker, the fragment a type code records and the decoding back,
-and the canonical embedding.  The module-level functions validate their input
-and dispatch to the table, and no other module tells kinds apart, so a new
-class is one more subclass.
+canonical member, membership and subset bigness (a member is big when its
+whole universe is), closure, admission and pruning for the subset walker, the
+fragment a type records and the decoding back, and the canonical embedding.
+The module-level functions validate their input and dispatch to the table,
+and no other module tells kinds apart, so a new class is one more subclass.
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ class Kind:
     each FinStructure payload field it uses to the field's document key and
     that key's JSON shape (see `_fits`), which `from_doc` checks.  The
     defaults fit a kind with no payload and bigness by cardinality alone;
-    subclasses override what differs.  `big` and `embed` are called with
-    mu >= 1 only.
+    subclasses override what differs.  `subset_big` and `embed` are called
+    with mu >= 1 only.
     """
 
     name = ""
@@ -299,9 +299,6 @@ class Kind:
         """Payload content check; the payload fields are known present."""
         return True
 
-    def big(self, s: FinStructure, mu: int) -> bool:
-        return s.size >= self.min_size(s.cls, mu)
-
     def subset_big(self, s: FinStructure, chosen: list[int], mu: int) -> bool:
         return len(chosen) >= self.min_size(s.cls, mu)
 
@@ -320,15 +317,15 @@ class Kind:
         least = self.min_size(base.cls, level)
         return lambda chosen, rest: len(chosen) + len(rest) >= least
 
-    def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> dict:
-        """Atomic data of a closed subset relabeled by `pos`, as type-code
-        entries."""
-        return {}
+    def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
+        """Atomic data of a closed subset relabeled by `pos`, as fragment
+        entries: (name, value) pairs whose values are tuples."""
+        return ()
 
     def decode(self, cls: ClassKind, m: int, frag: dict):
-        """A structure realizing a fragment of m elements, and the element
-        that stands for each fragment position.  By default the fragment's
-        entries are the payload fields, named alike."""
+        """A structure realizing a fragment of m elements, given by a dict of
+        its entries, and the element that stands for each fragment position.
+        By default the entries are the payload fields, named alike."""
         return FinStructure(cls, m, **{f: frag[f] for f in self.fields}), range(m)
 
     def embed(self, cls: ClassKind, mu: int, target: FinStructure) -> tuple[int, ...]:
@@ -359,12 +356,6 @@ class DisjointOrders(Kind):
                 return False
         return all(s.parts[i] <= s.parts[i + 1] for i in range(s.size - 1))
 
-    def big(self, s, mu):
-        counts = [0] * s.cls.chi
-        for p in s.parts:
-            counts[p] += 1
-        return all(c >= mu for c in counts)
-
     def subset_big(self, s, chosen, mu):
         counts = [0] * s.cls.chi
         for e in chosen:
@@ -377,7 +368,7 @@ class DisjointOrders(Kind):
         return lambda chosen, rest: self.subset_big(base, chosen + rest, level)
 
     def fragment(self, s, closed, pos):
-        return {"parts": [s.part_of(e) for e in closed]}
+        return (("parts", tuple([s.part_of(e) for e in closed])),)
 
     def embed(self, cls, mu, target):
         image: list[int] = []
@@ -400,7 +391,7 @@ class ColoredOrder(Kind):
         return cls.chi
 
     def fragment(self, s, closed, pos):
-        return {"res": [e % s.cls.chi for e in closed]}
+        return (("res", tuple([e % s.cls.chi for e in closed])),)
 
     def decode(self, cls, m, frag):
         # a fragment need not be positional: place each position at the least
@@ -470,17 +461,6 @@ class Trees(Kind):
                     return False
         return True
 
-    def big(self, s, mu):
-        if s.size == 0 or s.level[tree_root(s)] != 0:
-            return False
-        kids = tree_children(s)
-        for v in range(s.size):
-            if s.level[v] < s.cls.height:
-                faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
-                if len(faithful) < mu:
-                    return False
-        return True
-
     def subset_big(self, s, chosen, mu):
         if not chosen:
             return False
@@ -539,16 +519,9 @@ class Trees(Kind):
         return feasible
 
     def fragment(self, s, closed, pos):
-        inside = set(closed)
-        parent = []
-        for e in closed:
-            par = -1
-            for anc in tree_ancestors(s, e):
-                if anc in inside:
-                    par = pos[anc]
-                    break
-            parent.append(par)
-        return {"parent": parent, "level": [s.level[e] for e in closed]}
+        # an element's fragment parent is its nearest ancestor inside
+        parent = tuple([next((pos[a] for a in tree_ancestors(s, e) if a in pos), -1) for e in closed])
+        return (("level", tuple([s.level[e] for e in closed])), ("parent", parent))
 
     def embed(self, cls, mu, target):
         kids = tree_children(target)
@@ -591,9 +564,6 @@ class ConvexEquivalence(Kind):
                 seen.add(e)
         return len(seen) == s.size
 
-    def big(self, s, mu):
-        return sum(1 for b in s.blocks if len(b) >= mu) >= mu
-
     def subset_big(self, s, chosen, mu):
         counts: dict[int, int] = {}
         for e in chosen:
@@ -608,7 +578,7 @@ class ConvexEquivalence(Kind):
     def fragment(self, s, closed, pos):
         # blocks numbered by first occurrence
         seen: dict[int, int] = {}
-        return {"blocks": [seen.setdefault(s.block_of(e), len(seen)) for e in closed]}
+        return (("blocks", tuple([seen.setdefault(s.block_of(e), len(seen)) for e in closed])),)
 
     def decode(self, cls, m, frag):
         blocks: dict[int, list[int]] = {}
@@ -647,13 +617,8 @@ class OrderedGraphs(Kind):
         return True
 
     def fragment(self, s, closed, pos):
-        return {
-            "edges": [
-                [pos[a], pos[b]]
-                for a, b in itertools.combinations(closed, 2)
-                if s.has_edge(a, b)
-            ]
-        }
+        edges = [(pos[a], pos[b]) for a, b in itertools.combinations(closed, 2) if s.has_edge(a, b)]
+        return (("edges", tuple(edges)),)
 
 
 class Hypergraphs(Kind):
@@ -687,8 +652,8 @@ class Hypergraphs(Kind):
         colors = []
         for r in range(s.cls.edge_arity):
             for sub in itertools.combinations(closed, r):
-                colors.append([[pos[e] for e in sub], s.hyper_color(sub)])
-        return {"colors": colors}
+                colors.append((tuple([pos[e] for e in sub]), s.hyper_color(sub)))
+        return (("colors", tuple(colors)),)
 
     def decode(self, cls, m, frag):
         return FinStructure(cls, m, hyper=frag["colors"]), range(m)
@@ -755,7 +720,7 @@ def is_big(s: FinStructure, mu: int) -> bool:
     """
     if mu < 0:
         raise ValueError("bigness level must be nonnegative")
-    return mu == 0 or s.cls.spec.big(s, mu)
+    return mu == 0 or s.cls.spec.subset_big(s, list(range(s.size)), mu)
 
 
 # subsets: closure, membership, bigness, induced structure
@@ -809,7 +774,7 @@ def induced_substructure(s: FinStructure, subset) -> tuple[FinStructure, tuple[i
         raise ValueError("subset does not induce a member of the class")
     pos = {e: i for i, e in enumerate(closed)}
     spec = s.cls.spec
-    frag, _ = spec.decode(s.cls, len(closed), spec.fragment(s, closed, pos))
+    frag, _ = spec.decode(s.cls, len(closed), dict(spec.fragment(s, closed, pos)))
     return frag, closed
 
 

@@ -4,15 +4,17 @@ The type of an increasing tuple records the induced structure on the closure
 of the tuple under the class functions (the tree meet; no other kind has
 functions), relabeled along the order, together with the positions the tuple
 occupies inside that closure.  Because the designated order is rigid, the
-relabeled fragment is already canonical and two tuples have the same type
-exactly when their canonical codes agree byte for byte; no isomorphism search
-is ever needed.
+relabeled fragment is already canonical, and types compare and hash by their
+fragments with no isomorphism search.  A fragment is the sorted (entry,
+value) pairs of the closure size `m`, the generator positions `gen` and the
+kind's atomic data, lists held as tuples; its canonical JSON bytes
+(`TupleType.code`) exist only in documents.
 
-The code serializes the fragment's atomic data, which for chi_color and
-n_tree is read off the ambient structure (residues of positions, ambient
-level labels), so fragments need not themselves be class members.  Types are
-invariant under extending the ambient structure to any member containing the
-closure: every recorded atom mentions closure elements only.
+The atomic data of chi_color and n_tree is read off the ambient structure
+(residues of positions, ambient level labels), so fragments need not
+themselves be class members.  Types are invariant under extending the
+ambient structure to any member containing the closure: every recorded atom
+mentions closure elements only.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import base64
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .structures import (
     ClassKind,
     FinStructure,
+    _is_int,
     make_canonical,
     require_fields,
     subset_closure,
@@ -33,11 +37,16 @@ from .structures import (
 
 @dataclass(frozen=True)
 class TupleType:
-    """Canonical quantifier-free type: class, arity, fragment code."""
+    """Canonical quantifier-free type: class, arity, fragment."""
 
     cls: ClassKind
     arity: int
-    code: bytes
+    fragment: tuple
+
+    @cached_property
+    def code(self) -> bytes:
+        """The fragment's canonical JSON bytes, as documents hold them."""
+        return json.dumps(dict(self.fragment), sort_keys=True, separators=(",", ":")).encode("ascii")
 
     def sort_key(self) -> tuple:
         return (self.arity, self.code)
@@ -51,16 +60,30 @@ class TupleType:
 
     @staticmethod
     def from_doc(doc: dict) -> "TupleType":
+        """Inverse of `to_doc`; the code must be base64 of canonical bytes,
+        with an integer `m`, an integer list `gen` and only integers and
+        lists inside."""
         require_fields(doc, {"class": dict, "arity": int, "code": str}, "tuple type")
-        return TupleType(
-            cls=ClassKind.from_doc(doc["class"]),
-            arity=doc["arity"],
-            code=base64.b64decode(doc["code"]),
-        )
+        try:
+            code = base64.b64decode(doc["code"], validate=True)
+            entries = json.loads(code)
+        except (ValueError, RecursionError):
+            raise ValueError("tuple type code is not base64 of JSON") from None
+        require_fields(entries, {"m": int, "gen": [int]}, "tuple type code")
+        fragment = tuple(sorted((key, _freeze(value)) for key, value in entries.items()))
+        t = TupleType(ClassKind.from_doc(doc["class"]), doc["arity"], fragment)
+        if t.code != code:
+            raise ValueError("tuple type code is not in canonical form")
+        return t
 
 
-def _encode(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+def _freeze(value):
+    # a decoded code entry as a fragment value: lists become tuples
+    if isinstance(value, list):
+        return tuple(map(_freeze, value))
+    if _is_int(value):
+        return value
+    raise ValueError(f"tuple type code holds {value!r} where integers and lists belong")
 
 
 def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
@@ -75,8 +98,10 @@ def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
         raise ValueError(f"tuple {tup} outside universe of size {s.size}")
     closed = subset_closure(s, tup)
     pos = {e: i for i, e in enumerate(closed)}
-    payload = {"m": len(closed), "gen": [pos[e] for e in tup], **s.cls.spec.fragment(s, closed, pos)}
-    return TupleType(s.cls, len(tup), _encode(payload))
+    entries = [("gen", tuple([pos[e] for e in tup])), ("m", len(closed))]
+    entries += s.cls.spec.fragment(s, closed, pos)
+    entries.sort()
+    return TupleType(s.cls, len(tup), tuple(entries))
 
 
 def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
@@ -94,9 +119,9 @@ def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
             raise ValueError(f"positions {positions} not strictly increasing")
     if positions[0] < 0 or positions[-1] >= p.arity:
         raise ValueError(f"positions {positions} outside arity {p.arity}")
-    payload = json.loads(p.code)
-    frag, place = p.cls.spec.decode(p.cls, payload["m"], payload)
-    return tuple_type(frag, tuple(place[payload["gen"][i]] for i in positions))
+    entries = dict(p.fragment)
+    frag, place = p.cls.spec.decode(p.cls, entries["m"], entries)
+    return tuple_type(frag, tuple(place[entries["gen"][i]] for i in positions))
 
 
 def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[TupleType]:
@@ -114,11 +139,5 @@ def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[Tu
         raise ValueError("level must be nonnegative")
     lv = n if level is None else max(level, n)
     base = make_canonical(cls, lv)
-    seen: set[bytes] = set()
-    out: list[TupleType] = []
-    for tup in itertools.combinations(range(base.size), n):
-        t = tuple_type(base, tup)
-        if t.code not in seen:
-            seen.add(t.code)
-            out.append(t)
-    return out
+    tuples = itertools.combinations(range(base.size), n)
+    return list(dict.fromkeys(tuple_type(base, tup) for tup in tuples))

@@ -82,6 +82,20 @@ def test_ceiling_guard():
     )
 
 
+def test_ceiling_checked_before_the_table(monkeypatch):
+    def refuse(query):
+        raise AssertionError("the tuple table was built")
+
+    monkeypatch.setattr(arrow, "_TupleTable", refuse)
+    # C(100, 3) = 161700 triples; the power 2^161700 is never formed either
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^161700 colorings exceed the ceiling"):
+        arrow_check(ArrowQuery(OR, 100, 3, 3, 2))
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^28 colorings"):
+        arrow_check(ArrowQuery(OR, 8, 3, 2, 2), ceiling=2 ** 28 - 1)
+    with pytest.raises(AssertionError, match="tuple table was built"):
+        arrow_check(ArrowQuery(OR, 8, 3, 2, 2), ceiling=2 ** 28)
+
+
 def test_randomized_refutes_five():
     q = ArrowQuery(OR, 5, 3, 2, 2)
     v = arrow_check(q, mode="randomized", seed=0, samples=200)

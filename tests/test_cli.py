@@ -430,9 +430,15 @@ def _set(*path):
         (_set("assignments", 0, 1, "arity", "1"), "arity"),
         (_set("signature", "functions", 5), "functions"),
         (_set("signature", "functions", [["f", "1"]]), "functions"),
+        # the first type's code is {"gen":[0],"m":1}; each of these is refused
+        (_set("assignments", 0, 0, "code", "eyJnZW4iOiBbMF0sICJtIjogMX0="), "tuple type code"),  # spaced
+        (_set("assignments", 0, 0, "code", "eyJtIjoxLCJnZW4iOlswXX0="), "tuple type code"),  # m first
+        (_set("assignments", 0, 0, "code", "WzBd"), "tuple type code"),  # [0]
+        (_set("assignments", 0, 0, "code", "not base64!"), "tuple type code"),
     ],
     ids=["assignments-int", "levels-int", "n_max-string", "type-code-int", "type-arity-string",
-         "diagram-atoms-int", "diagram-arity-string", "functions-int", "function-arity-string"],
+         "diagram-atoms-int", "diagram-arity-string", "functions-int", "function-arity-string",
+         "type-code-spacing", "type-code-key-order", "type-code-json-list", "type-code-not-base64"],
 )
 def test_malformed_em_report_exits_3(tmp_path, capsys, mutate, named):
     code, err = _run_on_json(tmp_path, capsys, _em_report(mutate), *CHECK)

@@ -1,11 +1,13 @@
 """Tuple types: encoder vs brute force, restriction, enumeration."""
 
+import base64
 import itertools
 import random
 
 import pytest
 
 from helpers import SMALL_KINDS, brute_type_count, random_member, same_type_bruteforce
+from ramseylab import tuple_types
 from ramseylab.structures import ClassKind, make_canonical, subset_closure
 from ramseylab.tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
 
@@ -167,6 +169,46 @@ def test_doc_roundtrip():
             back = TupleType.from_doc(t.to_doc())
             assert back == t
             assert back.sort_key() == t.sort_key()
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+# codes the type loader must refuse; the canonical code of the first ceq pair
+# type is {"blocks":[0,0],"gen":[0,1],"m":2}
+BAD_CODES = {
+    "spacing": _b64(b'{"blocks": [0,0], "gen": [0,1], "m": 2}'),
+    "key-order": _b64(b'{"m":2,"gen":[0,1],"blocks":[0,0]}'),
+    "json-list": _b64(b"[0,1]"),
+    "not-base64": "not base64!",
+    "bad-padding": "eyJ",
+    "not-json": _b64(b"{m:2}"),
+    "m-string": _b64(b'{"blocks":[0,0],"gen":[0,1],"m":"2"}'),
+    "gen-missing": _b64(b'{"blocks":[0,0],"m":2}'),
+    "boolean": _b64(b'{"blocks":[true,0],"gen":[0,1],"m":2}'),
+    "object-inside": _b64(b'{"blocks":{},"gen":[0,1],"m":2}'),
+    "nested-too-deep": _b64(b"[" * 100000 + b"]" * 100000),
+}
+
+
+@pytest.mark.parametrize("code", BAD_CODES.values(), ids=BAD_CODES)
+def test_type_loader_rejects_noncanonical_code(code):
+    doc = tuple_type(make_canonical(ClassKind("ceq"), 2), (0, 1)).to_doc()
+    with pytest.raises(ValueError, match="tuple type code"):
+        TupleType.from_doc({**doc, "code": code})
+
+
+def test_typing_never_touches_json(monkeypatch):
+    class NoJson:
+        def __getattr__(self, name):
+            raise AssertionError(f"json.{name} called")
+
+    monkeypatch.setattr(tuple_types, "json", NoJson())
+    for cls in SMALL_KINDS:
+        for t in enumerate_types(cls, 3, 3):
+            for positions in ((0,), (1, 2), (0, 2)):
+                restrict_type(t, positions)
 
 
 def test_enumeration_rejects_negative_level():
