@@ -83,7 +83,10 @@ def _envelope(command: str, argv: list[str], result: dict) -> dict:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_coloring(args, cls: ClassKind) -> Coloring:

@@ -209,8 +209,12 @@ class _Walk:
     subsets come out in lexicographic order.  An element is taken only when
     it passes the closure and positional admission rules and, when a
     coloring is given, keeps the incrementally maintained type -> color
-    witness consistent.  Branches that the class's pruning bound
-    (`Kind.pruner`, built once per walk) rules out are pruned.  Iterating
+    witness consistent.  The witness is keyed by per-walk type ids: each
+    tuple is typed once per walk, through the coloring's type cache, and its
+    type interned to a small int the first time the walk meets it.  At node
+    (chosen, i) the class's bound `feasible(chosen, i)`, built once per walk
+    by `Kind.pruner(base, level, elements)`, prunes the branch when no
+    subset of chosen + elements[i:] holding chosen can be big.  Iterating
     yields every closed, member-inducing, level-big subset reached; `nodes`
     counts the visited search nodes, and visiting more than `budget` of them
     raises `_Budget`.
@@ -229,15 +233,18 @@ class _Walk:
     def __iter__(self):
         base, level, elements, col, budget = self.base, self.level, self.elements, self.col, self.budget
         spec = base.cls.spec
-        meet_ok, period, feasible = spec.admit, spec.period(base.cls), spec.pruner(base, level)
+        meet_ok, period = spec.admit, spec.period(base.cls)
+        feasible = spec.pruner(base, level, elements)
         if col is not None:
             type_of, color, arity = col.type_of, col.color, col.arity
+            ids: dict[TupleType, int] = {}
+            typed: dict[tuple[int, ...], tuple[int, int]] = {}  # tuple -> (type id, color)
         chosen: list[int] = []
-        witness: dict[TupleType, int] = {}
+        witness: dict[int, int] = {}
 
-        def admit(e: int, added: list[TupleType]) -> bool:
-            """Add `e` unless a rule vetoes it; witness types it fixes go to
-            `added`, even when a later tuple of `e` then conflicts."""
+        def admit(e: int, added: list[int]) -> bool:
+            """Add `e` unless a rule vetoes it; witness type ids it fixes go
+            to `added`, even when a later tuple of `e` then conflicts."""
             if meet_ok is not None and not meet_ok(base, chosen, e):
                 return False
             if period and e % period != len(chosen) % period:
@@ -245,8 +252,10 @@ class _Walk:
             if col is not None:
                 for combo in itertools.combinations(chosen, arity - 1):
                     tup = combo + (e,)
-                    t = type_of(tup)
-                    c = color(tup)
+                    tc = typed.get(tup)
+                    if tc is None:
+                        tc = typed[tup] = (ids.setdefault(type_of(tup), len(ids)), color(tup))
+                    t, c = tc
                     known = witness.get(t)
                     if known is None:
                         witness[t] = c
@@ -260,13 +269,14 @@ class _Walk:
             yield ()
         # The node visited is (i, changed): elements before i are decided, and
         # changed says whether the step into it took an element.  `taken`
-        # holds (index, witness types it added) for each element taken on the
-        # current path.  A dead end backtracks to the latest of them, undoes
-        # it and visits the branch without it; a vetoed element goes straight
-        # to the branch without it, once the witness types it fixed are undone.
-        taken: list[tuple[int, list[TupleType]]] = []
+        # holds (index, witness type ids it added) for each element taken on
+        # the current path.  A dead end backtracks to the latest of them,
+        # undoes it and visits the branch without it; a vetoed element goes
+        # straight to the branch without it, once the witness types it fixed
+        # are undone.
+        taken: list[tuple[int, list[int]]] = []
         i, changed = 0, False
-        nodes = 0
+        n, nodes = len(elements), 0
         while True:
             nodes += 1
             if budget is not None and nodes > budget:
@@ -275,8 +285,8 @@ class _Walk:
             if changed and subset_is_big(base, chosen, level):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if i < len(elements) and feasible(chosen, elements[i:]):
-                added: list[TupleType] = []
+            if i < n and feasible(chosen, i):
+                added: list[int] = []
                 if admit(elements[i], added):
                     taken.append((i, added))
                     i, changed = i + 1, True

@@ -201,6 +201,19 @@ class FinStructure:
         except KeyError:
             raise ValueError(f"element {e} in no block") from None
 
+    @cached_property
+    def _ancestors(self) -> tuple[tuple[int, ...], ...]:
+        # as for _block_index: each element's strict ancestors, nearest first
+        table = []
+        for e in range(self.size):
+            chain = []
+            p = self.parent[e]
+            while p >= 0:
+                chain.append(p)
+                p = self.parent[p]
+            table.append(tuple(chain))
+        return tuple(table)
+
     def has_edge(self, a: int, b: int) -> bool:
         assert self.edges is not None
         lo, hi = (a, b) if a < b else (b, a)
@@ -244,14 +257,9 @@ def tree_children(s: FinStructure) -> list[list[int]]:
     return kids
 
 
-def tree_ancestors(s: FinStructure, e: int) -> list[int]:
+def tree_ancestors(s: FinStructure, e: int) -> tuple[int, ...]:
     """Strict ancestors of e, nearest first."""
-    out = []
-    p = s.parent[e]
-    while p >= 0:
-        out.append(p)
-        p = s.parent[p]
-    return out
+    return s._ancestors[e]
 
 
 def tree_meet(s: FinStructure, a: int, b: int) -> int:
@@ -300,6 +308,8 @@ class Kind:
         return True
 
     def subset_big(self, s: FinStructure, chosen: list[int], mu: int) -> bool:
+        """Bigness of the structure the closed subset `chosen`, sorted and
+        without repeats, induces."""
         return len(chosen) >= self.min_size(s.cls, mu)
 
     def close(self, s: FinStructure, chosen: set[int]) -> None:
@@ -310,12 +320,13 @@ class Kind:
         modulo it for the subset to induce a member."""
         return 0
 
-    def pruner(self, base: FinStructure, level: int):
-        """Sound bound for one walk: can a subset of chosen + rest holding
+    def pruner(self, base: FinStructure, level: int, elements: list[int]):
+        """Sound bound for one walk over the increasing `elements`, as
+        `feasible(chosen, i)`: can a subset of chosen + elements[i:] holding
         all of chosen still induce a level-big member?  May answer yes
         wrongly, never no."""
-        least = self.min_size(base.cls, level)
-        return lambda chosen, rest: len(chosen) + len(rest) >= least
+        least, n = self.min_size(base.cls, level), len(elements)
+        return lambda chosen, i: len(chosen) + n - i >= least
 
     def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
         """Atomic data of a closed subset relabeled by `pos`, as fragment
@@ -362,10 +373,10 @@ class DisjointOrders(Kind):
             counts[s.part_of(e)] += 1
         return all(c >= mu for c in counts)
 
-    def pruner(self, base, level):
+    def pruner(self, base, level, elements):
         # bigness only grows with the subset, so the whole of chosen + rest
         # bounds every completion
-        return lambda chosen, rest: self.subset_big(base, chosen + rest, level)
+        return lambda chosen, i: self.subset_big(base, chosen + elements[i:], level)
 
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
@@ -385,7 +396,11 @@ class ColoredOrder(Kind):
         return cls.chi * mu
 
     def subset_big(self, s, chosen, mu):
-        return subset_induces_member(s, tuple(chosen)) and len(chosen) >= s.cls.chi * mu
+        # every subset is closed; it induces a member when it is positional
+        if chosen and not 0 <= chosen[0] <= chosen[-1] < s.size:
+            raise ValueError(f"element {chosen[0] if chosen[0] < 0 else chosen[-1]} outside universe")
+        chi = s.cls.chi
+        return len(chosen) >= chi * mu and all(e % chi == rank % chi for rank, e in enumerate(chosen))
 
     def period(self, cls):
         return cls.chi
@@ -505,16 +520,18 @@ class Trees(Kind):
                 return False
         return True
 
-    def pruner(self, base, level):
+    def pruner(self, base, level, elements):
         if level == 0:
-            return lambda chosen, rest: True
+            return lambda chosen, i: True
         root = tree_root(base)
         if root is None or base.level[root] != 0:
-            return lambda chosen, rest: False
-        least = self.min_size(base.cls, level)
+            return lambda chosen, i: False
+        least, n = self.min_size(base.cls, level), len(elements)
+        # the root is still to be decided while i is at most its index
+        at = elements.index(root) if root in elements else -1
 
-        def feasible(chosen, rest):
-            return len(chosen) + len(rest) >= least and (root in chosen or root in rest)
+        def feasible(chosen, i):
+            return len(chosen) + n - i >= least and (i <= at or root in chosen)
 
         return feasible
 
@@ -571,9 +588,9 @@ class ConvexEquivalence(Kind):
             counts[b] = counts.get(b, 0) + 1
         return sum(1 for c in counts.values() if c >= mu) >= mu
 
-    def pruner(self, base, level):
+    def pruner(self, base, level, elements):
         # as for chi_or
-        return lambda chosen, rest: self.subset_big(base, chosen + rest, level)
+        return lambda chosen, i: self.subset_big(base, chosen + elements[i:], level)
 
     def fragment(self, s, closed, pos):
         # blocks numbered by first occurrence

@@ -170,6 +170,20 @@ def test_check_missing_file(capsys):
     assert code == 3
 
 
+def test_check_rejects_deeply_nested_json_exits_3(tmp_path, capsys):
+    # json.load raises RecursionError on such input; every file loader must
+    # turn it into exit 3, not a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for argv in (
+        ["check", "--report", str(path)],
+        ["reduce", "--cls", "ceq", "--level", "2", "--coloring", str(path)],
+        ["em", "--blueprint", str(path), "--level", "1"],
+    ):
+        assert main(argv) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_reduce_found_and_absent(tmp_path, capsys):
     base = make_canonical(ClassKind("chi_color", chi=2), 3)
     constant = Coloring.from_function(base, 2, 2, lambda t: 0)

@@ -20,6 +20,7 @@ from ramseylab.structures import (
     subset_induces_member,
     subset_is_big,
     to_doc,
+    tree_ancestors,
     tree_children,
     tree_meet,
     tree_root,
@@ -239,6 +240,34 @@ def test_subset_big_matches_induced():
             assert is_member(frag)
             for mu in range(4):
                 assert subset_is_big(s, subset, mu) == is_big(frag, mu)
+
+
+@pytest.mark.parametrize("chi, lam", [(2, 4), (3, 3)])
+def test_colored_subset_big_matches_induced_definition(chi, lam):
+    # chi_color bigness reads residues directly; it must agree with the
+    # closure-based definition on every subset, positional or not
+    cls = ClassKind("chi_color", chi=chi)
+    s = make_canonical(cls, lam)
+    spec = cls.spec
+    for r in range(s.size + 1):
+        for chosen in itertools.combinations(range(s.size), r):
+            for mu in range(1, 4):
+                want = subset_induces_member(s, chosen) and len(chosen) >= chi * mu
+                assert spec.subset_big(s, list(chosen), mu) == want
+    for bad in ([0, s.size], [-1, 0], [s.size]):
+        with pytest.raises(ValueError, match="outside universe"):
+            spec.subset_big(s, bad, 1)
+
+
+def test_tree_ancestors_match_parent_links():
+    for height, mu in ((1, 3), (2, 2), (3, 2)):
+        s = make_canonical(ClassKind("n_tree", height=height), mu)
+        for e in range(s.size):
+            chain, p = [], s.parent[e]
+            while p >= 0:
+                chain.append(p)
+                p = s.parent[p]
+            assert list(tree_ancestors(s, e)) == chain
 
 
 def test_induced_relabels_in_order():
