@@ -32,16 +32,7 @@ from .colorings import (
     find_type_homogeneous,
     type_homogeneity_witness,
 )
-from .diagrams import (
-    Diagram,
-    OutputSignature,
-    TargetStructure,
-    UnionFind,
-    const,
-    enumerate_terms,
-    model_diagram,
-    var,
-)
+from .diagrams import Diagram, OutputSignature, TargetStructure, UnionFind, model_diagram
 from .structures import ClassKind, FinStructure, is_member, require_fields, subset_is_big
 from .structures import to_doc as structure_doc
 from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
@@ -155,28 +146,24 @@ def check_coherence(bp: Blueprint) -> list[dict]:
     failures: list[dict] = []
     for arity in range(2, bp.n_max + 1):
         for t in bp.domain(arity):
-            diag = table[t]
-            for k in range(1, arity):
-                for positions in itertools.combinations(range(arity), k):
-                    sub = restrict_type(t, positions)
-                    if sub not in table:
-                        failures.append(
-                            {
-                                "type": t.to_doc(),
-                                "positions": list(positions),
-                                "reason": "restricted type outside domain",
-                            }
-                        )
-                        continue
-                    if diag.restrict(positions) != table[sub]:
-                        failures.append(
-                            {
-                                "type": t.to_doc(),
-                                "positions": list(positions),
-                                "reason": "diagram restriction does not commute",
-                            }
-                        )
+            for positions, sub in _restrictions(t):
+                if sub not in table:
+                    reason = "restricted type outside domain"
+                elif table[t].restrict(positions) != table[sub]:
+                    reason = "diagram restriction does not commute"
+                else:
+                    continue
+                failures.append(
+                    {"type": t.to_doc(), "positions": list(positions), "reason": reason}
+                )
     return failures
+
+
+def _restrictions(t: TupleType):
+    """Each nonempty proper position subset of t with its restricted type."""
+    for k in range(1, t.arity):
+        for positions in itertools.combinations(range(t.arity), k):
+            yield positions, restrict_type(t, positions)
 
 
 @dataclass
@@ -358,16 +345,17 @@ def _diagram_coloring(
     subset: tuple[int, ...],
     arity: int,
     depth: int,
-) -> Coloring:
+) -> tuple[Coloring, list[Diagram]]:
     """Color the increasing tuples of `subset` by their diagram in the
-    target; colors number distinct diagrams in first-occurrence order."""
+    target; colors number distinct diagrams in first-occurrence order, and
+    the palette lists the diagram of each color."""
     palette: dict[Diagram, int] = {}
     table: dict[tuple[int, ...], int] = {}
     for tup in itertools.combinations(subset, arity):
         values = tuple(assignment[e] for e in tup)
         d = model_diagram(target, values, depth)
         table[tup] = palette.setdefault(d, len(palette))
-    return Coloring(index, arity, max(len(palette), 1), table)
+    return Coloring(index, arity, max(len(palette), 1), table), list(palette)
 
 
 def extract_blueprint(
@@ -382,11 +370,14 @@ def extract_blueprint(
     """Shrink the index to a subset on which diagrams depend only on types,
     then read the blueprint off that subset.
 
-    Arities are processed in increasing order.  At each arity the current
-    subset is kept whole when it is already diagram-homogeneous; otherwise
-    the standard homogeneity search runs inside it at that arity's level.
-    Every domain type must be realized in the final subset, else
-    BlueprintDomainError; the extracted blueprint is coherence-checked.
+    The type domains must be closed under restriction, which depends on the
+    class and the levels alone and is checked before any search, else
+    BlueprintDomainError.  Arities are processed in increasing order.  At
+    each arity the current subset is kept whole when it is already
+    diagram-homogeneous; otherwise the standard homogeneity search runs
+    inside it at that arity's level.  Every domain type must be realized in
+    the final subset, else BlueprintDomainError; the extracted blueprint is
+    coherence-checked.
     """
     assignment = tuple(assignment)
     if len(assignment) != index.size:
@@ -402,11 +393,24 @@ def extract_blueprint(
     levels = tuple(levels)
     if len(levels) != n_max:
         raise ValueError("levels must list one level per arity")
+    domains = [enumerate_types(index.cls, k, lv) for k, lv in enumerate(levels, 1)]
+    known = set(itertools.chain(*domains))
+    for arity, domain in enumerate(domains, 1):
+        for t in domain:
+            for _, sub in _restrictions(t):
+                if sub not in known:
+                    raise BlueprintDomainError(
+                        f"types of arity {arity} at level {levels[arity - 1]} restrict "
+                        f"to an arity-{sub.arity} type outside the level-"
+                        f"{levels[sub.arity - 1]} domain"
+                    )
 
     current = tuple(range(index.size))
     stages: list = []
+    colorings: list[tuple[Coloring, list[Diagram]]] = []
     for arity in range(1, n_max + 1):
-        col = _diagram_coloring(target, assignment, index, current, arity, depth)
+        col, palette = _diagram_coloring(target, assignment, index, current, arity, depth)
+        colorings.append((col, palette))
         whole = type_homogeneity_witness(col, current)
         if whole is not None and subset_is_big(index, current, levels[arity - 1]):
             stages.append(
@@ -435,22 +439,20 @@ def extract_blueprint(
             return ExtractReport(None, None, stages, res.exhaustive)
         current = res.subset
 
+    # each arity's coloring stays homogeneous on every later, smaller subset
     assignments: list[tuple[TupleType, Diagram]] = []
-    for arity in range(1, n_max + 1):
-        domain = enumerate_types(index.cls, arity, levels[arity - 1])
-        realized: dict[TupleType, Diagram] = {}
-        for tup in itertools.combinations(current, arity):
-            t = tuple_type(index, tup)
-            if t not in realized:
-                values = tuple(assignment[e] for e in tup)
-                realized[t] = model_diagram(target, values, depth)
+    for arity, ((col, palette), domain) in enumerate(zip(colorings, domains), 1):
+        witness = type_homogeneity_witness(col, current)
+        if witness is None:
+            raise InternalCheckError(f"arity-{arity} diagrams vary within a type on the subset")
+        color = witness.as_dict()
         for t in domain:
-            if t not in realized:
+            if t not in color:
                 raise BlueprintDomainError(
                     f"extracted subset realizes no tuple of a domain type "
                     f"at arity {arity}"
                 )
-        assignments.extend((t, realized[t]) for t in domain)
+        assignments.extend((t, palette[color[t]]) for t in domain)
 
     bp = Blueprint(index.cls, target.sig, n_max, depth, levels, tuple(assignments))
     bp.validate()
@@ -476,31 +478,21 @@ class DeriveResult:
 
 
 def coloring_target(col: Coloring) -> tuple[TargetStructure, tuple[int, ...]]:
-    """Encode a coloring as a relational target: index elements, one named
-    element per color, and an (arity+1)-ary relation linking each increasing
-    tuple to its color's element.  The assignment is the identity."""
-    n, c, size = col.arity, col.colors, col.base.size
-    sig = OutputSignature(
-        relations=(("C", n + 1),),
-        constants=tuple(f"k{a}" for a in range(c)),
-    )
-    rows = set()
-    for tup, color in col.table.items():
-        rows.add(tup + (size + color,))
-    target = TargetStructure(
-        sig,
-        size + c,
-        {},
-        {"C": frozenset(rows)},
-        {f"k{a}": size + a for a in range(c)},
-    )
-    return target, tuple(range(size))
+    """Encode a coloring as a relational target on the index elements: one
+    arity-ary relation C<a> per color a, holding the increasing tuples of
+    that color.  The assignment is the identity."""
+    rows = {
+        f"C{a}": frozenset(tup for tup, color in col.table.items() if color == a)
+        for a in range(col.colors)
+    }
+    sig = OutputSignature(relations=tuple((name, col.arity) for name in rows))
+    return TargetStructure(sig, col.base.size, {}, rows), tuple(range(col.base.size))
 
 
 def derive_homogeneous(col: Coloring, level: int, budget: int | None = None) -> DeriveResult:
     """Recover a homogeneous subset and witness through the blueprint
     pipeline: encode the coloring as a target, extract, and read the witness
-    off the arity-n diagrams via which color constant each one relates to."""
+    off the arity-n diagrams via which relation C<a> holds of the tuple."""
     if not col.is_total():
         raise ValueError("coloring must be total")
     target, assignment = coloring_target(col)
@@ -517,18 +509,12 @@ def derive_homogeneous(col: Coloring, level: int, budget: int | None = None) -> 
     if report.status == "absent":
         return DeriveResult(None, None, None, report.stages, report.exhaustive)
     bp = report.blueprint
-    terms = enumerate_terms(target.sig, n, 0)
-    var_idx = [terms.index(var(i)) for i in range(n)]
-    const_idx = [terms.index(const(f"k{a}")) for a in range(col.colors)]
-    table = bp.as_map()
+    table, gens = bp.as_map(), tuple(range(n))
     mapping: dict[TupleType, int] = {}
     for t in bp.domain(n):
-        diag = table[t]
-        hits = [
-            a
-            for a in range(col.colors)
-            if ("C", tuple(var_idx) + (const_idx[a],)) in diag.true_atoms
-        ]
+        # at depth 0 with no constants term i is x{i}, as spelling order
+        # keeps it up to n = 10; the witness cross-check below guards the rest
+        hits = [a for a in range(col.colors) if (f"C{a}", gens) in table[t].true_atoms]
         if len(hits) != 1:
             raise InternalCheckError(
                 f"diagram relates a tuple type to {len(hits)} colors"

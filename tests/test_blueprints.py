@@ -196,10 +196,12 @@ def test_coloring_target_shape():
     col = random_coloring(base, 2, 2, seed=0)
     target, assignment = coloring_target(col)
     assert assignment == (0, 1, 2)
-    assert target.size == 5  # three elements plus two color points
-    assert target.constants == {"k0": 3, "k1": 4}
+    assert target.size == 3  # the index elements alone
+    assert target.sig.relations == (("C0", 2), ("C1", 2))
+    assert target.sig.constants == () and target.constants == {}
     for tup, c in col.table.items():
-        assert target.holds("C", tup + (3 + c,))
+        assert target.holds(f"C{c}", tup)
+        assert not target.holds(f"C{1 - c}", tup)
 
 
 def test_derive_matches_search_on_seeded_colorings():
@@ -220,6 +222,28 @@ def test_derive_matches_search_on_seeded_colorings():
                     searched = dict(res.witness.entries)
                     whole = dict(der.witness.entries)
                     assert all(whole[t] == c for t, c in searched.items())
+
+
+@pytest.mark.parametrize(
+    "cls, ambient, level",
+    [(OR, 6, 3), (ClassKind("chi_or", chi=2), 5, 2), (ClassKind("ceq"), 4, 2),
+     (ClassKind("chi_color", chi=2), 6, 2)],
+    ids=["or", "chi_or", "ceq", "chi_color"],
+)
+def test_derived_blueprints_stretch_to_every_index(cls, ambient, level):
+    # a derived blueprint builds a faithful model on indices larger than
+    # the coloring's arity, not only on the tuples it was read off
+    base = make_canonical(cls, ambient)
+    found = 0
+    for seed in range(10):
+        der = derive_homogeneous(random_coloring(base, 2, 2, seed=seed), level)
+        if not der.found:
+            continue
+        found += 1
+        for index_level in range(1, 7):
+            model = em_model(der.blueprint, make_canonical(cls, index_level))
+            assert check_indiscernible(model) == [], (seed, index_level)
+    assert found
 
 
 def test_derive_constant_coloring_keeps_whole_base():

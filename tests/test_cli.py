@@ -239,6 +239,49 @@ def test_extract_exit_codes(capsys):
         capsys, "extract", "--cls", "or", "--level", "2", "--ambient", "1", "--seed", "0"
     )
     assert code == 2
+    # a level below the arity is fine where the domains close under restriction
+    code, out = run(
+        capsys, "extract", "--cls", "or", "--level", "2", "-n", "3", "--ambient", "3"
+    )
+    assert code == 0
+    assert "found subset [0, 1, 2]" in out
+
+
+@pytest.mark.parametrize(
+    "cls, level",
+    [("ordered_graph", "2"), ("hypergraph:2:2", "1")],
+)
+def test_extract_domain_not_closed_is_input_error(capsys, cls, level):
+    # below the arity these domains are not closed under restriction: an
+    # input condition, decided before the search, not an internal fault
+    for seed in range(4):
+        code = main([
+            "extract", "--cls", cls, "--level", level, "-n", "3", "--ambient", "4",
+            "--seed", str(seed),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3, (cls, seed)
+        assert "types of arity" in err
+
+
+def test_extract_blueprint_builds_larger_em_model(tmp_path, capsys):
+    # the README tour: an extract blueprint instantiated over an index with
+    # more elements than the coloring's arity, both reports re-verified
+    extract = tmp_path / "extract.json"
+    assert main([
+        "extract", "--cls", "chi_or:2", "--level", "2", "--ambient", "3",
+        "--seed", "3", "--json", "--out", str(extract),
+    ]) == 0
+    bp_path = tmp_path / "bp.json"
+    doc = json.loads(extract.read_text())
+    bp_path.write_text(json.dumps(doc["result"]["derivation"]["blueprint"]))
+    em = tmp_path / "em.json"
+    code = main(["em", "--blueprint", str(bp_path), "--level", "3", "--json", "--out", str(em)])
+    assert code == 0
+    assert json.loads(em.read_text())["result"]["faithful_failures"] == []
+    for report in (extract, em):
+        code, out = run(capsys, "check", "--report", str(report))
+        assert code == 0, report.name
 
 
 def test_extract_json_repeatable(capsys):
