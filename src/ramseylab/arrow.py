@@ -7,27 +7,31 @@ whose canonical structure embeds into every equally big member the verdict
 transfers to arbitrary ambients; for ordered graphs and hypergraphs it is a
 statement about the canonical ambient only (see structures.embeds_canonically).
 
+Homogeneity is hereditary, so the candidate pool of a query is the minimal
+big subsets of its ambient (structures.minimal_big_subsets), at most
+`_POOL_CAP` of them, each with its same-type groups.
+
 Three modes:
 
   exhaustive      enumerate every coloring and certify each one, by scanning
-                  the candidate subsets (ambients of at most 20 elements) or
-                  by searching the coloring directly (larger ones); a failing
-                  coloring is re-verified by an independent search before it
-                  is reported.
+                  the pool when it fits under the bound, or else by searching
+                  the coloring directly; a failing coloring is re-verified by
+                  an independent search before it is reported.
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.
-  counterexample  simulated-annealing descent on the number of candidate
-                  subsets consistent with the coloring; the energy is kept
+  counterexample  simulated-annealing descent on the number of pool
+                  candidates consistent with the coloring; the energy is kept
                   exact across single-tuple flips by updating only the
-                  same-type groups that hold the flipped tuple, and a
-                  zero-energy coloring is verified exhaustively before a
-                  refutation is reported.
+                  same-type groups that hold the flipped tuple.  The pool is
+                  complete, so a zero-energy coloring is a refutation, which
+                  is verified independently before it is reported; a pool
+                  over the bound gives `unknown` and no descent.
 
 One typed tuple table per query serves both exhaustive forks and the
-counterexample pool: the increasing tuples in lexicographic order, each
-typed at most once into a small integer type id, and one coloring over them
-that a single odometer repaints.  Work counters are deterministic node
-counts, never wall-clock times.
+pool: the increasing tuples in lexicographic order, each typed at most once
+into a small integer type id, and one coloring over them that a single
+odometer repaints.  Work counters are deterministic counts (candidates
+scanned, search nodes, flips), never wall-clock times.
 """
 
 from __future__ import annotations
@@ -37,23 +41,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .colorings import (
-    Coloring,
-    find_type_homogeneous,
-    iter_big_member_subsets,
-    random_coloring,
-)
-from .structures import (
-    ClassKind,
-    make_canonical,
-    require_fields,
-    subset_closure,
-    subset_induces_member,
-    subset_is_big,
-)
+from .colorings import Coloring, find_type_homogeneous, random_coloring
+from .structures import ClassKind, make_canonical, minimal_big_subsets, require_fields
 
 DEFAULT_CEILING = 2 ** 26
-_MATERIALIZE_CAP = 20  # largest universe whose subset lattice we enumerate
+_POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -163,9 +155,13 @@ class _TupleTable:
             groups.setdefault(t, []).append(i)
         return [g for g in groups.values() if len(g) > 1]
 
-    def candidates(self, sub_level: int) -> list:
-        """Every candidate subset of the ambient with its same-type groups."""
-        return [(cand, self.groups(cand)) for cand in iter_big_member_subsets(self.base, sub_level)]
+    def candidates(self, sub_level: int) -> list | None:
+        """Every minimal `sub_level`-big subset of the ambient with its
+        same-type groups, or None when there are more than `_POOL_CAP`."""
+        cands = list(itertools.islice(minimal_big_subsets(self.base, sub_level), _POOL_CAP + 1))
+        if len(cands) > _POOL_CAP:
+            return None
+        return [(cand, self.groups(cand)) for cand in cands]
 
 
 def _distinct_types(pool, mode: str) -> Verdict | None:
@@ -196,27 +192,20 @@ class _Energy:
 
     def __init__(self, pool, digits: list[int], colors: int):
         self.digits = digits
-        self.colors = colors
-        self.value = 0
         self.mixed: list[int] = []  # per candidate: groups not monochromatic
         self.holders: list[list] = [[] for _ in digits]
-        for _, groups in pool:
-            self.add(groups)
-
-    def add(self, groups) -> None:
-        """Add one candidate, given by its same-type groups."""
-        k = len(self.mixed)
-        mixed = 0
-        for g in groups:
-            counts = [0] * self.colors
-            for i in g:
-                counts[self.digits[i]] += 1
-            entry = (counts, len(g), k)
-            for i in g:
-                self.holders[i].append(entry)
-            mixed += max(counts) < len(g)
-        self.mixed.append(mixed)
-        self.value += not mixed
+        for k, (_, groups) in enumerate(pool):
+            mixed = 0
+            for g in groups:
+                counts = [0] * colors
+                for i in g:
+                    counts[digits[i]] += 1
+                entry = (counts, len(g), k)
+                for i in g:
+                    self.holders[i].append(entry)
+                mixed += max(counts) < len(g)
+            self.mixed.append(mixed)
+        self.value = self.mixed.count(0)
 
     def flip(self, i: int, new: int) -> int:
         """Paint tuple i with color `new`; returns the change in energy."""
@@ -270,8 +259,8 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         )
     table = _TupleTable(query)
     work = 0
-    if table.base.size <= _MATERIALIZE_CAP:
-        cands = table.candidates(query.sub_level)
+    cands = table.candidates(query.sub_level)
+    if cands is not None:
         shortcut = _distinct_types(cands, "exhaustive")
         if shortcut is not None:
             return shortcut
@@ -284,8 +273,8 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
                     return True, scanned
             return False, len(cands)
     else:
-        # universe too large for the subset lattice: search each coloring
-        # directly; the cost is the search nodes
+        # too many candidates to hold: search each coloring directly; the
+        # cost is the search nodes
 
         def homogeneous(digits) -> tuple[bool, int]:
             res = find_type_homogeneous(table.paint(digits), query.sub_level)
@@ -331,70 +320,29 @@ def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) 
 
 def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict:
     table = _TupleTable(query)
-    base = table.base
-    rng = random.Random(seed)
-
-    enumerated = base.size <= _MATERIALIZE_CAP
-    if enumerated:
-        pool = table.candidates(query.sub_level)
-    else:
-        # seeded sample of candidate subsets; misses are repaired below by
-        # adding whatever the verification search finds
-        pool = []
-        seen = set()
-        target = min(2 * base.size, 64)
-        for _ in range(40 * target):
-            if len(pool) >= target:
-                break
-            keep = [e for e in range(base.size) if rng.random() < 0.5]
-            closed = subset_closure(base, keep)
-            if closed in seen:
-                continue
-            if subset_induces_member(base, closed) and subset_is_big(base, closed, query.sub_level):
-                seen.add(closed)
-                pool.append((closed, table.groups(closed)))
-    if not pool:
-        return Verdict(
-            "unknown",
-            "counterexample",
-            0,
-            0,
-            notes=("no candidate subsets found to steer the descent",),
-        )
+    pool = table.candidates(query.sub_level)
+    if pool is None:
+        note = f"more than {_POOL_CAP} minimal candidate subsets; no descent was run"
+        return Verdict("unknown", "counterexample", 0, 0, notes=(note,))
     shortcut = _distinct_types(pool, "counterexample")
     if shortcut is not None:
         return shortcut
 
+    rng = random.Random(seed)
     ntup = len(table.tuples)
     digits = [rng.randrange(query.colors) for _ in range(ntup)]
     energy = _Energy(pool, digits, query.colors)
 
     steps = budget if budget is not None else 20000
-    work = 0
-    attempts = 0
     temp0 = max(1.0, len(pool) / 4)
     for step in range(steps):
-        work += 1
         if energy.value == 0:
-            attempts += 1
-            res = find_type_homogeneous(table.paint(digits), query.sub_level)
-            work += res.nodes
-            if res.exhaustive and not res.found:
-                return Verdict(
-                    "fails",
-                    "counterexample",
-                    work,
-                    attempts,
-                    table.col.copy(),
-                    notes=(f"refutation found after {step} flips",),
-                )
-            if enumerated:
-                raise AssertionError(
-                    "enumerated candidate pool and direct search disagree"
-                )
-            # the sampled pool missed this subset; learn it and keep going
-            energy.add(table.groups(res.subset))
-            continue
+            # no candidate is homogeneous, and the pool holds them all
+            col = table.paint(digits).copy()
+            if not verify_refutation(query, col):
+                raise AssertionError("candidate pool and direct search disagree")
+            note = f"refutation found after {step} flips"
+            return Verdict("fails", "counterexample", step + 1, 1, col, notes=(note,))
         temp = temp0 * (0.999 ** step)
         i = rng.randrange(ntup)
         old = digits[i]
@@ -404,13 +352,8 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
         delta = energy.flip(i, new)
         if delta > 0 and rng.random() >= math.exp(-delta / max(temp, 1e-9)):
             energy.flip(i, old)
-    return Verdict(
-        "unknown",
-        "counterexample",
-        work,
-        attempts,
-        notes=(f"no refutation within {steps} flips (final energy {energy.value})",),
-    )
+    note = f"no refutation within {steps} flips (final energy {energy.value})"
+    return Verdict("unknown", "counterexample", steps, 0, notes=(note,))
 
 
 def arrow_check(

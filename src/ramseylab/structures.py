@@ -33,7 +33,8 @@ Everything a kind knows lives in one `Kind` subclass, registered by name in
 `TABLE`: its parameters, its payload fields and their document keys, the
 canonical member, membership and subset bigness (a member is big when its
 whole universe is), closure, admission and pruning for the subset walker, the
-fragment a type records and the decoding back, and the canonical embedding.
+fragment a type records and the decoding back, and the generator of the
+inclusion-minimal big subsets of a member.
 The module-level functions validate their input and dispatch to the table,
 and no other module tells kinds apart, so a new class is one more subclass.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 # the least value of each class parameter; a kind takes the ones it names
 _PARAMS = {"chi": 1, "height": 0, "edge_arity": 1, "palette": 1}
@@ -277,6 +278,17 @@ def tree_meet(s: FinStructure, a: int, b: int) -> int:
 # the per-kind table
 
 
+def _concatenations(choices, prefix: tuple = ()):
+    """`prefix` followed by one tuple from each of `choices`, functions that
+    return fresh iterables of tuples, in turn: the concatenations in the
+    order of itertools.product, without holding any choice's tuples."""
+    if not choices:
+        yield prefix
+        return
+    for pick in choices[0]():
+        yield from _concatenations(choices[1:], prefix + pick)
+
+
 class Kind:
     """Everything one class kind knows.
 
@@ -284,8 +296,8 @@ class Kind:
     each FinStructure payload field it uses to the field's document key and
     that key's JSON shape (see `_fits`), which `from_doc` checks.  The
     defaults fit a kind with no payload and bigness by cardinality alone;
-    subclasses override what differs.  `subset_big` and `embed` are called
-    with mu >= 1 only.
+    subclasses override what differs.  `subset_big` and `minimal` are
+    called with mu >= 1 only.
     """
 
     name = ""
@@ -339,8 +351,11 @@ class Kind:
         By default the entries are the payload fields, named alike."""
         return FinStructure(cls, m, **{f: frag[f] for f in self.fields}), range(m)
 
-    def embed(self, cls: ClassKind, mu: int, target: FinStructure) -> tuple[int, ...]:
-        return tuple(range(self.min_size(cls, mu)))
+    def minimal(self, s: FinStructure, mu: int):
+        """Each inclusion-minimal closed, member-inducing, mu-big subset of
+        the member s once, sorted, the image of the canonical embedding
+        first where the kind has one."""
+        return itertools.combinations(range(s.size), self.min_size(s.cls, mu))
 
 
 class LinearOrder(Kind):
@@ -381,11 +396,12 @@ class DisjointOrders(Kind):
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
 
-    def embed(self, cls, mu, target):
-        image: list[int] = []
-        for p in range(cls.chi):
-            image.extend([e for e in range(target.size) if target.part_of(e) == p][:mu])
-        return tuple(image)
+    def minimal(self, s, mu):
+        # mu elements of every part
+        parts: list[list[int]] = [[] for _ in range(s.cls.chi)]
+        for e in range(s.size):
+            parts[s.part_of(e)].append(e)
+        return _concatenations([partial(itertools.combinations, p, mu) for p in parts])
 
 
 class ColoredOrder(Kind):
@@ -407,6 +423,16 @@ class ColoredOrder(Kind):
 
     def fragment(self, s, closed, pos):
         return (("res", tuple([e % s.cls.chi for e in closed])),)
+
+    def minimal(self, s, mu):
+        # the positional subsets of chi*mu elements: the j-th element is
+        # j + d_j with d_j a multiple of chi, and d is nondecreasing
+        chi, length = s.cls.chi, s.cls.chi * mu
+        shifts = range(0, s.size - length + 1, chi)
+        return (
+            tuple(j + d for j, d in enumerate(lift))
+            for lift in itertools.combinations_with_replacement(shifts, length)
+        )
 
     def decode(self, cls, m, frag):
         # a fragment need not be positional: place each position at the least
@@ -540,19 +566,23 @@ class Trees(Kind):
         parent = tuple([next((pos[a] for a in tree_ancestors(s, e) if a in pos), -1) for e in closed])
         return (("level", tuple([s.level[e] for e in closed])), ("parent", parent))
 
-    def embed(self, cls, mu, target):
-        kids = tree_children(target)
-        image = []
+    def minimal(self, s, mu):
+        # from the level-0 root, mu children at the next level under every
+        # node above the height, in preorder
+        root = tree_root(s)
+        if root is None or s.level[root] != 0:
+            return
+        kids = tree_children(s)
 
-        def descend(v: int) -> None:
-            image.append(v)
-            if target.level[v] < cls.height:
-                faithful = [c for c in kids[v] if target.level[c] == target.level[v] + 1]
-                for c in faithful[:mu]:
-                    descend(c)
+        def below(v: int):
+            if s.level[v] >= s.cls.height:
+                yield (v,)
+                return
+            faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
+            for pick in itertools.combinations(faithful, mu):
+                yield from _concatenations([partial(below, c) for c in pick], (v,))
 
-        descend(tree_root(target))
-        return tuple(image)
+        yield from below(root)
 
 
 class ConvexEquivalence(Kind):
@@ -603,12 +633,11 @@ class ConvexEquivalence(Kind):
             blocks.setdefault(b, []).append(i)
         return FinStructure(cls, m, blocks=blocks.values()), range(m)
 
-    def embed(self, cls, mu, target):
-        image = []
-        wide = [b for b in target.blocks if len(b) >= mu][:mu]
-        for block in wide:
-            image.extend(block[:mu])
-        return tuple(image)
+    def minimal(self, s, mu):
+        # mu blocks of at least mu elements, and mu elements of each
+        wide = sorted(b for b in s.blocks if len(b) >= mu)
+        for blocks in itertools.combinations(wide, mu):
+            yield from _concatenations([partial(itertools.combinations, b, mu) for b in blocks])
 
 
 class OrderedGraphs(Kind):
@@ -795,7 +824,21 @@ def induced_substructure(s: FinStructure, subset) -> tuple[FinStructure, tuple[i
     return frag, closed
 
 
-# canonical embeddings
+# minimal big subsets and canonical embeddings
+
+
+def minimal_big_subsets(s: FinStructure, mu: int):
+    """Iterate over the inclusion-minimal closed, member-inducing, mu-big
+    subsets of the member s, each once and sorted: only `()` at mu = 0.
+
+    Type-homogeneity is hereditary, so these are the only candidates a
+    partition relation needs.  Where the kind embeds canonically they are
+    the images of the embeddings of make_canonical(cls, mu), the canonical
+    one first; where bigness is cardinality they are the mu-subsets.
+    """
+    if mu < 0:
+        raise ValueError("bigness level must be nonnegative")
+    return iter([()]) if mu == 0 else iter(s.cls.spec.minimal(s, mu))
 
 
 def embeds_canonically(cls: ClassKind) -> bool:
@@ -818,9 +861,7 @@ def embed_canonical(cls: ClassKind, mu: int, target: FinStructure) -> tuple[int,
         raise ValueError("target is from a different class")
     if not is_member(target) or not is_big(target, mu):
         raise ValueError("target is not a mu-big member")
-    if mu == 0:
-        return ()
-    return cls.spec.embed(cls, mu, target)
+    return next(minimal_big_subsets(target, mu))
 
 
 def is_embedding(src: FinStructure, dst: FinStructure, image) -> bool:

@@ -1,5 +1,6 @@
 """Partition relation checks in all three modes."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from ramseylab.arrow import (
     ramsey_table,
     verify_refutation,
 )
-from ramseylab.colorings import find_type_homogeneous
+from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets
 from ramseylab.structures import ClassKind
 
 OR = ClassKind("or")
@@ -189,15 +190,25 @@ def _rescan(digits, pool) -> int:
 
 
 @pytest.mark.parametrize(
-    "cls, ambient, sub, colors, most_groups",
-    [(OR, 8, 3, 3, 1), (ClassKind("ceq"), 3, 2, 2, 2), (ClassKind("chi_or", chi=2), 5, 2, 2, 3)],
-    ids=["or-8", "ceq-3", "chi_or2-5"],
+    "cls, ambient, sub, colors, most_groups, minimal",
+    [
+        (OR, 8, 3, 3, 1, False),
+        (ClassKind("ceq"), 3, 2, 2, 2, False),
+        (ClassKind("chi_or", chi=2), 5, 2, 2, 3, False),
+        (ClassKind("ceq"), 4, 2, 3, 2, True),
+    ],
+    ids=["or-8", "ceq-3", "chi_or2-5", "ceq-4-minimal"],
 )
-def test_incremental_energy_matches_rescan(cls, ambient, sub, colors, most_groups):
+def test_incremental_energy_matches_rescan(cls, ambient, sub, colors, most_groups, minimal):
     # seeded flips and flip-backs; after every step the kept energy and the
-    # returned change equal a full rescan of the pool
+    # returned change equal a full rescan of the pool.  Besides the minimal
+    # pool the descent steers by, pools of every big subset, whose candidates
+    # hold more groups
     table = _TupleTable(ArrowQuery(cls, ambient, sub, 2, colors))
-    pool = table.candidates(sub)
+    if minimal:
+        pool = table.candidates(sub)
+    else:
+        pool = [(cand, table.groups(cand)) for cand in iter_big_member_subsets(table.base, sub)]
     assert max(len(groups) for _, groups in pool) == most_groups
     rng = random.Random(ambient)
     digits = [rng.randrange(colors) for _ in table.tuples]
@@ -218,31 +229,65 @@ def test_incremental_energy_matches_rescan(cls, ambient, sub, colors, most_group
     assert len(values) > 1
 
 
-def test_incremental_energy_on_learning_sampled_pool(monkeypatch):
-    # or at 22 exceeds the enumeration cap, so the descent steers by a sampled
-    # pool and learns the subsets its verification search finds
-    made = []
+# (class, ambient, sub, arity, colors) with at most 2^10 colorings each
+_SHAPES = [
+    (OR, 5, 3, 2, 2),
+    (ClassKind("ceq"), 3, 2, 1, 2),
+    (ClassKind("chi_color", chi=2), 4, 2, 1, 2),
+    (ClassKind("n_tree", height=1), 4, 2, 2, 2),
+    (ClassKind("chi_or", chi=2), 4, 2, 1, 2),
+]
 
-    class Checked(arrow._Energy):
-        def __init__(self, pool, digits, colors):
-            self.pool = []
-            super().__init__(pool, digits, colors)
-            self.sampled = len(self.pool)
-            made.append(self)
 
-        def add(self, groups):
-            super().add(groups)
-            self.pool.append((None, groups))
-            assert self.value == _rescan(self.digits, self.pool)
+@pytest.mark.parametrize("cls, ambient, sub, arity, colors", _SHAPES, ids=lambda v: getattr(v, "kind", v))
+def test_minimal_pool_decides_like_the_lattice(cls, ambient, sub, arity, colors):
+    # homogeneity is hereditary: on every coloring, some minimal candidate is
+    # consistent exactly when some candidate of the whole lattice is
+    table = _TupleTable(ArrowQuery(cls, ambient, sub, arity, colors))
+    minimal = table.candidates(sub)
+    lattice = [(cand, table.groups(cand)) for cand in iter_big_member_subsets(table.base, sub)]
+    assert 0 < len(minimal) < len(lattice)
+    assert {cand for cand, _ in minimal} <= {cand for cand, _ in lattice}
+    for digits in itertools.product(range(colors), repeat=len(table.tuples)):
+        some = any(_consistent(digits, groups) for _, groups in minimal)
+        assert some == any(_consistent(digits, groups) for _, groups in lattice), digits
 
-        def flip(self, i, new):
-            delta = super().flip(i, new)
-            assert self.value == _rescan(self.digits, self.pool)
-            return delta
 
-    monkeypatch.setattr(arrow, "_Energy", Checked)
-    v = arrow_check(ArrowQuery(OR, 22, 3, 2, 2), mode="counterexample", seed=2, budget=300)
-    (energy,) = made
-    learned = len(energy.pool) - energy.sampled
-    assert learned >= 2
-    assert learned == v.colorings_checked - (v.status == "fails")
+def test_counterexample_over_the_pool_bound_is_unknown():
+    # 8 blocks of 8: C(8,3) * C(8,3)^3 minimal candidates, far over the bound
+    v = arrow_check(ArrowQuery(ClassKind("ceq"), 8, 3, 2, 2), mode="counterexample")
+    assert (v.status, v.work, v.colorings_checked) == ("unknown", 0, 0)
+    assert v.notes == (f"more than {arrow._POOL_CAP} minimal candidate subsets; no descent was run",)
+
+
+def test_exhaustive_over_the_pool_bound_searches_directly(monkeypatch):
+    # the direct-search fork reaches the verdicts the pool scan reaches
+    queries = [ArrowQuery(OR, 5, 3, 2, 2), ArrowQuery(OR, 6, 4, 3, 2), ArrowQuery(ClassKind("ceq"), 3, 2, 1, 2)]
+    scanned = [arrow_check(q) for q in queries]
+    monkeypatch.setattr(arrow, "_POOL_CAP", 3)
+    for q, want in zip(queries, scanned):
+        assert _TupleTable(q).candidates(q.sub_level) is None
+        got = arrow_check(q)
+        assert (got.status, got.colorings_checked) == (want.status, want.colorings_checked)
+        if want.counterexample is not None:
+            assert got.counterexample.to_doc() == want.counterexample.to_doc()
+
+
+def test_counterexample_empty_pool_is_a_refutation():
+    # two elements hold no triple: the pool is empty, the first coloring has
+    # zero energy, and it is verified before it is reported, as in the
+    # exhaustive mode
+    q = ArrowQuery(OR, 2, 3, 2, 2)
+    assert _TupleTable(q).candidates(3) == []
+    v = arrow_check(q, mode="counterexample")
+    assert (v.status, v.colorings_checked) == ("fails", 1)
+    assert verify_refutation(q, v.counterexample)
+    assert arrow_check(q).status == "fails"
+
+
+def test_counterexample_pool_disagreeing_with_search_raises(monkeypatch):
+    # one color: the whole order is homogeneous, so a pool that misses it
+    # cannot pass the first coloring off as a refutation
+    monkeypatch.setattr(_TupleTable, "candidates", lambda self, sub_level: [])
+    with pytest.raises(AssertionError, match="pool and direct search disagree"):
+        arrow_check(ArrowQuery(OR, 3, 3, 2, 1), mode="counterexample")

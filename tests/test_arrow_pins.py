@@ -22,14 +22,14 @@ PINS = [
     ("or", 1, 3, 2, 2, "exhaustive", {}, "8286d27f5b747559d4e6380ee04d2d608e5bdc3cf5982f1516219a03eda0d6ca"),
     ("or", 2, 3, 2, 2, "exhaustive", {}, "6702707bfe1df0b2c61d103a9f547c125f7d3428364d80dd05c241e2f082d99d"),
     ("or", 3, 3, 2, 2, "exhaustive", {}, "135dd18da08dfc61cb07651ef5f633303d7bd15acddef6f47c20c3cb3c4ce690"),
-    ("or", 4, 3, 2, 2, "exhaustive", {}, "f76a1e800488c6fc8c9ea98ee9b4b32af4849401fe9767af88d37d32b0924596"),
-    ("or", 5, 3, 2, 2, "exhaustive", {}, "8904d87db2d7c86b5f7e3781e73c386425c077d7c2650eab76f7b2b127c52b82"),
-    ("or", 6, 3, 2, 2, "exhaustive", {}, "6310563ed2f8589d2c8821f24eb221e1514579d9d8566782207b3a29b7df4971"),
-    ("chi_or:2", 3, 1, 2, 2, "exhaustive", {}, "6bad73c50238a3425ad7a9f4193e9f0f3cb1a0dd5cb0ac0ad47dab4550274924"),
-    ("ceq", 3, 2, 1, 2, "exhaustive", {}, "979a0346411a55d8c8a9ebee569cc36cf81945b5520c832e83a8999e78ca6abb"),
-    ("or", 6, 3, 2, 3, "exhaustive", {}, "9f21ea216528044823bc0ba0388523af753f55e11cf32d3aaedce5e0235a21da"),
-    ("or", 22, 3, 1, 1, "exhaustive", {}, "d53b4f0456eb56772a275bdc8c63e090eb0004f953d656465e9ac1d012079453"),
-    ("or", 21, 22, 1, 1, "exhaustive", {}, "2f88c44e1b28a0b9686ae04ead81b50565cfed86eebdb66908efd605b70604c1"),
+    ("or", 4, 3, 2, 2, "exhaustive", {}, "c48a4757d7ea2a01153c85e33a53495c166fecbc989fceb357fdadd50339dcdc"),
+    ("or", 5, 3, 2, 2, "exhaustive", {}, "7ac88fbc274a3a66e8dc2770069132a9e64f0676f41f871923b05bd2df7254f7"),
+    ("or", 6, 3, 2, 2, "exhaustive", {}, "f3f9539b114085e11e47537c90081ee7c905151cd2fd2aa4e33c6e84c4e140c3"),
+    ("chi_or:2", 3, 1, 2, 2, "exhaustive", {}, "67a5ccc7437266cb3a82887a6600272ab21782a2077be61e9c57693a9dc0b81b"),
+    ("ceq", 3, 2, 1, 2, "exhaustive", {}, "6fc1e206587003cfe79527626b3f3b5b2b4ffa91ae53a2fefae71766c6ff8dc8"),
+    ("or", 6, 3, 2, 3, "exhaustive", {}, "bad8813c21bdd8615581523976ad14d366f9ec35af7b4a8626833ae1823273f0"),
+    ("or", 22, 3, 1, 1, "exhaustive", {}, "c893139897dbf152516c4b3df097dbed9407355f461b5f0b4ce89764cba87286"),
+    ("or", 21, 22, 1, 1, "exhaustive", {}, "b622d3f7bd04edd36024defcdd9a32f9a1ce6f0e515db404d77b057f32838031"),
     ("or", 21, 12, 1, 2, "exhaustive", {}, "a146b9734aff522ca4cd7ed2eb32f335168dc6c6a1d6c2ba0a82b2126b195ad4"),
     ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "522e9fe5c081351157890569c2a17657e777896a8634a3ec5b00c56bd2b684a4"),
     ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "038f2aba1e1ef4d88e5ecb08b01c9904655eee64af87177820adc6c27c1d7ad0"),
@@ -39,47 +39,48 @@ PINS = [
     ("or", 6, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "eee7f593cf4e15d123bd830d1f00423f5c133d77e4ca669f3dfbc4d6a6f7b43b"),
     ("or", 6, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "9ae5e31855fe31cd31ed80eb9ef36cbc8853d7e33715ce876098e2c9e36857d4"),
     ("or", 6, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "6a94fe48f7ae5886811d9148602e30c48697d33be934db5ff9331225c35e92af"),
-    ("or", 5, 3, 2, 2, "counterexample", {"seed": 0}, "bffb258bbae458c9fa4010cabc64f9b0b3d5f72199c01d7b9b0cd4065b049d52"),
+    ("or", 5, 3, 2, 2, "counterexample", {"seed": 0}, "a34b465b8cc330c6f8f6202f9f5ca47189525280fb11dcb76658c12d7bb7c530"),
     ("or", 6, 3, 2, 2, "counterexample", {"seed": 0, "budget": 2000}, "c8789a561f30ce57829655368576d5e8783ddcf49eda10ba572883ca12ea4c99"),
-    ("or", 10, 3, 2, 3, "counterexample", {"seed": 0, "budget": 300}, "bd2943514ce3cc282f05c380fb07c22a275ade4931ebc0d10aaf6df1c11ffb90"),
-    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 0, "budget": 300}, "9b23adb9669fa19318269c0a64de67bce3e81f4be81c21e1e01033f4dd228003"),
-    ("or", 22, 3, 2, 2, "counterexample", {"seed": 0, "budget": 200}, "e0310aa0d566fdd8262dbb718e91ad8109f5c7ddc49846bf283301ca944d4882"),
-    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 0, "budget": 200}, "1fc649f5a3a72e353ba05a619898cf15a8e44dbc143cabe0aa5600bc534f5d04"),
-    ("or", 5, 3, 2, 2, "counterexample", {"seed": 1}, "9fbde885392f78c14380a0070436a663890f6fc07c1db30f491fed2c2b312230"),
-    ("or", 6, 3, 2, 2, "counterexample", {"seed": 1, "budget": 2000}, "825102b1006b6c426892625ad790f8bff1e7cf43ff950bf6b95451a2e1e92e39"),
-    ("or", 10, 3, 2, 3, "counterexample", {"seed": 1, "budget": 300}, "6d685e732e8effa64f3588a4d823b075971269cae2d0f983690d1f8578f182fa"),
-    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 1, "budget": 300}, "3f7df82ee409d4c9258b0b84052c8c9449cf6118019679d719ce920be1d419b9"),
-    ("or", 22, 3, 2, 2, "counterexample", {"seed": 1, "budget": 200}, "f6a8a7b91c1b0a2b40a5c18d24df6d2677963222b749cacc907b2fb3975ddf73"),
-    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 1, "budget": 200}, "1bb6b954d06c1ab06062e7579459c426c854a664ff20554f6ca47d821076f201"),
-    ("or", 5, 3, 2, 2, "counterexample", {"seed": 2}, "bfb75a6fbf1a5c333243ff365a9e04e7b5fb76deb519ab6c42c636ded2d88168"),
-    ("or", 6, 3, 2, 2, "counterexample", {"seed": 2, "budget": 2000}, "825102b1006b6c426892625ad790f8bff1e7cf43ff950bf6b95451a2e1e92e39"),
-    ("or", 10, 3, 2, 3, "counterexample", {"seed": 2, "budget": 300}, "6d685e732e8effa64f3588a4d823b075971269cae2d0f983690d1f8578f182fa"),
-    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 2, "budget": 300}, "f839783fce8330dd6168cba394e36c532651bcf8d59cd62ec93c125174d61caa"),
-    ("or", 22, 3, 2, 2, "counterexample", {"seed": 2, "budget": 200}, "9f143935ced9e899e9fb56c5826bcc02ce25b937040f817d01fc943aace548a6"),
-    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 2, "budget": 200}, "518004b1b02b04023d372f7a47f42ee12d414e39cf05133864d9817633d530ca"),
-    ("or", 5, 3, 2, 2, "counterexample", {"seed": 3}, "caf1e00dac4dfeee8e23f98f55e647767eb95098a40a6f8e73eab1750bc68aec"),
+    ("or", 10, 3, 2, 3, "counterexample", {"seed": 0, "budget": 300}, "b7fda370053ad0c233ff0c21e72f39a52fd9b7ea0921f0be1c553fd9d5fc35bb"),
+    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 0, "budget": 300}, "5bb9c67804b1216c7f418487626f71b7edeaac69a0f4e539c8b4daeb0b606cfd"),
+    ("or", 22, 3, 2, 2, "counterexample", {"seed": 0, "budget": 200}, "ba6cd86806ac83aac049ce50bb9478f2576d681567e5384590575025387d028e"),
+    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 0, "budget": 200}, "37a166d26713507b85fd3d420a182ad808e94de1c14f7190d4923614bf74f695"),
+    ("or", 5, 3, 2, 2, "counterexample", {"seed": 1}, "dcb99934b6d59af4949e7136e845545fa856e2419d96178e45efdea902c2a30c"),
+    ("or", 6, 3, 2, 2, "counterexample", {"seed": 1, "budget": 2000}, "c8789a561f30ce57829655368576d5e8783ddcf49eda10ba572883ca12ea4c99"),
+    ("or", 10, 3, 2, 3, "counterexample", {"seed": 1, "budget": 300}, "7f286ed2f758f4386233ca8d012da410866a187e8994f3b0eedd5f9164e5ee24"),
+    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 1, "budget": 300}, "2f059190571360672e0952441def6503284c38f8ed453434c80e386972589d54"),
+    ("or", 22, 3, 2, 2, "counterexample", {"seed": 1, "budget": 200}, "2c40ac2da7b7e1f9c87d2a8ee474321cee88e09d6143074481d2a7c0230c6aed"),
+    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 1, "budget": 200}, "c9e97d02ad9d44ae677e85f31a0d79166c2979e46e38c8feef4476525877ad92"),
+    ("or", 5, 3, 2, 2, "counterexample", {"seed": 2}, "63b4ea3a648c2e181d90853c9153af21fd84af66df5db2309894117ef7fac56d"),
+    ("or", 6, 3, 2, 2, "counterexample", {"seed": 2, "budget": 2000}, "c8789a561f30ce57829655368576d5e8783ddcf49eda10ba572883ca12ea4c99"),
+    ("or", 10, 3, 2, 3, "counterexample", {"seed": 2, "budget": 300}, "74e8e3d8b7edb8b618221fe1171e27f4c20a4a619970269f91894a2bcd40a454"),
+    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 2, "budget": 300}, "b72243e4c39cc09a4dfa80da8d9217bba825a60b8a80bb9bc967d8b875dbe4af"),
+    ("or", 22, 3, 2, 2, "counterexample", {"seed": 2, "budget": 200}, "ae4be7bb7a97e72c7dc4c140ccde157b1860929e86da6477956dbdcf784a7b8c"),
+    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 2, "budget": 200}, "db6a889b2c7a9d704bb11c69a65cd0272d54f3fd50ea0784af643f7907e28f0f"),
+    ("or", 5, 3, 2, 2, "counterexample", {"seed": 3}, "9f18490ea15892b44463a692860c313bf65131d6cf0e27eeab32c66816cb1096"),
     ("or", 6, 3, 2, 2, "counterexample", {"seed": 3, "budget": 2000}, "825102b1006b6c426892625ad790f8bff1e7cf43ff950bf6b95451a2e1e92e39"),
-    ("or", 10, 3, 2, 3, "counterexample", {"seed": 3, "budget": 300}, "bd2943514ce3cc282f05c380fb07c22a275ade4931ebc0d10aaf6df1c11ffb90"),
-    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 3, "budget": 300}, "9913d775baf960572b416aa48cca77a5c28c3ad101d5dc02e775a3e525bd2485"),
-    ("or", 22, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "0920a86445cac5344d5d46d67bbf5ac1558889773b0e9c6a4e278c07505e95da"),
-    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "c7e32e22012fa801a91c460d612cb39ef580bb22468884d1af30e308d0601f1d"),
+    ("or", 10, 3, 2, 3, "counterexample", {"seed": 3, "budget": 300}, "74e8e3d8b7edb8b618221fe1171e27f4c20a4a619970269f91894a2bcd40a454"),
+    ("ceq", 3, 2, 2, 2, "counterexample", {"seed": 3, "budget": 300}, "64b31d5a28def255d359bae48f6312a002d1a12cd55d9454af63ab4a4e108e12"),
+    ("or", 22, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "46a0dec9cf3923eb854c3376da920227fd6adc5181acc38022cecba8d91ece1a"),
+    ("chi_or:2", 11, 3, 2, 2, "counterexample", {"seed": 3, "budget": 200}, "9e90e26bd5ee99a0bd6009b08e56fdc492eabe4be730d54e400e6e1fc20afc8b"),
     # the benchmark's counterexample shapes: 3 colours below R(3,3,3) = 17
-    ("or", 11, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "67974d53b1e2f0b91e1c4c67187cedef7ce399885295b0f9e5947e5fde4bfe0b"),
-    ("or", 11, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "6d3a6ab45aef71fa82c0cded774081214d979ef8e3bb81198bf43c3d98772506"),
-    ("or", 12, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "ed90dfdf781157e5b4681eeddec2647f3fb5437f28e34a28374572647e811ccc"),
-    ("or", 12, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "b08fafbf6b4c98fa16ccb8ae7cd4ff35907ecbbe6ac05cb3e6d9dcf98a567e40"),
+    ("or", 11, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "387ef875013d7e1b7ccbb733f4c39e0a89aea93999011e9f0511cffd2260b72a"),
+    ("or", 11, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "31327e59a43f15bf511ba69acb8423603737b158351a46d0a72a1e0ef8406e6b"),
+    ("or", 12, 3, 2, 3, "counterexample", {"seed": 0, "budget": 500}, "387ef875013d7e1b7ccbb733f4c39e0a89aea93999011e9f0511cffd2260b72a"),
+    ("or", 12, 3, 2, 3, "counterexample", {"seed": 1, "budget": 500}, "68eccdfe91ed9fef22aa32fd967b07d8c8fc0bc42ff77a47d59e2f643b2e36ed"),
 ]
 
 
 @pytest.mark.parametrize("cls, ambient, sub, arity, colors, mode, kwargs, digest", PINS)
 def test_arrow_verdict_bytes_pinned(cls, ambient, sub, arity, colors, mode, kwargs, digest):
-    # exhaustive: both forks (the candidate scan up to 20 elements, direct
-    # search above) and the distinct-types shortcut; counterexample: the
-    # enumerated pool up to 20 elements and the sampled pool above
+    # exhaustive: both forks (the pool scan, and direct search when the pool
+    # is over its bound: or at 21, sub 12) and the distinct-types shortcut;
+    # counterexample: descents on the pool of minimal candidates, refuting
+    # and giving up
     query = ArrowQuery(parse_class(cls), ambient, sub, arity, colors)
     assert _sha256(arrow_check(query, mode=mode, **kwargs).to_doc()) == digest
 
 
 def test_ramsey_table_bytes_pinned():
     report = ramsey_table(parse_class("or"), 2, 2, [1, 2, 3], [1, 2, 3, 4, 5, 6])
-    assert _sha256(report.to_doc()) == "a340cee03ea2542ea74e2654644b137d7c4975510e1cba7638ebb4005293df4e"
+    assert _sha256(report.to_doc()) == "e32f0b3a058d35b0d46b50ad196955901dc77ca51b085836ac3603f014d274d6"

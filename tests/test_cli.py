@@ -65,6 +65,19 @@ def test_arrow_exit_codes(capsys):
     assert code == 2
 
 
+def test_counterexample_exit_codes_follow_the_pool(tmp_path, capsys):
+    # an empty pool refutes, as the exhaustive mode does; a pool over the
+    # bound gives unknown; both reports re-verify
+    for argv, want in [
+        (("--cls", "or", "--ambient", "2", "--sub", "3"), 1),
+        (("--cls", "ceq", "--ambient", "8", "--sub", "3"), 2),
+    ]:
+        path = tmp_path / "report.json"
+        argv = ("arrow", *argv, "-n", "2", "-c", "2", "--mode", "counterexample")
+        assert main([*argv, "--json", "--out", str(path)]) == want
+        assert run(capsys, "check", "--report", str(path))[0] == 0
+
+
 def test_arrow_json_repeatable(capsys):
     argv = [
         "arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2",

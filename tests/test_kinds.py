@@ -1,5 +1,6 @@
-"""Per-class behaviour: canonical embeddings, pinned document and type-code
-bytes, and the rule that only `structures` tells class kinds apart."""
+"""Per-class behaviour: minimal big subsets and canonical embeddings, pinned
+document and type-code bytes, and the rule that only `structures` tells
+class kinds apart."""
 
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import ramseylab
 from helpers import SMALL_KINDS, _atoms, closure_bruteforce, random_member
+from ramseylab.colorings import iter_big_member_subsets
 from ramseylab.structures import (
     ClassKind,
     dumps,
@@ -17,6 +19,10 @@ from ramseylab.structures import (
     is_big,
     is_embedding,
     make_canonical,
+    minimal_big_subsets,
+    subset_induces_member,
+    subset_is_big,
+    subset_is_closed,
 )
 from ramseylab.tuple_types import tuple_type
 
@@ -64,6 +70,45 @@ def test_embed_canonical_into_big_members():
                     assert not is_embedding(canon, s, image[::-1])
                 mu += 1
     assert cases > 1000 and rejected > 100
+
+
+def _minimal_by_filter(s, mu) -> set:
+    """The inclusion-minimal subsets among all big ones the walker yields."""
+    minimal: list[frozenset] = []
+    for cand in sorted(iter_big_member_subsets(s, mu), key=len):
+        if not any(m <= set(cand) for m in minimal):
+            minimal.append(frozenset(cand))
+    return set(minimal)
+
+
+def test_minimal_big_subsets_match_the_minimality_filter():
+    rng = random.Random(5)
+    cases = firsts = 0
+    for cls in SMALL_KINDS:
+        canonical = [make_canonical(cls, lam) for lam in range(5)]
+        members = [s for s in canonical if s.size <= 12]
+        members += [random_member(cls, rng, max_size=10) for _ in range(40)]
+        for s in members:
+            for mu in range(5):
+                got = list(minimal_big_subsets(s, mu))
+                assert len(set(got)) == len(got), (cls.label(), mu, s)
+                assert set(map(frozenset, got)) == _minimal_by_filter(s, mu), (cls.label(), mu, s)
+                for cand in got:
+                    assert list(cand) == sorted(cand)
+                    assert subset_is_closed(s, cand) and subset_induces_member(s, cand)
+                    assert subset_is_big(s, cand, mu)
+                    if embeds_canonically(cls):
+                        assert is_embedding(make_canonical(cls, mu), s, cand), (cls.label(), mu, cand)
+                if embeds_canonically(cls) and is_big(s, mu):
+                    assert got[0] == embed_canonical(cls, mu, s)
+                    firsts += 1
+                cases += 1
+    assert cases == 9 * 5 * 40 + 5 * sum(
+        make_canonical(cls, lam).size <= 12 for cls in SMALL_KINDS for lam in range(5)
+    )
+    assert firsts > 500
+    with pytest.raises(ValueError):
+        minimal_big_subsets(make_canonical(ClassKind("or"), 3), -1)
 
 
 def test_embed_canonical_refuses_cardinality_kinds():
