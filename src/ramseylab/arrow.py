@@ -14,9 +14,10 @@ big subsets of its ambient (structures.minimal_big_subsets), at most
 Three modes:
 
   exhaustive      enumerate every coloring and certify each one, by scanning
-                  the pool when it fits under the bound, or else by searching
-                  the coloring directly; a failing coloring is re-verified by
-                  an independent search before it is reported.
+                  the pool when it fits under the bound and there are two or
+                  more colors, or else by searching the coloring directly; a
+                  failing coloring is re-verified by an independent search
+                  before it is reported.
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.
   counterexample  simulated-annealing descent on the number of pool
@@ -259,7 +260,9 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         )
     table = _TupleTable(query)
     work = 0
-    cands = table.candidates(query.sub_level)
+    # one color leaves one coloring, which a direct search settles for less
+    # than building the pool costs
+    cands = table.candidates(query.sub_level) if query.colors > 1 else None
     if cands is not None:
         shortcut = _distinct_types(cands, "exhaustive")
         if shortcut is not None:
@@ -273,8 +276,8 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
                     return True, scanned
             return False, len(cands)
     else:
-        # too many candidates to hold: search each coloring directly; the
-        # cost is the search nodes
+        # too many candidates to hold, or one color: search each coloring
+        # directly; the cost is the search nodes
 
         def homogeneous(digits) -> tuple[bool, int]:
             res = find_type_homogeneous(table.paint(digits), query.sub_level)

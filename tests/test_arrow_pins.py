@@ -28,8 +28,8 @@ PINS = [
     ("chi_or:2", 3, 1, 2, 2, "exhaustive", {}, "67a5ccc7437266cb3a82887a6600272ab21782a2077be61e9c57693a9dc0b81b"),
     ("ceq", 3, 2, 1, 2, "exhaustive", {}, "6fc1e206587003cfe79527626b3f3b5b2b4ffa91ae53a2fefae71766c6ff8dc8"),
     ("or", 6, 3, 2, 3, "exhaustive", {}, "bad8813c21bdd8615581523976ad14d366f9ec35af7b4a8626833ae1823273f0"),
-    ("or", 22, 3, 1, 1, "exhaustive", {}, "c893139897dbf152516c4b3df097dbed9407355f461b5f0b4ce89764cba87286"),
-    ("or", 21, 22, 1, 1, "exhaustive", {}, "b622d3f7bd04edd36024defcdd9a32f9a1ce6f0e515db404d77b057f32838031"),
+    ("or", 22, 3, 1, 1, "exhaustive", {}, "d53b4f0456eb56772a275bdc8c63e090eb0004f953d656465e9ac1d012079453"),
+    ("or", 21, 22, 1, 1, "exhaustive", {}, "2f88c44e1b28a0b9686ae04ead81b50565cfed86eebdb66908efd605b70604c1"),
     ("or", 21, 12, 1, 2, "exhaustive", {}, "a146b9734aff522ca4cd7ed2eb32f335168dc6c6a1d6c2ba0a82b2126b195ad4"),
     ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "522e9fe5c081351157890569c2a17657e777896a8634a3ec5b00c56bd2b684a4"),
     ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "038f2aba1e1ef4d88e5ecb08b01c9904655eee64af87177820adc6c27c1d7ad0"),
