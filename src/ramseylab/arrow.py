@@ -165,18 +165,13 @@ class _TupleTable:
         return [(cand, self.groups(cand)) for cand in cands]
 
 
-def _distinct_types(pool, mode: str) -> Verdict | None:
-    """The verdict when some candidate realizes pairwise distinct types, so
-    that every coloring whatsoever is homogeneous on it: the query holds, and
-    no coloring can refute it."""
+def _distinct_types(pool) -> str | None:
+    """A note naming a candidate that realizes pairwise distinct types, so
+    that every coloring whatsoever is homogeneous on it and the query holds,
+    or None when there is no such candidate."""
     for cand, groups in pool:
         if not groups:
-            note = f"subset {list(cand)} realizes pairwise distinct types"
-            if mode == "exhaustive":
-                return Verdict("holds", mode, len(pool), 0, notes=(note,))
-            return Verdict(
-                "unknown", mode, len(pool), 0, notes=(f"{note}; no coloring can refute the query",)
-            )
+            return f"subset {list(cand)} realizes pairwise distinct types"
     return None
 
 
@@ -264,9 +259,9 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
     # than building the pool costs
     cands = table.candidates(query.sub_level) if query.colors > 1 else None
     if cands is not None:
-        shortcut = _distinct_types(cands, "exhaustive")
-        if shortcut is not None:
-            return shortcut
+        note = _distinct_types(cands)
+        if note is not None:
+            return Verdict("holds", "exhaustive", len(cands), 0, notes=(note,))
         work = len(cands)
 
         def homogeneous(digits) -> tuple[bool, int]:
@@ -327,9 +322,10 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
     if pool is None:
         note = f"more than {_POOL_CAP} minimal candidate subsets; no descent was run"
         return Verdict("unknown", "counterexample", 0, 0, notes=(note,))
-    shortcut = _distinct_types(pool, "counterexample")
-    if shortcut is not None:
-        return shortcut
+    note = _distinct_types(pool)
+    if note is not None:
+        note += "; no coloring can refute the query"
+        return Verdict("unknown", "counterexample", len(pool), 0, notes=(note,))
 
     rng = random.Random(seed)
     ntup = len(table.tuples)
@@ -400,39 +396,25 @@ class TableReport:
         }
 
 
-def ramsey_table(
-    cls: ClassKind,
-    arity: int,
-    colors: int,
-    sub_levels,
-    ambient_levels,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    samples: int = 200,
-    budget: int | None = None,
-    ceiling: int = DEFAULT_CEILING,
-) -> TableReport:
+def ramsey_table(cls: ClassKind, arity: int, colors: int, sub_levels, ambient_levels, **probe) -> TableReport:
     """Verdict grid over (ambient, sub) level pairs plus, per sub level, the
-    least ambient level at which the relation holds.
+    least ambient level at which the relation holds; each cell is
+    `arrow_check(query, **probe)`.
 
     Cross-checks the grid against the two monotonicities (verdicts improve
     with more ambient room and with a smaller target) and raises on any
-    violation, since one would mean an implementation bug.
+    violation, since one would mean an implementation bug.  An empty level
+    list is an input error: a grid with no cells checks nothing.
     """
     sub_levels = sorted(set(sub_levels))
     ambient_levels = sorted(set(ambient_levels))
+    if not sub_levels or not ambient_levels:
+        raise ValueError("sub and ambient level lists must be nonempty")
     report = TableReport(cls, arity, colors)
     status: dict[tuple[int, int], str] = {}
     for mu in sub_levels:
         for lam in ambient_levels:
-            verdict = arrow_check(
-                ArrowQuery(cls, lam, mu, arity, colors),
-                mode=mode,
-                seed=seed,
-                samples=samples,
-                budget=budget,
-                ceiling=ceiling,
-            )
+            verdict = arrow_check(ArrowQuery(cls, lam, mu, arity, colors), **probe)
             status[(lam, mu)] = verdict.status
             report.rows.append(
                 {

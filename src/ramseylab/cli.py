@@ -1,11 +1,17 @@
 """Command line interface.
 
-Subcommands: types, arrow, table, reduce, extract, em, check.  Every command
-can emit a JSON report (--json) whose envelope embeds the tool version, the
-argument vector, and all inputs needed to reproduce the run; reports carry
+Subcommands: types, arrow, table, reduce, extract, em, check.  Each `cmd_*`
+returns its result, its text lines and its exit code, and `main` emits them:
+the text, or with --json a report envelope that embeds the tool version, the
+argument vector, and all inputs needed to reproduce the run.  Reports carry
 deterministic work counters and no timestamps, so identical invocations
 produce identical bytes.  `check` re-runs a report from its embedded inputs
 and names the first JSON path where the results differ.
+
+`arrow` and `table` share the probe options --mode --seed --samples --budget
+--ceiling (`_PROBE`), which pass unchanged to `arrow_check`.  `reduce` and
+`extract` share the coloring-source options --level --ambient -n -c --seed
+--budget --coloring.
 
 Exit codes: 0 success (holds / found / verified), 1 refuted (fails, witness
 emitted, or a report that does not re-verify), 2 inconclusive (unknown or
@@ -59,12 +65,9 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, lines: list[str], envelope: dict | None) -> None:
-    if getattr(args, "json", False) and envelope is not None:
-        text = _dump(envelope) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+def _emit(args, lines: list[str], envelope: dict) -> None:
+    text = (_dump(envelope) if args.json else "\n".join(lines)) + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -89,16 +92,6 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_coloring(args, cls: ClassKind) -> Coloring:
-    if args.coloring:
-        col = Coloring.from_doc(_read_json(args.coloring))
-        if col.base.cls != cls:
-            raise ValueError("coloring file is over a different class")
-        return col
-    base = make_canonical(cls, args.ambient)
-    return random_coloring(base, args.arity, args.colors, args.seed)
-
-
 def _require_params(params, fields: dict, nullable=()) -> None:
     """Raise ValueError unless report `params` is a JSON object whose fields
     fit `fields` (see `require_fields`), with an integer or null in each
@@ -107,6 +100,40 @@ def _require_params(params, fields: dict, nullable=()) -> None:
     for name in nullable:
         if not (params[name] is None or _is_int(params[name])):
             raise ValueError(f"report params field {name!r} is malformed")
+
+
+# The probe options of `arrow` and `table`: arrow_check's keywords, in the
+# order they are declared on the command line, and their report shapes.
+_PROBE = ("mode", "seed", "samples", "budget", "ceiling")
+_PROBE_FIELDS = {"mode": object, "seed": int, "samples": int, "ceiling": int}
+
+
+def _require_probe(params, fields: dict) -> dict:
+    """Check `params` against `fields` and the probe fields, and return the
+    probe keywords."""
+    _require_params(params, {**fields, **_PROBE_FIELDS}, nullable=("budget",))
+    return {k: params[k] for k in _PROBE}
+
+
+def _coloring_params(args) -> dict:
+    """The params of `reduce` and `extract`: the coloring read from
+    --coloring, or else seeded over the canonical --ambient structure."""
+    if args.coloring:
+        col = Coloring.from_doc(_read_json(args.coloring))
+        if col.base.cls != args.cls:
+            raise ValueError("coloring file is over a different class")
+    else:
+        col = random_coloring(make_canonical(args.cls, args.ambient), args.arity, args.colors, args.seed)
+    return {"coloring": col.to_doc(), "level": args.level, "budget": args.budget}
+
+
+def _require_coloring(params) -> Coloring:
+    _require_params(params, {"coloring": object, "level": int}, nullable=("budget",))
+    return Coloring.from_doc(params["coloring"])
+
+
+def _absent(exhaustive: bool) -> str:
+    return "absent" + (" (exhaustive)" if exhaustive else " (budget reached)")
 
 
 def _result_types(params: dict) -> dict:
@@ -120,7 +147,7 @@ def _result_types(params: dict) -> dict:
     }
 
 
-def cmd_types(args, argv) -> int:
+def cmd_types(args):
     params = {
         "class": args.cls.to_doc(),
         "arity": args.arity,
@@ -130,39 +157,18 @@ def cmd_types(args, argv) -> int:
     lines = [f"{result['count']} types of arity {args.arity} ({args.cls.label()})"]
     for i, t in enumerate(result["types"]):
         lines.append(f"[{i}] {base64.b64decode(t['code']).decode('ascii')}")
-    _emit(args, lines, _envelope("types", argv, result))
-    return 0
+    return result, lines, 0
 
 
 def _result_arrow(params: dict) -> dict:
-    _require_params(
-        params,
-        {"query": object, "mode": object, "seed": int, "samples": int, "ceiling": int},
-        nullable=("budget",),
-    )
-    query = ArrowQuery.from_doc(params["query"])
-    verdict = arrow_check(
-        query,
-        mode=params["mode"],
-        seed=params["seed"],
-        samples=params["samples"],
-        budget=params["budget"],
-        ceiling=params["ceiling"],
-    )
+    probe = _require_probe(params, {"query": object})
+    verdict = arrow_check(ArrowQuery.from_doc(params["query"]), **probe)
     return {"params": params, "verdict": verdict.to_doc()}
 
 
-def cmd_arrow(args, argv) -> int:
+def cmd_arrow(args):
     query = ArrowQuery(args.cls, args.ambient, args.sub, args.arity, args.colors)
-    params = {
-        "query": query.to_doc(),
-        "mode": args.mode,
-        "seed": args.seed,
-        "samples": args.samples,
-        "budget": args.budget,
-        "ceiling": args.ceiling,
-    }
-    result = _result_arrow(params)
+    result = _result_arrow({"query": query.to_doc(), **{k: getattr(args, k) for k in _PROBE}})
     verdict = result["verdict"]
     lines = [
         f"{verdict['status']} ({args.mode}; work {verdict['work']}, "
@@ -172,45 +178,29 @@ def cmd_arrow(args, argv) -> int:
         lines.append(f"note: {note}")
     if "counterexample" in verdict:
         lines.append("counterexample coloring embedded in the JSON report")
-    _emit(args, lines, _envelope("arrow", argv, result))
-    return {"holds": 0, "fails": 1, "unknown": 2}[verdict["status"]]
+    return result, lines, {"holds": 0, "fails": 1, "unknown": 2}[verdict["status"]]
 
 
 def _result_table(params: dict) -> dict:
-    _require_params(
+    probe = _require_probe(
         params,
-        {"class": object, "arity": int, "colors": int, "sub_levels": [int], "ambient_levels": [int],
-         "mode": object, "seed": int, "samples": int, "ceiling": int},
-        nullable=("budget",),
+        {"class": object, "arity": int, "colors": int, "sub_levels": [int], "ambient_levels": [int]},
     )
     cls = ClassKind.from_doc(params["class"])
     table = ramsey_table(
-        cls,
-        params["arity"],
-        params["colors"],
-        params["sub_levels"],
-        params["ambient_levels"],
-        mode=params["mode"],
-        seed=params["seed"],
-        samples=params["samples"],
-        budget=params["budget"],
-        ceiling=params["ceiling"],
+        cls, params["arity"], params["colors"], params["sub_levels"], params["ambient_levels"], **probe
     )
     return {"params": params, "table": table.to_doc()}
 
 
-def cmd_table(args, argv) -> int:
+def cmd_table(args):
     params = {
         "class": args.cls.to_doc(),
         "arity": args.arity,
         "colors": args.colors,
         "sub_levels": sorted(set(args.sub_levels)),
         "ambient_levels": sorted(set(args.ambient_levels)),
-        "mode": args.mode,
-        "seed": args.seed,
-        "samples": args.samples,
-        "budget": args.budget,
-        "ceiling": args.ceiling,
+        **{k: getattr(args, k) for k in _PROBE},
     }
     result = _result_table(params)
     lines = []
@@ -222,16 +212,14 @@ def cmd_table(args, argv) -> int:
     for mu, lam in sorted(result["table"]["least_holds"].items(), key=lambda e: int(e[0])):
         shown = lam if lam is not None else "-"
         lines.append(f"least ambient level for sub level {mu}: {shown}")
-    _emit(args, lines, _envelope("table", argv, result))
-    return 0
+    return result, lines, 0
 
 
 _REDUCERS = {"chi_color": reduce_chicolor, "ceq": reduce_ceq}
 
 
 def _result_reduce(params: dict) -> dict:
-    _require_params(params, {"coloring": object, "level": int}, nullable=("budget",))
-    col = Coloring.from_doc(params["coloring"])
+    col = _require_coloring(params)
     reduce = _REDUCERS.get(col.base.cls.kind)
     if reduce is None:
         raise ValueError("reduce expects a chi_color or ceq coloring")
@@ -239,16 +227,10 @@ def _result_reduce(params: dict) -> dict:
     return {"params": params, "report": report.to_doc()}
 
 
-def cmd_reduce(args, argv) -> int:
+def cmd_reduce(args):
     if args.cls.kind not in _REDUCERS:
         raise ValueError("reduce supports chi_color and ceq classes")
-    col = _load_coloring(args, args.cls)
-    params = {
-        "coloring": col.to_doc(),
-        "level": args.level,
-        "budget": args.budget,
-    }
-    result = _result_reduce(params)
+    result = _result_reduce(_coloring_params(args))
     report = result["report"]
     lines = []
     for st in report["stages"]:
@@ -256,18 +238,12 @@ def cmd_reduce(args, argv) -> int:
     if report["status"] == "found":
         lines.append(f"found subset {report['subset']}")
     else:
-        lines.append(
-            "absent"
-            + (" (exhaustive)" if report["exhaustive"] else " (budget reached)")
-        )
-    _emit(args, lines, _envelope("reduce", argv, result))
-    return 0 if report["status"] == "found" else 2
+        lines.append(_absent(report["exhaustive"]))
+    return result, lines, 0 if report["status"] == "found" else 2
 
 
 def _result_extract(params: dict) -> dict:
-    _require_params(params, {"coloring": object, "level": int}, nullable=("budget",))
-    col = Coloring.from_doc(params["coloring"])
-    res = derive_homogeneous(col, params["level"], budget=params["budget"])
+    res = derive_homogeneous(_require_coloring(params), params["level"], budget=params["budget"])
     out = {
         "status": "found" if res.found else "absent",
         "stages": res.stages,
@@ -280,14 +256,8 @@ def _result_extract(params: dict) -> dict:
     return {"params": params, "derivation": out}
 
 
-def cmd_extract(args, argv) -> int:
-    col = _load_coloring(args, args.cls)
-    params = {
-        "coloring": col.to_doc(),
-        "level": args.level,
-        "budget": args.budget,
-    }
-    result = _result_extract(params)
+def cmd_extract(args):
+    result = _result_extract(_coloring_params(args))
     out = result["derivation"]
     if out["status"] == "found":
         lines = [
@@ -295,12 +265,8 @@ def cmd_extract(args, argv) -> int:
             f"witness covers {len(out['witness'])} types",
         ]
     else:
-        lines = [
-            "absent"
-            + (" (exhaustive)" if out["exhaustive"] else " (budget reached)")
-        ]
-    _emit(args, lines, _envelope("extract", argv, result))
-    return 0 if out["status"] == "found" else 2
+        lines = [_absent(out["exhaustive"])]
+    return result, lines, 0 if out["status"] == "found" else 2
 
 
 def _result_em(params: dict) -> dict:
@@ -316,7 +282,7 @@ def _result_em(params: dict) -> dict:
     }
 
 
-def cmd_em(args, argv) -> int:
+def cmd_em(args):
     params = {"blueprint": _read_json(args.blueprint), "level": args.level}
     result = _result_em(params)
     model = result["model"]
@@ -328,8 +294,7 @@ def cmd_em(args, argv) -> int:
         lines.append(f"faithfulness failures: {len(result['faithful_failures'])}")
     else:
         lines.append("generator family is faithful")
-    _emit(args, lines, _envelope("em", argv, result))
-    return 0 if not result["faithful_failures"] else 1
+    return result, lines, 0 if not result["faithful_failures"] else 1
 
 
 _RERUNNERS = {
@@ -364,7 +329,7 @@ def _first_difference(stored, fresh, path: str) -> str | None:
     return None if _dump(stored) == _dump(fresh) else path
 
 
-def cmd_check(args, argv) -> int:
+def cmd_check(args):
     envelope = _read_json(args.report)
     require_fields(envelope, {"command": object, "result": object}, "report")
     command = envelope["command"]
@@ -374,17 +339,36 @@ def cmd_check(args, argv) -> int:
     stored = envelope["result"]
     require_fields(stored, {"params": object}, "report result")
     fresh = _dump(rerun(stored["params"]))
-    if fresh == _dump(stored):
-        _emit(args, [f"report verified ({command})"], _envelope("check", argv, {"verified": True, "command": command}))
-        return 0
+    result = {"verified": fresh == _dump(stored), "command": command}
+    if result["verified"]:
+        return result, [f"report verified ({command})"], 0
     differs = _first_difference(stored, json.loads(fresh), "result")
-    _emit(args, [f"report does not re-verify ({command}): first difference at {differs}"], _envelope("check", argv, {"verified": False, "command": command}))
-    return 1
+    return result, [f"report does not re-verify ({command}): first difference at {differs}"], 1
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--out", help="write output to a file instead of stdout")
+
+
+def _add_probe(p: argparse.ArgumentParser) -> None:
+    """The options of `_PROBE`, shared by `arrow` and `table`."""
+    p.add_argument("--mode", choices=["exhaustive", "randomized", "counterexample"], default="exhaustive")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+
+
+def _add_coloring_source(p: argparse.ArgumentParser) -> None:
+    """The options of `_coloring_params`, shared by `reduce` and `extract`."""
+    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--ambient", type=int, default=4, help="canonical base level for generated colorings")
+    p.add_argument("-n", "--arity", type=int, default=2)
+    p.add_argument("-c", "--colors", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--coloring", help="JSON coloring file instead of a seeded one")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,11 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", type=int, required=True, help="target bigness level")
     p.add_argument("-n", "--arity", type=int, required=True)
     p.add_argument("-c", "--colors", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "randomized", "counterexample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    _add_probe(p)
     _add_common(p)
     p.set_defaults(fn=cmd_arrow)
 
@@ -426,35 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--colors", type=int, required=True)
     p.add_argument("--sub-levels", type=_int_list, required=True)
     p.add_argument("--ambient-levels", type=_int_list, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "randomized", "counterexample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    _add_probe(p)
     _add_common(p)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("reduce", help="reduce a coloring to a linear order")
     p.add_argument("--cls", type=parse_class, required=True, help="chi_color:k or ceq")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--ambient", type=int, default=4, help="canonical base level for generated colorings")
-    p.add_argument("-n", "--arity", type=int, default=2)
-    p.add_argument("-c", "--colors", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--coloring", help="JSON coloring file instead of a seeded one")
+    _add_coloring_source(p)
     _add_common(p)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("extract", help="derive a homogeneous subset via diagrams")
     p.add_argument("--cls", type=parse_class, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--ambient", type=int, default=4)
-    p.add_argument("-n", "--arity", type=int, default=2)
-    p.add_argument("-c", "--colors", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--coloring", help="JSON coloring file instead of a seeded one")
+    _add_coloring_source(p)
     _add_common(p)
     p.set_defaults(fn=cmd_extract)
 
@@ -484,7 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, argv)
+        result, lines, code = args.fn(args)
+        _emit(args, lines, _envelope(args.command, argv, result))
+        return code
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4

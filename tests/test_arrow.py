@@ -175,6 +175,13 @@ def test_table_unresolved_least():
     assert report.least_holds[3] is None
 
 
+@pytest.mark.parametrize("sub_levels, ambient_levels", [([], [1]), ([1], []), ([], [])])
+def test_table_rejects_an_empty_level_list(sub_levels, ambient_levels):
+    # a grid with no cells checks nothing, so it may not pass for a result
+    with pytest.raises(ValueError, match="nonempty"):
+        ramsey_table(OR, 2, 2, sub_levels, ambient_levels)
+
+
 def test_table_doc_roundtrip_keys():
     report = ramsey_table(OR, 2, 2, [1, 2], [1, 2, 3])
     doc = report.to_doc()

@@ -359,6 +359,24 @@ def test_table_check_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("sub_levels, ambient_levels", [("", "1"), ("1", "")])
+def test_table_empty_level_list_exits_3(tmp_path, capsys, sub_levels, ambient_levels):
+    # an empty grid checks nothing: neither the command nor a report of one
+    # may claim success
+    argv = ["table", "--cls", "or", "-n", "2", "-c", "2",
+            "--sub-levels", sub_levels, "--ambient-levels", ambient_levels]
+    assert run(capsys, *argv) == (3, "")
+    report = tmp_path / "table.json"
+    assert main(["table", "--cls", "or", "-n", "2", "-c", "2", "--sub-levels", "1",
+                 "--ambient-levels", "1", "--json", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    result = doc["result"]
+    result["params"]["sub_levels" if not sub_levels else "ambient_levels"] = []
+    result["table"].update(rows=[], least_holds={})
+    report.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--report", str(report)) == (3, "")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
