@@ -25,7 +25,7 @@ import base64
 import json
 import sys
 
-from . import __version__
+from . import __version__, reductions
 from .arrow import (
     ArrowQuery,
     DEFAULT_CEILING,
@@ -43,7 +43,6 @@ from .blueprints import (
     em_model,
 )
 from .colorings import Coloring, random_coloring
-from .reductions import reduce_ceq, reduce_chicolor
 from .structures import TABLE, ClassKind, _is_int, make_canonical, require_fields
 from .tuple_types import enumerate_types
 
@@ -215,15 +214,16 @@ def cmd_table(args):
     return result, lines, 0
 
 
-_REDUCERS = {"chi_color": reduce_chicolor, "ceq": reduce_ceq}
+# each kind's reducer by name, looked up in `reductions` at every call
+_REDUCERS = {"chi_color": "reduce_chicolor", "ceq": "reduce_ceq"}
 
 
 def _result_reduce(params: dict) -> dict:
     col = _require_coloring(params)
-    reduce = _REDUCERS.get(col.base.cls.kind)
-    if reduce is None:
+    name = _REDUCERS.get(col.base.cls.kind)
+    if name is None:
         raise ValueError("reduce expects a chi_color or ceq coloring")
-    report = reduce(col, params["level"], budget=params["budget"])
+    report = getattr(reductions, name)(col, params["level"], budget=params["budget"])
     return {"params": params, "report": report.to_doc()}
 
 

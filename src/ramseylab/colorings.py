@@ -215,7 +215,8 @@ class _Walk:
     (chosen, i) the class's bound `feasible(chosen, i)`, built once per walk
     by `Kind.pruner(base, level, elements)`, prunes the branch when no
     subset of chosen + elements[i:] holding chosen can be big.  Iterating
-    yields every closed, member-inducing, level-big subset reached; `nodes`
+    yields every closed, member-inducing subset reached that
+    `Kind.subset_big` finds level-big (every one at level 0); `nodes`
     counts the visited search nodes, and visiting more than `budget` of them
     raises `_Budget`.
 
@@ -233,7 +234,7 @@ class _Walk:
     def __iter__(self):
         base, level, elements, col, budget = self.base, self.level, self.elements, self.col, self.budget
         spec = base.cls.spec
-        meet_ok, period = spec.admit, spec.period(base.cls)
+        meet_ok, period, big = spec.admit, spec.period(base.cls), spec.subset_big
         feasible = spec.pruner(base, level, elements)
         if col is not None:
             type_of, color, arity = col.type_of, col.color, col.arity
@@ -282,7 +283,7 @@ class _Walk:
             if budget is not None and nodes > budget:
                 self.nodes = nodes
                 raise _Budget
-            if changed and subset_is_big(base, chosen, level):
+            if changed and (level == 0 or big(base, chosen, level)):
                 self.nodes = nodes
                 yield tuple(chosen)
             if i < n and feasible(chosen, i):

@@ -28,7 +28,7 @@ from .colorings import (
     find_type_homogeneous,
     type_homogeneity_witness,
 )
-from .structures import linear_order, make_canonical, subset_is_big
+from .structures import ClassKind, make_canonical, subset_is_big
 
 
 @dataclass
@@ -105,7 +105,7 @@ def aux_coloring_chicolor(col: Coloring) -> Coloring:
     lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
     n, c = col.arity, col.colors
-    aux_base = make_canonical(linear_order(), lam)
+    aux_base = make_canonical(ClassKind("or"), lam)
     table = {}
     for gam in itertools.combinations(range(lam), n):
         value = 0
@@ -240,7 +240,7 @@ def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Color
     if any(len(pieces[b]) < n for b in ids):
         raise ValueError("every piece needs at least n representatives")
     comps = compositions_with_zeros(n)
-    aux_base = make_canonical(linear_order(), len(ids))
+    aux_base = make_canonical(ClassKind("or"), len(ids))
     table = {}
     for combo in itertools.combinations(range(len(ids)), n):
         value = 0

@@ -107,34 +107,6 @@ class ClassKind:
         return ClassKind(**doc)
 
 
-def linear_order() -> ClassKind:
-    return ClassKind("or")
-
-
-def disjoint_orders(chi: int) -> ClassKind:
-    return ClassKind("chi_or", chi=chi)
-
-
-def colored_order(chi: int) -> ClassKind:
-    return ClassKind("chi_color", chi=chi)
-
-
-def tree_class(height: int) -> ClassKind:
-    return ClassKind("n_tree", height=height)
-
-
-def convex_equivalence() -> ClassKind:
-    return ClassKind("ceq")
-
-
-def ordered_graphs() -> ClassKind:
-    return ClassKind("ordered_graph")
-
-
-def hypergraphs(edge_arity: int, palette: int) -> ClassKind:
-    return ClassKind("hypergraph", edge_arity=edge_arity, palette=palette)
-
-
 def _freeze_hyper(entries) -> tuple:
     # by subset size first: the order documents list subsets in
     frozen = ((tuple(subset), int(color)) for subset, color in entries)
@@ -305,8 +277,10 @@ class Kind:
     fields: dict[str, tuple[str, object]] = {}
     # whether make_canonical(cls, mu) embeds into every mu-big member
     embeds = True
-    # walker veto on adding an element to a closed subset, or None
     admit = None
+    """The walker's closure veto, or None: `admit(s, chosen, e)` says
+    whether chosen + [e] is closed.  The walker calls it with `chosen`
+    closed and increasing and `e` above every chosen element."""
 
     def canonical(self, cls: ClassKind, mu: int) -> FinStructure:
         return FinStructure(cls, self.min_size(cls, mu))
@@ -358,6 +332,12 @@ class Kind:
         return itertools.combinations(range(s.size), self.min_size(s.cls, mu))
 
 
+def _monotone_pruner(kind: Kind, base: FinStructure, level: int, elements: list[int]):
+    """`Kind.pruner` for a kind whose subset bigness only grows with the
+    subset: the whole of chosen + elements[i:] bounds every completion."""
+    return lambda chosen, i: kind.subset_big(base, chosen + elements[i:], level)
+
+
 class LinearOrder(Kind):
     name = "or"
 
@@ -388,10 +368,7 @@ class DisjointOrders(Kind):
             counts[s.part_of(e)] += 1
         return all(c >= mu for c in counts)
 
-    def pruner(self, base, level, elements):
-        # bigness only grows with the subset, so the whole of chosen + rest
-        # bounds every completion
-        return lambda chosen, i: self.subset_big(base, chosen + elements[i:], level)
+    pruner = _monotone_pruner
 
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
@@ -488,19 +465,9 @@ class Trees(Kind):
             p = s.parent[i]
             if p >= 0 and s.level[i] <= s.level[p]:
                 return False
-        # natural order must be the preorder traversal: each subtree is the
-        # interval starting at its root
-        sub = [1] * n
-        for i in range(n - 1, 0, -1):
-            sub[s.parent[i]] += sub[i]
-        for i in range(n):
-            for j in range(i + 1, i + sub[i]):
-                anc = j
-                while anc > i:
-                    anc = s.parent[anc]
-                if anc != i:
-                    return False
-        return True
+        # natural order must be the preorder traversal: each element hangs
+        # off the path from the root to the element before it
+        return all(s.parent[i] in (i - 1, *tree_ancestors(s, i - 1)) for i in range(1, n))
 
     def subset_big(self, s, chosen, mu):
         if not chosen:
@@ -525,26 +492,16 @@ class Trees(Kind):
                     return False
         return True
 
+    # In preorder every meet of a set is the meet of two of its elements
+    # adjacent in order: closing adds those meets, and e above a closed
+    # subset can add only its meet with the subset's last element.
+
     def close(self, s, chosen):
-        frontier = list(chosen)
-        while frontier:
-            nxt = []
-            for a in list(chosen):
-                for b in frontier:
-                    m = tree_meet(s, a, b)
-                    if m not in chosen:
-                        chosen.add(m)
-                        nxt.append(m)
-            frontier = nxt
+        ordered = sorted(chosen)
+        chosen.update(map(partial(tree_meet, s), ordered, ordered[1:]))
 
     def admit(self, s, chosen, e):
-        """Refuse e when its meet with a chosen element is new: the walker
-        only grows closed subsets."""
-        for x in chosen:
-            m = tree_meet(s, x, e)
-            if m != x and m != e and m not in chosen:
-                return False
-        return True
+        return not chosen or tree_meet(s, chosen[-1], e) in chosen
 
     def pruner(self, base, level, elements):
         if level == 0:
@@ -618,9 +575,7 @@ class ConvexEquivalence(Kind):
             counts[b] = counts.get(b, 0) + 1
         return sum(1 for c in counts.values() if c >= mu) >= mu
 
-    def pruner(self, base, level, elements):
-        # as for chi_or
-        return lambda chosen, i: self.subset_big(base, chosen + elements[i:], level)
+    pruner = _monotone_pruner
 
     def fragment(self, s, closed, pos):
         # blocks numbered by first occurrence
@@ -717,7 +672,6 @@ TABLE: dict[str, Kind] = {
         Hypergraphs(),
     )
 }
-KINDS = tuple(TABLE)
 
 
 # canonical mu-big structures

@@ -54,6 +54,15 @@ def test_frozen_tree_distinct_types_shortcut():
     assert v.colorings_checked == 0
 
 
+def test_counterexample_mode_on_a_distinct_types_candidate_is_unknown():
+    # a candidate whose pairs all differ in type is homogeneous under every
+    # coloring; counterexample mode cannot claim "holds", so it says so
+    v = arrow_check(ArrowQuery(ClassKind("chi_or", chi=2), 3, 1, 2, 2), mode="counterexample")
+    assert (v.status, v.mode, v.colorings_checked, v.counterexample) == ("unknown", "counterexample", 0, None)
+    assert len(v.notes) == 1
+    assert "distinct types" in v.notes[0] and v.notes[0].endswith("no coloring can refute the query")
+
+
 def test_holds_with_single_color():
     v = arrow_check(ArrowQuery(OR, 3, 3, 2, 1))
     assert v.status == "holds"
@@ -139,6 +148,24 @@ def test_verify_refutation_rejects_good_coloring():
     base = make_canonical(OR, 6)
     col = Coloring.from_function(base, 2, 2, lambda t: 0)
     assert not verify_refutation(q, col)  # constant coloring is full of triangles
+
+
+def test_verify_refutation_rejects_other_bases_and_partial_colorings():
+    from ramseylab.colorings import Coloring
+    from ramseylab.structures import make_canonical
+
+    q = ArrowQuery(OR, 5, 3, 2, 2)
+    refutation = arrow_check(q).counterexample
+    assert verify_refutation(q, refutation)
+    # the same colors over a larger ambient, and over another class
+    wider = Coloring(make_canonical(OR, 6), 2, 2, refutation.table)
+    assert not verify_refutation(q, wider)
+    chi = Coloring(make_canonical(ClassKind("chi_color", chi=1), 5), 2, 2, refutation.table)
+    assert not verify_refutation(q, chi)
+    # one pair left uncolored
+    partial = dict(refutation.table)
+    del partial[(0, 1)]
+    assert not verify_refutation(q, Coloring(refutation.base, 2, 2, partial))
 
 
 def test_verdict_doc_shape():

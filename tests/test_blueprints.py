@@ -21,7 +21,7 @@ from ramseylab.blueprints import (
     extract_blueprint,
 )
 from ramseylab.colorings import Coloring, find_type_homogeneous, random_coloring
-from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, app, var
+from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, app, enumerate_terms, var
 from ramseylab.structures import ClassKind, FinStructure, make_canonical
 from ramseylab.tuple_types import enumerate_types
 
@@ -289,6 +289,28 @@ def test_unary_blueprint_term_sanity():
     terms = Diagram(UNARY, 1, 2, (0, 1, 1)).terms()
     assert [t.spelling() for t in terms] == ["x0", "f(x0)", "f(f(x0))"]
     assert terms[2] == app("f", app("f", var(0)))
+
+
+def test_em_congruence_merges_terms_of_different_generators():
+    # f(x0) = f(f(f(c))) in the one unary diagram, so f(e0) = f(e1) in the
+    # model, and only congruence across the two instantiated diagrams makes
+    # f(f(e0)) = f(f(e1)): no single diagram holds both terms
+    sig = OutputSignature(functions=(("f", 1),), constants=("c",))
+    terms = enumerate_terms(sig, 1, 3)
+    assert [t.spelling() for t in terms] == [
+        "c", "x0", "f(c)", "f(x0)", "f(f(c))", "f(f(x0))", "f(f(f(c)))", "f(f(f(x0)))",
+    ]
+    diag = Diagram(sig, 1, 3, (0, 1, 2, 3, 4, 5, 3, 0))
+    bp = Blueprint(OR, sig, 1, 3, (1,), ((enumerate_types(OR, 1, 1)[0], diag),))
+    assert check_coherence(bp) == []
+    model = em_model(bp, make_canonical(OR, 2))
+    f = model.target.functions["f"]
+    e0, e1 = model.generator_images
+    assert e0 != e1 and f[(e0,)] == f[(e1,)]
+    # generators, the three constant terms and the two shared classes
+    assert model.target.size == 7
+    assert f[(f[(f[(e0,)],)],)] == model.target.constants["c"]
+    assert check_indiscernible(model) == []
 
 
 def _model_sha256(bp, level):

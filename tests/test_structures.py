@@ -136,6 +136,66 @@ def test_preorder_constraint():
     assert is_member(good)
 
 
+def _path_to_root(parent, j):
+    while j >= 0:
+        yield j
+        j = parent[j]
+
+
+def _parent_arrays(most: int):
+    # every parent array on 1..most elements with the root first and each
+    # parent below its child
+    for n in range(1, most + 1):
+        yield from (((-1,) + rest) for rest in itertools.product(*(range(i) for i in range(1, n))))
+
+
+def _subtrees_are_intervals(parent) -> bool:
+    # the definition: the subtree of each i is the interval i..i+size-1
+    n = len(parent)
+    for i in range(n):
+        below = {j for j in range(n) if i in _path_to_root(parent, j)}
+        if below != set(range(i, i + len(below))):
+            return False
+    return True
+
+
+def _depths(parent):
+    return tuple(sum(1 for _ in _path_to_root(parent, j)) - 1 for j in range(len(parent)))
+
+
+def test_tree_membership_is_the_subtree_interval_rule():
+    tree = ClassKind("n_tree", height=6)
+    arrays = list(_parent_arrays(7))
+    assert len(arrays) == 874
+    members = 0
+    for parent in arrays:
+        s = FinStructure(tree, len(parent), parent=parent, level=_depths(parent))
+        assert is_member(s) == _subtrees_are_intervals(parent), parent
+        members += is_member(s)
+    # the plane trees on 1..7 nodes, Catalan numbers 1, 1, 2, 5, 14, 42, 132
+    assert members == 197
+
+
+def test_tree_close_and_admit_by_neighbour_meets():
+    # against the fixpoint closure, on every preorder tree of up to 6 elements
+    tree = ClassKind("n_tree", height=5)
+    spec = tree.spec
+    for parent in _parent_arrays(6):
+        s = FinStructure(tree, len(parent), parent=parent, level=_depths(parent))
+        if not is_member(s):
+            continue
+        closed = set()
+        for r in range(len(parent) + 1):
+            for subset in itertools.combinations(range(s.size), r):
+                want = closure_bruteforce(s, subset)
+                assert subset_closure(s, subset) == want
+                if want == subset:
+                    closed.add(subset)
+        for chosen in closed:
+            for e in range(chosen[-1] + 1 if chosen else 0, s.size):
+                assert spec.admit(s, list(chosen), e) == ((*chosen, e) in closed)
+
+
 def test_big_frozen_cases():
     assert is_big(make_canonical(ClassKind("or"), 3), 3)
     assert not is_big(make_canonical(ClassKind("or"), 3), 4)
