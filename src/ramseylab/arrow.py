@@ -28,10 +28,15 @@ Three modes:
                   is verified independently before it is reported; a pool
                   over the bound gives `unknown` and no descent.
 
-One typed tuple table per query serves both exhaustive forks and the
-pool: the increasing tuples in lexicographic order, each typed at most once
-into a small integer type id, and one coloring over them that a single
-odometer repaints.  Work counters are deterministic counts (candidates
+One typed tuple table per query serves every engine: the increasing tuples
+in lexicographic order, each typed at most once into a small integer type
+id, and one coloring over them that the engines repaint.  The pool scan
+holds each same-type group as one integer mask over the table indices,
+tuple i at bit ntup-1-i, so counting up through the integers visits the
+colorings in `itertools.product` order; a refuting coloring's digits are
+decoded from its index only when one is found.  Randomized samples are
+painted into the same table, so each tuple is typed once per query however
+many samples search it.  Work counters are deterministic counts (candidates
 scanned, search nodes, flips), never wall-clock times.
 """
 
@@ -42,7 +47,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .colorings import Coloring, find_type_homogeneous, random_coloring
+from .colorings import Coloring, find_type_homogeneous, random_colors
 from .structures import ClassKind, make_canonical, minimal_big_subsets, require_fields
 
 DEFAULT_CEILING = 2 ** 26
@@ -224,15 +229,6 @@ class _Energy:
         return delta
 
 
-def _consistent(digits, groups) -> bool:
-    for g in groups:
-        c0 = digits[g[0]]
-        for gi in g[1:]:
-            if digits[gi] != c0:
-                return False
-    return True
-
-
 def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
     """Independent exhaustive check that a coloring refutes the query."""
     base = make_canonical(query.cls, query.ambient_level)
@@ -242,6 +238,94 @@ def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
         return False
     res = find_type_homogeneous(col, query.sub_level)
     return res.exhaustive and not res.found
+
+
+def _product_digits(k: int, colors: int, ntup: int) -> list[int]:
+    """The k-th element of `itertools.product(range(colors), repeat=ntup)`."""
+    digits = [0] * ntup
+    for i in range(ntup - 1, -1, -1):
+        k, digits[i] = divmod(k, colors)
+    return digits
+
+
+def _scan_pool(cands, ntup: int, colors: int, start: int, stop: int) -> tuple[int, int | None]:
+    """Scan the colorings numbered `start` to `stop - 1`, in
+    `itertools.product` order, against the pool `cands`.  Returns the work,
+    the 1-based index of the first consistent candidate summed over the
+    colorings (the pool size for one with none), and the number of the
+    first coloring with no consistent candidate, or None.
+
+    Each same-type group is one integer mask over the table indices, tuple
+    i at bit ntup-1-i, so coloring k read as a base-`colors` number puts the
+    color of tuple i at digit ntup-1-i.
+    """
+    bits = [1 << (ntup - 1 - i) for i in range(ntup)]
+    if colors == 2:
+        masks = [[sum(bits[i] for i in g) for g in groups] for _, groups in cands]
+        return _scan_two_colors(masks, start, stop)
+    masks = [[(g[0], sum(bits[i] for i in g)) for g in groups] for _, groups in cands]
+    return _scan_many_colors(masks, ntup, colors, start, stop)
+
+
+def _scan_two_colors(pool, start: int, stop: int) -> tuple[int, int | None]:
+    """`_scan_pool` with 2 colors: coloring k is the integer `ones` = k,
+    whose set bits are the tuples colored 1, so a group mask gm is
+    monochromatic iff `ones & gm` is 0 or gm."""
+    work = 0
+    for ones in range(start, stop):
+        scanned = 0
+        for masks in pool:
+            scanned += 1
+            for gm in masks:
+                hit = ones & gm
+                if hit and hit != gm:
+                    break
+            else:
+                work += scanned
+                break
+        else:
+            return work + scanned, ones
+    return work, None
+
+
+def _scan_many_colors(pool, ntup: int, colors: int, start: int, stop: int) -> tuple[int, int | None]:
+    """`_scan_pool` with 3 or more colors.
+
+    An odometer over the digits keeps one mask per color, touching only the
+    digits that change.  A group is monochromatic iff the mask of its first
+    tuple's color covers it, so each group is kept as (first tuple, gm).
+    """
+    digits = _product_digits(start, colors, ntup)
+    cmasks = [0] * colors
+    for i, d in enumerate(digits):
+        cmasks[d] |= 1 << (ntup - 1 - i)
+    top = colors - 1
+    work = 0
+    for k in range(start, stop):
+        if k != start:
+            i, bit = ntup - 1, 1
+            while digits[i] == top:
+                digits[i] = 0
+                cmasks[top] ^= bit
+                cmasks[0] |= bit
+                i -= 1
+                bit <<= 1
+            d = digits[i]
+            digits[i] = d + 1
+            cmasks[d] ^= bit
+            cmasks[d + 1] |= bit
+        scanned = 0
+        for masks in pool:
+            scanned += 1
+            for first, gm in masks:
+                if cmasks[digits[first]] & gm != gm:
+                    break
+            else:
+                work += scanned
+                break
+        else:
+            return work + scanned, k
+    return work, None
 
 
 def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
@@ -254,7 +338,6 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
             "use the randomized or counterexample mode"
         )
     table = _TupleTable(query)
-    work = 0
     # one color leaves one coloring, which a direct search settles for less
     # than building the pool costs
     cands = table.candidates(query.sub_level) if query.colors > 1 else None
@@ -262,42 +345,39 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         note = _distinct_types(cands)
         if note is not None:
             return Verdict("holds", "exhaustive", len(cands), 0, notes=(note,))
-        work = len(cands)
-
-        def homogeneous(digits) -> tuple[bool, int]:
-            """Scan the candidates; the cost is the candidates scanned."""
-            for scanned, (_, groups) in enumerate(cands, 1):
-                if _consistent(digits, groups):
-                    return True, scanned
-            return False, len(cands)
+        # the cost is the candidates scanned per coloring
+        total = query.colors ** ntup
+        work, failing = _scan_pool(cands, ntup, query.colors, 0, total)
+        work += len(cands)
+        checked = total if failing is None else failing + 1
+        digits = None if failing is None else _product_digits(failing, query.colors, ntup)
     else:
         # too many candidates to hold, or one color: search each coloring
         # directly; the cost is the search nodes
-
-        def homogeneous(digits) -> tuple[bool, int]:
-            res = find_type_homogeneous(table.paint(digits), query.sub_level)
-            return res.found, res.nodes
-
-    checked = 0
-    for checked, digits in enumerate(itertools.product(range(query.colors), repeat=ntup), 1):
-        found, cost = homogeneous(digits)
-        work += cost
-        if not found:
-            col = table.paint(digits).copy()
-            if not verify_refutation(query, col):
-                raise AssertionError("refutation failed independent verification")
-            return Verdict("fails", "exhaustive", work, checked, col)
-    return Verdict("holds", "exhaustive", work, checked)
+        work = checked = 0
+        digits = None
+        for checked, each in enumerate(itertools.product(range(query.colors), repeat=ntup), 1):
+            res = find_type_homogeneous(table.paint(each), query.sub_level)
+            work += res.nodes
+            if not res.found:
+                digits = each
+                break
+    if digits is None:
+        return Verdict("holds", "exhaustive", work, checked)
+    col = table.paint(digits).copy()
+    if not verify_refutation(query, col):
+        raise AssertionError("refutation failed independent verification")
+    return Verdict("fails", "exhaustive", work, checked, col)
 
 
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:
-    base = make_canonical(query.cls, query.ambient_level)
+    table = _TupleTable(query)
     rng = random.Random(seed)
     work = 0
     inconclusive = 0
     for k in range(samples):
         sub_seed = rng.randrange(2 ** 32)
-        col = random_coloring(base, query.arity, query.colors, sub_seed)
+        col = table.paint(random_colors(len(table.tuples), query.colors, sub_seed))
         res = find_type_homogeneous(col, query.sub_level, budget=budget)
         work += res.nodes
         if res.found:
@@ -308,7 +388,7 @@ def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) 
                 "randomized",
                 work,
                 k + 1,
-                col,
+                col.copy(),
                 notes=(f"sample {k} (seed {sub_seed}) admits no homogeneous subset",),
             )
         inconclusive += 1

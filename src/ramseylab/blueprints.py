@@ -206,7 +206,8 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     diagram whose term classes cover its arguments, and read off there.
 
     Raises BlueprintDomainError when a tuple of the index realizes a type the
-    blueprint misses, SupportOverflowError when no instantiated diagram
+    blueprint misses, ValueError when the diagrams' equalities identify two
+    index elements, SupportOverflowError when no instantiated diagram
     covers some function value, relation atom or constant, and
     InternalCheckError when the closure contradicts a diagram or two
     diagrams disagree on an atom, which coherence rules out.
@@ -250,7 +251,15 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
 
     # generators first, then the other classes by spelling
     root = {k: uf.find(k) for k in uf.parent}
-    ordered = list(dict.fromkeys(root[(0, "e", e)] for e in range(index.size)))
+    first: dict = {}  # generator class -> least index element in it
+    for e in range(index.size):
+        d = first.setdefault(root[(0, "e", e)], e)
+        if d != e:
+            raise ValueError(
+                f"the diagrams identify index elements {d} and {e}; no model "
+                "with distinct generators extends the index"
+            )
+    ordered = list(first)
     ordered += sorted(set(root.values()) - set(ordered), key=_key_str)
     elem_of = {r: i for i, r in enumerate(ordered)}
     elem = {k: elem_of[r] for k, r in root.items()}

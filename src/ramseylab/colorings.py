@@ -22,6 +22,7 @@ deterministic and reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -127,18 +128,21 @@ class Coloring:
         return col
 
 
+def random_colors(count: int, colors: int, seed: int) -> list[int]:
+    """`count` colors drawn by random.Random(seed).randrange(colors), one
+    after another; the seeded draw rule behind every random coloring."""
+    rng = random.Random(seed)
+    return [rng.randrange(colors) for _ in range(count)]
+
+
 def random_coloring(s: FinStructure, arity: int, colors: int, seed: int) -> Coloring:
     """Seeded uniform coloring.
 
-    Colors are drawn by random.Random(seed).randrange(colors) over the
-    increasing tuples in lexicographic order, so a seed fixes the coloring
-    completely.
+    Colors are drawn by `random_colors` over the increasing tuples in
+    lexicographic order, so a seed fixes the coloring completely.
     """
-    rng = random.Random(seed)
-    table = {}
-    for tup in itertools.combinations(range(s.size), arity):
-        table[tup] = rng.randrange(colors)
-    return Coloring(s, arity, colors, table)
+    digits = random_colors(math.comb(s.size, arity), colors, seed)
+    return Coloring(s, arity, colors, dict(zip(itertools.combinations(range(s.size), arity), digits)))
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,28 @@ from ramseylab.arrow import (
     DEFAULT_CEILING,
     SearchSpaceTooLarge,
     Verdict,
-    _consistent,
     _Energy,
+    _product_digits,
+    _scan_pool,
     _TupleTable,
     arrow_check,
     ramsey_table,
     verify_refutation,
 )
-from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets
-from ramseylab.structures import ClassKind
+from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets, random_coloring
+from ramseylab.structures import ClassKind, make_canonical
 
 OR = ClassKind("or")
+
+
+def _consistent(digits, groups) -> bool:
+    """The digit-tuple reference scan: every same-type group monochromatic."""
+    for g in groups:
+        c0 = digits[g[0]]
+        for gi in g[1:]:
+            if digits[gi] != c0:
+                return False
+    return True
 
 
 def test_frozen_or_holds_at_six():
@@ -325,3 +336,91 @@ def test_counterexample_pool_disagreeing_with_search_raises(monkeypatch):
     monkeypatch.setattr(_TupleTable, "candidates", lambda self, sub_level: [])
     with pytest.raises(AssertionError, match="pool and direct search disagree"):
         arrow_check(ArrowQuery(OR, 3, 3, 2, 1), mode="counterexample")
+
+
+# (class, ambient, sub, arity, colors): candidates of one and of two groups,
+# both verdicts with 2 colors and with 3, where a holds verdict runs the
+# odometer through every carry
+_MASK_SHAPES = [
+    (OR, 5, 3, 2, 2),
+    (ClassKind("chi_color", chi=2), 3, 2, 1, 2),
+    (ClassKind("ceq"), 3, 2, 1, 2),
+    (ClassKind("n_tree", height=1), 4, 2, 2, 2),
+    (OR, 4, 3, 2, 3),
+    (ClassKind("chi_color", chi=2), 3, 2, 1, 3),
+    (OR, 7, 3, 1, 3),
+]
+
+
+@pytest.mark.parametrize("cls, ambient, sub, arity, colors", _MASK_SHAPES, ids=lambda v: getattr(v, "kind", v))
+def test_mask_scan_matches_the_digit_scan(cls, ambient, sub, arity, colors):
+    # on every coloring the mask scan finds the first consistent candidate
+    # the digit-tuple scan finds, and the verdicts agree to the byte
+    q = ArrowQuery(cls, ambient, sub, arity, colors)
+    table = _TupleTable(q)
+    pool = table.candidates(sub)
+    ntup = len(table.tuples)
+    work, digits = len(pool), None
+    for k, each in enumerate(itertools.product(range(colors), repeat=ntup)):
+        assert _product_digits(k, colors, ntup) == list(each)
+        first = next((j for j, (_, groups) in enumerate(pool, 1) if _consistent(each, groups)), None)
+        want = (len(pool), k) if first is None else (first, None)
+        assert _scan_pool(pool, ntup, colors, k, k + 1) == want, each
+        if digits is None:
+            work += want[0]
+            checked = k + 1
+            if first is None:
+                digits = each
+    if digits is None:
+        reference = Verdict("holds", "exhaustive", work, checked)
+    else:
+        reference = Verdict("fails", "exhaustive", work, checked, table.paint(digits).copy())
+    assert arrow_check(q).to_doc() == reference.to_doc()
+
+
+def _randomized_reference(q, seed, samples, budget):
+    """The randomized mode with a fresh coloring per sample."""
+    base = make_canonical(q.cls, q.ambient_level)
+    rng = random.Random(seed)
+    work = inconclusive = 0
+    for k in range(samples):
+        sub_seed = rng.randrange(2 ** 32)
+        col = random_coloring(base, q.arity, q.colors, sub_seed)
+        res = find_type_homogeneous(col, q.sub_level, budget=budget)
+        work += res.nodes
+        if res.found:
+            continue
+        if res.exhaustive:
+            note = f"sample {k} (seed {sub_seed}) admits no homogeneous subset"
+            return Verdict("fails", "randomized", work, k + 1, col, notes=(note,))
+        inconclusive += 1
+    notes = (f"{samples} samples searched, {inconclusive} hit the budget",)
+    return Verdict("unknown", "randomized", work, samples, notes=notes)
+
+
+def test_randomized_on_the_shared_table_matches_fresh_colorings(monkeypatch):
+    # each sample painted into one typed table gives the verdict that a
+    # fresh random_coloring per sample gives; the refutation handed back is
+    # a copy, which later paints of the table leave alone
+    tables = []
+
+    class Recording(_TupleTable):
+        def __init__(self, query):
+            super().__init__(query)
+            tables.append(self)
+
+    monkeypatch.setattr(arrow, "_TupleTable", Recording)
+    seen = set()
+    for (cls, ambient, sub, colors), seed, budget in itertools.product(
+        [(OR, 5, 3, 2), (OR, 6, 3, 2), (ClassKind("ceq"), 3, 2, 3)], range(4), [None, 6]
+    ):
+        q = ArrowQuery(cls, ambient, sub, 2, colors)
+        want = _randomized_reference(q, seed, 40, budget).to_doc()
+        got = arrow_check(q, mode="randomized", seed=seed, samples=40, budget=budget)
+        assert got.to_doc() == want
+        seen.add(want["status"] if want["status"] == "fails" else want["notes"][0])
+        if got.counterexample is not None:
+            tables[-1].paint([colors - 1] * len(tables[-1].tuples))
+            assert got.counterexample.to_doc() == want["counterexample"]
+    assert "fails" in seen
+    assert any(note.endswith(" hit the budget") and not note.endswith(" 0 hit the budget") for note in seen)

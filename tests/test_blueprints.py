@@ -313,6 +313,26 @@ def test_em_congruence_merges_terms_of_different_generators():
     assert check_indiscernible(model) == []
 
 
+def _collapsing_blueprint():
+    # f(f(c)) = x0 and f(f(x0)) = c in the one unary diagram, so every
+    # generator equals f(f(c)), and no model keeps two of them apart
+    sig = OutputSignature(functions=(("f", 1),), constants=("c",))
+    assert [t.spelling() for t in enumerate_terms(sig, 1, 2)] == [
+        "c", "x0", "f(c)", "f(x0)", "f(f(c))", "f(f(x0))",
+    ]
+    diag = Diagram(sig, 1, 2, (0, 1, 2, 3, 1, 0))
+    return Blueprint(OR, sig, 1, 2, (1,), ((enumerate_types(OR, 1, 1)[0], diag),))
+
+
+def test_em_model_rejects_diagrams_that_identify_generators():
+    bp = _collapsing_blueprint()
+    assert check_coherence(bp) == []
+    # one generator has nothing to collide with
+    assert em_model(bp, make_canonical(OR, 1)).generator_images == (0,)
+    with pytest.raises(ValueError, match="identify index elements 0 and 1"):
+        em_model(bp, make_canonical(OR, 3))
+
+
 def _model_sha256(bp, level):
     doc = em_model(bp, make_canonical(OR, level)).to_doc()
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))

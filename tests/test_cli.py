@@ -6,9 +6,12 @@ import pytest
 
 from helpers import unary_blueprint
 from ramseylab import __version__
+from ramseylab.blueprints import Blueprint
 from ramseylab.cli import main, parse_class
 from ramseylab.colorings import Coloring
+from ramseylab.diagrams import Diagram, OutputSignature
 from ramseylab.structures import ClassKind, make_canonical
+from ramseylab.tuple_types import enumerate_types
 
 
 def run(capsys, *argv):
@@ -318,6 +321,21 @@ def test_em_command(tmp_path, capsys):
     assert code == 0
     assert "model has 3 elements over 2 generators" in out
     assert "faithful" in out
+
+
+def test_em_rejects_a_blueprint_that_identifies_generators(tmp_path, capsys):
+    # f(f(c)) = x0 and f(f(x0)) = c: the diagrams merge every generator into
+    # f(f(c)), so no model extends the index, an input error
+    sig = OutputSignature(functions=(("f", 1),), constants=("c",))
+    diag = Diagram(sig, 1, 2, (0, 1, 2, 3, 1, 0))
+    bp = Blueprint(ClassKind("or"), sig, 1, 2, (1,), ((enumerate_types(ClassKind("or"), 1, 1)[0], diag),))
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(bp.to_doc()))
+    code = main(["em", "--blueprint", str(path), "--level", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "identify index elements 0 and 1" in captured.err
 
 
 def test_em_missing_blueprint(capsys):
