@@ -43,7 +43,7 @@ from .blueprints import (
     em_model,
 )
 from .colorings import Coloring, random_coloring
-from .structures import TABLE, ClassKind, _is_int, make_canonical, require_fields
+from .structures import TABLE, ClassKind, _is_int, canonical_json, make_canonical, require_fields
 from .tuple_types import enumerate_types
 
 
@@ -60,12 +60,8 @@ def parse_class(text: str) -> ClassKind:
     raise argparse.ArgumentTypeError(f"cannot parse class {text!r}")
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(args, lines: list[str], envelope: dict) -> None:
-    text = (_dump(envelope) if args.json else "\n".join(lines)) + "\n"
+    text = (canonical_json(envelope) if args.json else "\n".join(lines)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -326,7 +322,7 @@ def _first_difference(stored, fresh, path: str) -> str | None:
         if len(stored) != len(fresh):
             return f"{path}[{min(len(stored), len(fresh))}]"
         return None
-    return None if _dump(stored) == _dump(fresh) else path
+    return None if canonical_json(stored) == canonical_json(fresh) else path
 
 
 def cmd_check(args):
@@ -338,8 +334,8 @@ def cmd_check(args):
         raise ValueError(f"cannot re-verify command {command!r}")
     stored = envelope["result"]
     require_fields(stored, {"params": object}, "report result")
-    fresh = _dump(rerun(stored["params"]))
-    result = {"verified": fresh == _dump(stored), "command": command}
+    fresh = canonical_json(rerun(stored["params"]))
+    result = {"verified": fresh == canonical_json(stored), "command": command}
     if result["verified"]:
         return result, [f"report verified ({command})"], 0
     differs = _first_difference(stored, json.loads(fresh), "result")

@@ -7,8 +7,9 @@ map from realized types to colors.
 
 Candidate subsets are always closed under the class functions before anything
 else happens, so types computed in the ambient base agree with types computed
-in the induced structure, and for chi_color only positional subsets (the j-th
-element carrying residue j) are admitted, since only those induce members.
+in the induced structure.  One per-kind rule, `Kind.admit`, decides which
+subsets are closed and induce members (for chi_color the positional ones, the
+j-th element carrying residue j), for the walker and for every check alike.
 
 One depth-first walker, `_Walk`, serves every search over admissible
 subsets, `find_type_homogeneous` and `iter_big_member_subsets` alike.  It
@@ -32,6 +33,7 @@ from .structures import (
     from_doc as structure_from,
     is_member,
     require_fields,
+    require_inside,
     subset_closure,
     subset_induces_member,
     subset_is_big,
@@ -131,6 +133,8 @@ class Coloring:
 def random_colors(count: int, colors: int, seed: int) -> list[int]:
     """`count` colors drawn by random.Random(seed).randrange(colors), one
     after another; the seeded draw rule behind every random coloring."""
+    if colors < 1:
+        raise ValueError("colors must be at least 1")
     rng = random.Random(seed)
     return [rng.randrange(colors) for _ in range(count)]
 
@@ -211,7 +215,7 @@ class _Walk:
 
     `elements` are increasing; each is decided in turn, include-first, so
     subsets come out in lexicographic order.  An element is taken only when
-    it passes the closure and positional admission rules and, when a
+    it passes the kind's membership veto, `Kind.admit`, and, when a
     coloring is given, keeps the incrementally maintained type -> color
     witness consistent.  The witness is keyed by per-walk type ids: each
     tuple is typed once per walk, through the coloring's type cache, and its
@@ -238,7 +242,7 @@ class _Walk:
     def __iter__(self):
         base, level, elements, col, budget = self.base, self.level, self.elements, self.col, self.budget
         spec = base.cls.spec
-        meet_ok, period, big = spec.admit, spec.period(base.cls), spec.subset_big
+        veto, big = spec.admit, spec.subset_big
         feasible = spec.pruner(base, level, elements)
         if col is not None:
             type_of, color, arity = col.type_of, col.color, col.arity
@@ -250,9 +254,7 @@ class _Walk:
         def admit(e: int, added: list[int]) -> bool:
             """Add `e` unless a rule vetoes it; witness type ids it fixes go
             to `added`, even when a later tuple of `e` then conflicts."""
-            if meet_ok is not None and not meet_ok(base, chosen, e):
-                return False
-            if period and e % period != len(chosen) % period:
+            if veto is not None and not veto(base, chosen, e):
                 return False
             if col is not None:
                 for combo in itertools.combinations(chosen, arity - 1):
@@ -308,7 +310,11 @@ class _Walk:
 
 
 def _elements(base: FinStructure, within) -> list[int]:
-    return sorted(set(within)) if within is not None else list(range(base.size))
+    if within is None:
+        return list(range(base.size))
+    elements = sorted(set(within))
+    require_inside(base, elements)
+    return elements
 
 
 def find_type_homogeneous(

@@ -13,8 +13,9 @@ different digits of the auxiliary palette, and the room needed to align them
 may be missing at small sizes.  Every lift is therefore verification-gated.
 When no lift verifies, both reductions end in a `direct` stage that runs
 `find_type_homogeneous` on the coloring itself, so an absent result, and its
-exhaustiveness flag, always come from that search.  Reported subsets are
-always re-verified from scratch.
+exhaustiveness flag, always come from that search.  Each reported subset is
+verified from scratch once: a lift by the gate that keeps it, a direct find
+by `find_type_homogeneous`, and the report carries that check's witness.
 """
 
 from __future__ import annotations
@@ -117,36 +118,22 @@ def aux_coloring_chicolor(col: Coloring) -> Coloring:
 
 
 def _finish(
-    kind: str,
-    col: Coloring,
-    level: int,
-    budget: int | None,
-    stages: list[StageRecord],
-    subset: tuple[int, ...] | None,
+    kind: str, col: Coloring, level: int, budget: int | None, stages: list[StageRecord]
 ) -> ReductionReport:
-    """Shared tail of both reductions.
-
-    With no verified subset from the reduction's own stages, a final
-    `direct` stage searches the coloring itself; an absence and its
-    exhaustiveness flag are that search's.  Any subset is re-verified.
-    """
-    if subset is None:
-        res = find_type_homogeneous(col, level, budget=budget)
-        stages.append(
-            StageRecord(
-                "direct",
-                "ok" if res.found else "absent",
-                res.nodes,
-                {"exhaustive": res.exhaustive},
-            )
+    """Shared tail of both reductions when their own stages verified no
+    subset: a final `direct` stage searches the coloring itself, and the
+    report carries that search's verified subset and witness, or its
+    absence and exhaustiveness flag."""
+    res = find_type_homogeneous(col, level, budget=budget)
+    stages.append(
+        StageRecord(
+            "direct",
+            "ok" if res.found else "absent",
+            res.nodes,
+            {"exhaustive": res.exhaustive},
         )
-        if not res.found:
-            return ReductionReport(kind, level, stages, None, None, res.exhaustive)
-        subset = res.subset
-    witness = type_homogeneity_witness(col, subset)
-    if witness is None or not subset_is_big(col.base, subset, level):
-        raise AssertionError("reduction produced a subset that fails re-verification")
-    return ReductionReport(kind, level, stages, subset, witness, True)
+    )
+    return ReductionReport(kind, level, stages, res.subset, res.witness, res.exhaustive)
 
 
 def _reduce(
@@ -161,7 +148,8 @@ def _reduce(
     """The pipeline both reductions share: search the auxiliary coloring,
     whose position g stands for the elements pieces[g], and lift a found
     set of positions to the union of their pieces.  The lift is kept only if
-    it verifies; otherwise `_finish` searches the coloring directly."""
+    it verifies, with the witness that check found; otherwise `_finish`
+    searches the coloring directly."""
     stages = [
         StageRecord(
             "aux",
@@ -182,22 +170,16 @@ def _reduce(
         )
     )
 
-    subset: tuple[int, ...] | None = None
     if res.found:
         lifted = tuple(sorted(e for g in res.subset for e in pieces[g]))
-        if type_homogeneity_witness(col, lifted) is not None and subset_is_big(col.base, lifted, level):
+        witness = type_homogeneity_witness(col, lifted)
+        if witness is not None and subset_is_big(col.base, lifted, level):
             stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
-            subset = lifted
-        else:
-            stages.append(
-                StageRecord(
-                    "lift",
-                    "failed",
-                    1,
-                    {"note": "auxiliary homogeneity did not transfer"},
-                )
-            )
-    return _finish(kind, col, level, budget, stages, subset)
+            return ReductionReport(kind, level, stages, lifted, witness, True)
+        stages.append(
+            StageRecord("lift", "failed", 1, {"note": "auxiliary homogeneity did not transfer"})
+        )
+    return _finish(kind, col, level, budget, stages)
 
 
 def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
@@ -269,6 +251,6 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
     width = max(level, col.arity)
     pieces = [block[:width] for block in col.base.blocks]
     if any(len(piece) < col.arity for piece in pieces):
-        return _finish("ceq_to_or", col, level, budget, [], None)
+        return _finish("ceq_to_or", col, level, budget, [])
     aux = aux_coloring_ceq(col, dict(enumerate(pieces)))
     return _reduce("ceq_to_or", col, level, budget, aux, pieces, width)

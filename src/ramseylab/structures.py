@@ -34,9 +34,12 @@ Everything a kind knows lives in one `Kind` subclass, registered by name in
 canonical member, membership and subset bigness (a member is big when its
 whole universe is), closure, admission and pruning for the subset walker, the
 fragment a type records and the decoding back, and the generator of the
-inclusion-minimal big subsets of a member.
+inclusion-minimal big subsets of a member.  Admission is the one per-kind
+veto on subsets: the walker and `subset_induces_member` both take a subset's
+elements in increasing order through `Kind.admit`.
 The module-level functions validate their input and dispatch to the table,
 and no other module tells kinds apart, so a new class is one more subclass.
+`canonical_json` writes the certificate bytes of every document.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ _PAYLOAD = ("parts", "edges", "parent", "level", "blocks", "hyper")
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_inside(s: FinStructure, ordered) -> None:
+    """Raise ValueError unless the sorted elements lie in the universe of s."""
+    if ordered and not 0 <= ordered[0] <= ordered[-1] < s.size:
+        raise ValueError(f"element {ordered[0] if ordered[0] < 0 else ordered[-1]} outside universe")
 
 
 def _spec(kind) -> "Kind":
@@ -278,9 +287,12 @@ class Kind:
     # whether make_canonical(cls, mu) embeds into every mu-big member
     embeds = True
     admit = None
-    """The walker's closure veto, or None: `admit(s, chosen, e)` says
-    whether chosen + [e] is closed.  The walker calls it with `chosen`
-    closed and increasing and `e` above every chosen element."""
+    """The membership veto, or None where every subset is closed and
+    induces a member: `admit(s, chosen, e)` says whether chosen + [e] is
+    closed and induces a member, given that `chosen`, increasing, is and
+    that `e` lies above every chosen element.  The walker and
+    `subset_induces_member` both take a subset's elements through it in
+    increasing order, as every prefix of such a subset is one too."""
 
     def canonical(self, cls: ClassKind, mu: int) -> FinStructure:
         return FinStructure(cls, self.min_size(cls, mu))
@@ -300,11 +312,6 @@ class Kind:
 
     def close(self, s: FinStructure, chosen: set[int]) -> None:
         """Add to `chosen` what the class functions generate from it."""
-
-    def period(self, cls: ClassKind) -> int:
-        """Nonzero when the j-th element of a subset must carry residue j
-        modulo it for the subset to induce a member."""
-        return 0
 
     def pruner(self, base: FinStructure, level: int, elements: list[int]):
         """Sound bound for one walk over the increasing `elements`, as
@@ -390,13 +397,13 @@ class ColoredOrder(Kind):
 
     def subset_big(self, s, chosen, mu):
         # every subset is closed; it induces a member when it is positional
-        if chosen and not 0 <= chosen[0] <= chosen[-1] < s.size:
-            raise ValueError(f"element {chosen[0] if chosen[0] < 0 else chosen[-1]} outside universe")
+        require_inside(s, chosen)
         chi = s.cls.chi
         return len(chosen) >= chi * mu and all(e % chi == rank % chi for rank, e in enumerate(chosen))
 
-    def period(self, cls):
-        return cls.chi
+    def admit(self, s, chosen, e):
+        # the color predicates are positional: the j-th element carries residue j
+        return e % s.cls.chi == len(chosen) % s.cls.chi
 
     def fragment(self, s, closed, pos):
         return (("res", tuple([e % s.cls.chi for e in closed])),)
@@ -738,22 +745,14 @@ def subset_closure(s: FinStructure, elems) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def subset_is_closed(s: FinStructure, subset) -> bool:
-    return tuple(sorted(set(subset))) == subset_closure(s, subset)
-
-
 def subset_induces_member(s: FinStructure, subset) -> bool:
-    """Whether the (closed) subset induces a member of the class.  Only
-    chi_color can fail: its color predicates are positional, so the j-th
-    chosen element must carry residue j mod chi."""
-    if not subset_is_closed(s, subset):
-        return False
-    period = s.cls.spec.period(s.cls)
-    if period:
-        for rank, e in enumerate(sorted(set(subset))):
-            if e % period != rank % period:
-                return False
-    return True
+    """Whether the subset is closed and induces a member of the class: its
+    elements, in increasing order, each pass `Kind.admit`, as the walker
+    takes them."""
+    ordered = sorted(set(subset))
+    require_inside(s, ordered)
+    admit = s.cls.spec.admit
+    return admit is None or all(admit(s, ordered[:k], e) for k, e in enumerate(ordered))
 
 
 def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
@@ -895,9 +894,14 @@ def from_doc(doc: dict) -> FinStructure:
         raise ValueError(f"malformed {cls.label()} payload: {exc}") from None
 
 
+def canonical_json(doc) -> str:
+    """The certificate text of a JSON value: sorted keys, no spaces, ASCII."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(s: FinStructure) -> str:
     """Canonical one-line JSON; byte-stable round trip with loads."""
-    return json.dumps(to_doc(s), sort_keys=True, separators=(",", ":"))
+    return canonical_json(to_doc(s))
 
 
 def loads(text: str) -> FinStructure:

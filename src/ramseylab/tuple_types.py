@@ -29,6 +29,7 @@ from .structures import (
     ClassKind,
     FinStructure,
     _is_int,
+    canonical_json,
     make_canonical,
     require_fields,
     subset_closure,
@@ -46,7 +47,7 @@ class TupleType:
     @cached_property
     def code(self) -> bytes:
         """The fragment's canonical JSON bytes, as documents hold them."""
-        return json.dumps(dict(self.fragment), sort_keys=True, separators=(",", ":")).encode("ascii")
+        return canonical_json(dict(self.fragment)).encode("ascii")
 
     def sort_key(self) -> tuple:
         return (self.arity, self.code)

@@ -263,6 +263,12 @@ def test_extract_exit_codes(capsys):
     assert "found subset [0, 1, 2]" in out
 
 
+def test_zero_colors_exit_3(capsys):
+    code = main(["extract", "--cls", "or", "--level", "2", "--ambient", "3", "-c", "0"])
+    assert code == 3
+    assert "colors must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "cls, level",
     [("ordered_graph", "2"), ("hypergraph:2:2", "1")],

@@ -13,6 +13,7 @@ from ramseylab.colorings import (
     find_type_homogeneous,
     iter_big_member_subsets,
     random_coloring,
+    random_colors,
     type_homogeneity_witness,
 )
 from ramseylab.structures import (
@@ -222,6 +223,25 @@ def test_iter_respects_within():
     got = list(iter_big_member_subsets(base, 2, within=(0, 2, 4)))
     assert all(set(sub) <= {0, 2, 4} for sub in got)
     assert (0, 2) in got and (0, 1) not in got
+
+
+def test_within_outside_the_universe_is_rejected():
+    base = make_canonical(ClassKind("or"), 3)
+    col = random_coloring(base, 2, 2, seed=0)
+    for within in ([-1, 7], [0, 3], [-1]):
+        with pytest.raises(ValueError, match="outside universe"):
+            list(iter_big_member_subsets(base, 1, within=within))
+        with pytest.raises(ValueError, match="outside universe"):
+            find_type_homogeneous(col, 1, within=within)
+
+
+def test_random_colors_need_a_color():
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="colors must be at least 1"):
+            random_colors(count, 0, seed=0)
+    with pytest.raises(ValueError, match="colors must be at least 1"):
+        random_coloring(make_canonical(ClassKind("or"), 3), 2, 0, seed=0)
+    assert random_colors(0, 1, seed=0) == []
 
 
 def test_coloring_doc_roundtrip():

@@ -2,6 +2,7 @@
 document and type-code bytes, and the rule that only `structures` tells
 class kinds apart."""
 
+import itertools
 import random
 import re
 from pathlib import Path
@@ -20,9 +21,9 @@ from ramseylab.structures import (
     is_embedding,
     make_canonical,
     minimal_big_subsets,
+    subset_closure,
     subset_induces_member,
     subset_is_big,
-    subset_is_closed,
 )
 from ramseylab.tuple_types import tuple_type
 
@@ -95,7 +96,7 @@ def test_minimal_big_subsets_match_the_minimality_filter():
                 assert set(map(frozenset, got)) == _minimal_by_filter(s, mu), (cls.label(), mu, s)
                 for cand in got:
                     assert list(cand) == sorted(cand)
-                    assert subset_is_closed(s, cand) and subset_induces_member(s, cand)
+                    assert subset_closure(s, cand) == cand and subset_induces_member(s, cand)
                     assert subset_is_big(s, cand, mu)
                     if embeds_canonically(cls):
                         assert is_embedding(make_canonical(cls, mu), s, cand), (cls.label(), mu, cand)
@@ -116,6 +117,40 @@ def test_embed_canonical_refuses_cardinality_kinds():
         assert not embeds_canonically(cls)
         with pytest.raises(ValueError):
             embed_canonical(cls, 2, make_canonical(cls, 2))
+
+
+def _induces_member_bruteforce(s, subset) -> bool:
+    """The definition from raw payloads: the subset is its own closure, and a
+    chi_color subset is positional, its j-th element carrying residue j."""
+    if closure_bruteforce(s, subset) != subset:
+        return False
+    chi = s.cls.chi if s.cls.kind == "chi_color" else 1
+    return all(e % chi == rank % chi for rank, e in enumerate(subset))
+
+
+def test_admission_matches_the_membership_definition():
+    # `subset_induces_member` and the level-0 walk both go through
+    # `Kind.admit`; each must agree with the definition on every subset
+    rng = random.Random(11)
+    cases = vetoed = 0
+    for cls in SMALL_KINDS:
+        members = [make_canonical(cls, lam) for lam in range(4)]
+        members = [s for s in members if s.size <= 10]
+        members += [random_member(cls, rng) for _ in range(20)]
+        for s in members:
+            want = []
+            for r in range(s.size + 1):
+                for subset in itertools.combinations(range(s.size), r):
+                    ok = _induces_member_bruteforce(s, subset)
+                    assert subset_induces_member(s, subset) == ok, (cls.label(), s, subset)
+                    if ok:
+                        want.append(subset)
+                    cases += 1
+                    vetoed += not ok
+            assert list(iter_big_member_subsets(s, 0)) == sorted(want), (cls.label(), s)
+            with pytest.raises(ValueError, match="outside universe"):
+                subset_induces_member(s, (s.size,))
+    assert cases > 10_000 and vetoed > 1_000
 
 
 # document and type-code bytes, pinned so that format drift shows up
