@@ -32,7 +32,7 @@ from .colorings import (
     find_type_homogeneous,
     type_homogeneity_witness,
 )
-from .diagrams import Diagram, OutputSignature, TargetStructure, UnionFind, model_diagram
+from .diagrams import Diagram, OutputSignature, TargetStructure, UnionFind, model_diagram, term_program
 from .structures import ClassKind, FinStructure, is_member, require_fields, subset_is_big
 from .structures import to_doc as structure_doc
 from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
@@ -182,14 +182,6 @@ class EmModel:
         }
 
 
-def _inst_key(term, tup):
-    if term.is_var():
-        return (0, "e", tup[term.index])
-    if not term.args:
-        return (0, "c", term.head)
-    return (1, term.head) + tuple(_inst_key(a, tup) for a in term.args)
-
-
 def _key_str(key) -> str:
     if key[0] == 0:
         return f"{key[1]}:{key[2]}"
@@ -204,6 +196,11 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     equalities and congruence, and each closed class becomes one element.
     A function value or relation atom is decided by every instantiated
     diagram whose term classes cover its arguments, and read off there.
+
+    An instantiated term's key is built bottom-up over the diagram's term
+    program (see `diagrams.term_program`): (0, "e", element) for a variable,
+    (0, "c", name) for a constant, and (1, head, *argument keys) for an
+    application, each argument key read off an earlier row.
 
     Raises BlueprintDomainError when a tuple of the index realizes a type the
     blueprint misses, ValueError when the diagrams' equalities identify two
@@ -231,7 +228,14 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
                 raise BlueprintDomainError(
                     f"tuple {tup} realizes a type outside the blueprint domain"
                 )
-            keys = [_inst_key(term, tup) for term in diag.terms()]
+            keys: list[tuple] = []
+            for head, v, args in term_program(diag.sig, diag.arity, diag.depth):
+                if v >= 0:
+                    keys.append((0, "e", tup[v]))
+                elif args:
+                    keys.append((1, head, *[keys[a] for a in args]))
+                else:
+                    keys.append((0, "c", head))
             for i, k in enumerate(keys):
                 uf.add(k)
                 uf.union(k, keys[diag.eq_reps[i]])
@@ -266,10 +270,13 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
 
     # every term already shares its representative's class, so the closure
     # agrees with a diagram exactly when distinct representatives stay apart
+    covered: list[tuple[Diagram, tuple[int, ...], tuple[int, ...]]] = []
     for tup, diag, keys in instantiated:
         reps = diag.reps()
-        if len({elem[keys[r]] for r in reps}) != len(reps):
+        elems = tuple(elem[keys[r]] for r in reps)
+        if len(set(elems)) != len(reps):
             raise InternalCheckError(f"closure merges distinct terms of the diagram of {tup}")
+        covered.append((diag, reps, elems))
 
     fn_table = {(k[1], tuple(elem[ch] for ch in k[2:])): elem[k] for k in apps}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
@@ -288,9 +295,11 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     relations: dict[str, frozenset] = {}
     for rname, rarity in bp.sig.relations:
         decided: dict[tuple[int, ...], bool] = {}
-        for tup, diag, keys in instantiated:
-            for combo in itertools.product(diag.reps(), repeat=rarity):
-                slot = tuple(elem[keys[i]] for i in combo)
+        for diag, reps, elems in covered:
+            for combo, slot in zip(
+                itertools.product(reps, repeat=rarity),
+                itertools.product(elems, repeat=rarity),
+            ):
                 verdict = (rname, combo) in diag.true_atoms
                 if decided.setdefault(slot, verdict) != verdict:
                     raise InternalCheckError(f"diagrams disagree on atom {rname}{slot}")

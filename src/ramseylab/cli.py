@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import json
 import sys
 
@@ -367,7 +368,10 @@ def _add_coloring_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coloring", help="JSON coloring file instead of a seeded one")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing leaves it unchanged, so callers must not alter it."""
     parser = argparse.ArgumentParser(
         prog="ramseylab",
         description="finite workbench for structural partition relations",
@@ -441,8 +445,7 @@ def _int_list(text: str) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result, lines, code = args.fn(args)
         _emit(args, lines, _envelope(args.command, argv, result))

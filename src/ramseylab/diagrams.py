@@ -7,6 +7,14 @@ depth and ordered by (depth, spelling), so a diagram is a finite, comparable,
 hashable value; two tuples behave identically up to the chosen depth exactly
 when their diagrams are equal.
 
+Each term list is compiled once into a term program (`term_program`): one
+(head, var_index, arg_indices) row per term, in the same order, where every
+argument index points at an earlier row because arguments are shallower.
+Per-tuple work reads the program bottom-up instead of recursing over `Term`
+trees: `model_diagram` evaluates it into a flat list of values,
+`Diagram.validate` checks variables and congruence through the argument
+indices, and blueprint instantiation builds its keys the same way.
+
 Restriction maps an n-tuple diagram to the diagram of a sub-tuple by renaming
 variables, and commutes with reading diagrams off a target.  That commuting
 square is what blueprint coherence checks.
@@ -139,6 +147,20 @@ def enumerate_terms(sig: OutputSignature, arity: int, depth: int) -> tuple[Term,
     return tuple(sorted(pool, key=Term.sort_key))
 
 
+@lru_cache(maxsize=None)
+def term_program(
+    sig: OutputSignature, arity: int, depth: int
+) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """enumerate_terms(sig, arity, depth) as rows (head, var_index,
+    arg_indices), one per term and in the same order.  var_index is the
+    variable's position, or -1 for constants and applications; arg_indices
+    name the argument rows, which always come earlier, since terms are
+    ordered by depth first."""
+    terms = enumerate_terms(sig, arity, depth)
+    index_of = {t: i for i, t in enumerate(terms)}
+    return tuple((t.head, t.index, tuple(index_of[a] for a in t.args)) for t in terms)
+
+
 class UnionFind:
     """Union by least element, so a class representative is its least member."""
 
@@ -189,36 +211,34 @@ class Diagram:
         return tuple(sorted(set(self.eq_reps)))
 
     def validate(self) -> None:
-        terms = self.terms()
-        n = len(terms)
-        if len(self.eq_reps) != n:
+        program = term_program(self.sig, self.arity, self.depth)
+        eq = self.eq_reps
+        if len(eq) != len(program):
             raise ValueError("equality pattern length does not match term count")
-        for i, r in enumerate(self.eq_reps):
+        for i, r in enumerate(eq):
             if not 0 <= r <= i:
                 raise ValueError(f"term {i} has representative {r} after it")
-            if self.eq_reps[r] != r:
+            if eq[r] != r:
                 raise ValueError(f"representative {r} is not its own representative")
-        index_of = {t: i for i, t in enumerate(terms)}
+        # variables have depth 0, so they are all checked before any
+        # application; congruence: equal arguments force equal applications
         var_reps = set()
-        for i, t in enumerate(terms):
-            if t.is_var():
-                r = self.eq_reps[i]
-                if r in var_reps or not terms[r].is_var():
+        by_head: dict = {}
+        for i, (head, v, args) in enumerate(program):
+            if v >= 0:
+                r = eq[i]
+                if r in var_reps or program[r][1] < 0:
                     raise ValueError("distinct variables may not share a class")
                 var_reps.add(r)
-        # congruence: equal arguments force equal applications
-        by_head: dict = {}
-        for i, t in enumerate(terms):
-            if t.is_var() or not t.args:
-                continue
-            key = (t.head, tuple(self.eq_reps[index_of[a]] for a in t.args))
-            j = by_head.setdefault(key, i)
-            if self.eq_reps[j] != self.eq_reps[i]:
-                raise ValueError(
-                    f"terms {terms[j].spelling()} and {t.spelling()} break congruence"
-                )
+            elif args:
+                j = by_head.setdefault((head, tuple([eq[a] for a in args])), i)
+                if eq[j] != eq[i]:
+                    terms = self.terms()
+                    raise ValueError(
+                        f"terms {terms[j].spelling()} and {terms[i].spelling()} break congruence"
+                    )
         rels = dict(self.sig.relations)
-        rep_set = set(self.reps())
+        rep_set = set(eq)
         for atom in self.true_atoms:
             rname, idxs = atom
             if rname not in rels:
@@ -382,11 +402,16 @@ def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, holds) 
     representatives is true when holds(relation, row of values) is."""
     first: dict = {}
     eq_reps = tuple(first.setdefault(v, i) for i, v in enumerate(values))
+    # `first` lists each distinct value with its first index, so the index
+    # combos and the value rows run in step
     atoms = frozenset(
         (rname, combo)
         for rname, rarity in sig.relations
-        for combo in itertools.product(first.values(), repeat=rarity)
-        if holds(rname, tuple(values[i] for i in combo))
+        for combo, row in zip(
+            itertools.product(first.values(), repeat=rarity),
+            itertools.product(first, repeat=rarity),
+        )
+        if holds(rname, row)
     )
     return Diagram(sig, arity, depth, eq_reps, atoms)
 
@@ -395,12 +420,19 @@ def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) 
     """Diagram of a value tuple inside a target, up to the given term depth.
 
     The values must be pairwise distinct, matching the convention that
-    distinct variables denote distinct elements.
+    distinct variables denote distinct elements.  The term program is
+    evaluated bottom-up, each application from its arguments' values.
     """
     if len(set(values)) != len(values):
         raise ValueError("generator values must be pairwise distinct")
-    terms = enumerate_terms(target.sig, len(values), depth)
-    evals = [target.eval_term(t, values) for t in terms]
+    evals: list[int] = []
+    for head, v, args in term_program(target.sig, len(values), depth):
+        if v >= 0:
+            evals.append(values[v])
+        elif args:
+            evals.append(target.functions[head][tuple([evals[a] for a in args])])
+        else:
+            evals.append(target.constants[head])
     d = _build_diagram(target.sig, len(values), depth, evals, target.holds)
     d.validate()
     return d

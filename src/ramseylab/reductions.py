@@ -103,7 +103,12 @@ def aux_coloring_chicolor(col: Coloring) -> Coloring:
     the colors col(chi*g1 + i1, .., chi*gn + in) as base-c digits.  Distinct
     positions make every such element tuple increasing.
     """
-    lam = _require_canonical(col, "chi_color")
+    return _pack_chicolor(col, _require_canonical(col, "chi_color"))
+
+
+def _pack_chicolor(col: Coloring, lam: int) -> Coloring:
+    """`aux_coloring_chicolor` on a coloring already checked to be total
+    over the canonical chi_color structure at level lam."""
     chi = col.base.cls.chi
     n, c = col.arity, col.colors
     aux_base = make_canonical(ClassKind("or"), lam)
@@ -196,7 +201,7 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
     pieces = [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
-    return _reduce("chi_color_to_or", col, level, budget, aux_coloring_chicolor(col), pieces, level)
+    return _reduce("chi_color_to_or", col, level, budget, _pack_chicolor(col, lam), pieces, level)
 
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ import pytest
 from helpers import unary_blueprint
 from ramseylab import __version__
 from ramseylab.blueprints import Blueprint
-from ramseylab.cli import main, parse_class
+from ramseylab.cli import build_parser, main, parse_class
 from ramseylab.colorings import Coloring
 from ramseylab.diagrams import Diagram, OutputSignature
 from ramseylab.structures import ClassKind, make_canonical
@@ -53,6 +53,22 @@ def test_types_text_and_json(capsys):
     assert doc["command"] == "types"
     assert doc["result"]["count"] == 3
     assert len(doc["result"]["types"]) == 3
+
+
+def test_parser_is_shared_and_no_flag_carries_over(capsys):
+    # one parser serves every main call; each call starts from the defaults
+    assert build_parser() is build_parser()
+    arrow = ["arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2"]
+    code, out = run(capsys, *arrow, "--mode", "counterexample", "--budget", "7", "--json")
+    assert code == 2
+    params = json.loads(out)["result"]["params"]
+    assert (params["mode"], params["budget"]) == ("counterexample", 7)
+    code, out = run(capsys, *arrow)
+    assert code == 1
+    assert out.startswith("fails (exhaustive;")
+    code, out = run(capsys, *arrow, "--json")
+    params = json.loads(out)["result"]["params"]
+    assert (params["mode"], params["budget"]) == ("exhaustive", None)
 
 
 def test_arrow_exit_codes(capsys):

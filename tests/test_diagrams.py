@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import fiber_target
 from ramseylab.diagrams import (
     Diagram,
     OutputSignature,
@@ -13,11 +14,13 @@ from ramseylab.diagrams import (
     const,
     enumerate_terms,
     model_diagram,
+    term_program,
     var,
 )
 
 UNARY = OutputSignature(functions=(("f", 1),))
 UNARY_REL = OutputSignature(functions=(("f", 1),), relations=(("R", 1),))
+BINARY = OutputSignature(functions=(("g", 2),), relations=(("R", 2),), constants=("k",))
 
 
 def test_term_basics():
@@ -103,6 +106,28 @@ def test_diagram_congruence_enforced():
 def test_diagram_distinct_variables_stay_distinct():
     with pytest.raises(ValueError):
         Diagram(UNARY, 2, 0, (0, 0)).validate()
+
+
+def test_diagram_congruence_enforced_through_a_binary_function():
+    # g is the first projection and k names 1, so g(x0,x0) = x0 at x0 = 0
+    target = TargetStructure(
+        BINARY, 2, {"g": {(x, y): x for x in range(2) for y in range(2)}}, {"R": frozenset()}, {"k": 1}
+    )
+    good = model_diagram(target, (0,), 2)
+    at = {t.spelling(): i for i, t in enumerate(good.terms())}
+    assert good.eq_reps[at["g(x0,x0)"]] == at["x0"]
+    # g(g(x0,x0),k) has the argument classes of g(x0,k), so it must join it
+    eq = list(good.eq_reps)
+    eq[at["g(g(x0,x0),k)"]] = at["g(g(x0,x0),k)"]
+    with pytest.raises(ValueError, match=r"terms g\(x0,k\) and g\(g\(x0,x0\),k\) break congruence"):
+        Diagram(BINARY, 1, 2, tuple(eq)).validate()
+
+
+def test_diagram_variable_represented_by_a_constant_is_rejected():
+    assert [t.spelling() for t in enumerate_terms(BINARY, 2, 0)] == ["k", "x0", "x1"]
+    Diagram(BINARY, 2, 0, (0, 1, 2)).validate()
+    with pytest.raises(ValueError, match="distinct variables may not share a class"):
+        Diagram(BINARY, 2, 0, (0, 1, 0)).validate()
 
 
 def test_diagram_atom_validation():
@@ -198,3 +223,58 @@ def test_diagram_doc_roundtrip():
     back = Diagram.from_doc(d.to_doc(), t.sig)
     assert back == d
     assert back.sort_key() == d.sort_key()
+
+
+def _reference_diagram(target, values, depth):
+    """The slow path: every term evaluated by recursion over its tree."""
+    terms = enumerate_terms(target.sig, len(values), depth)
+    evals = [target.eval_term(t, values) for t in terms]
+    first = {}
+    eq = tuple(first.setdefault(v, i) for i, v in enumerate(evals))
+    atoms = frozenset(
+        (rname, combo)
+        for rname, rarity in target.sig.relations
+        for combo in itertools.product(first.values(), repeat=rarity)
+        if target.holds(rname, tuple(evals[i] for i in combo))
+    )
+    return Diagram(target.sig, len(values), depth, eq, atoms)
+
+
+def _binary_target(rng, size=4):
+    g = {(x, y): rng.randrange(size) for x in range(size) for y in range(size)}
+    pairs = frozenset(
+        (x, y) for x in range(size) for y in range(size) if rng.randrange(2)
+    )
+    return TargetStructure(BINARY, size, {"g": g}, {"R": pairs}, {"k": rng.randrange(size)})
+
+
+def test_term_program_rows_follow_the_terms():
+    sigs = (UNARY_REL, BINARY, fiber_target(2, 0)[0].sig)
+    for sig, arity, depth in itertools.product(sigs, (1, 2), (0, 1, 2)):
+        terms = enumerate_terms(sig, arity, depth)
+        program = term_program(sig, arity, depth)
+        assert len(program) == len(terms)
+        for i, (t, (head, v, args)) in enumerate(zip(terms, program)):
+            assert (head, v) == (t.head, t.index)
+            assert all(a < i for a in args)
+            assert tuple(terms[a] for a in args) == t.args
+
+
+def test_model_diagram_matches_recursive_evaluation():
+    cases = []
+    for seed in range(3):
+        target, _ = fiber_target(2 + seed % 2, seed)
+        cases += [(target, arity, depth) for arity in (1, 2, 3) for depth in range(4)]
+        target = _binary_target(random.Random(seed))
+        cases += [(target, 1, depth) for depth in range(4)]
+        # pairs stop at depth 2: depth 3 has 21,612 terms over g
+        cases += [(target, 2, depth) for depth in range(3)]
+    for target, arity, depth in cases:
+        rng = random.Random(arity * 10 + depth)
+        # a generator may not share the value of k, which sorts before x0
+        free = [x for x in range(target.size) if x != target.constants.get("k")]
+        for _ in range(3):
+            values = tuple(rng.sample(free, arity))
+            want = _reference_diagram(target, values, depth)
+            want.validate()
+            assert model_diagram(target, values, depth) == want, (arity, depth, values)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import time_limit
+from ramseylab import reductions
 from ramseylab.colorings import (
     Coloring,
     find_type_homogeneous,
@@ -78,6 +79,24 @@ def test_aux_chicolor_unary():
         for i in range(3):
             want = want * 2 + col.color((3 * g + i,))
         assert aux.color((g,)) == want
+
+
+def test_reduce_chicolor_checks_its_coloring_once(monkeypatch):
+    checked = []
+
+    def counted(col, kind):
+        checked.append(kind)
+        return require(col, kind)
+
+    require = reductions._require_canonical
+    monkeypatch.setattr(reductions, "_require_canonical", counted)
+    assert reduce_chicolor(_gap_coloring(3), 1).subset == (0, 1)
+    assert checked == ["chi_color"]
+    # the public packer still checks on its own
+    partial = Coloring(make_canonical(CHI2, 2), 2, 2, {(0, 1): 0})
+    with pytest.raises(ValueError, match="coloring must be total"):
+        aux_coloring_chicolor(partial)
+    assert checked == ["chi_color", "chi_color"]
 
 
 def test_reduce_chicolor_constant():
