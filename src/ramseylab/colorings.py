@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
 from .structures import (
     FinStructure,
-    _is_int,
     from_doc as structure_from,
     is_member,
     require_fields,
@@ -40,6 +40,8 @@ from .structures import (
     to_doc as structure_doc,
 )
 from .tuple_types import TupleType, tuple_type
+
+_INT = frozenset({int})
 
 
 class Coloring:
@@ -116,17 +118,19 @@ class Coloring:
         base = structure_from(doc["base"])
         arity, colors = doc["arity"], doc["colors"]
         col = Coloring(base, arity, colors, {})
+        table, size = col.table, base.size
         for row in doc["entries"]:
-            if not (isinstance(row, list) and len(row) == arity + 1 and all(map(_is_int, row))):
+            # type() is exact, so bools and other int subclasses are refused
+            if not (isinstance(row, list) and len(row) == arity + 1 and _INT.issuperset(map(type, row))):
                 raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
             tup, c = tuple(row[:arity]), row[arity]
-            if not all(a < b for a, b in zip((-1,) + tup, tup + (base.size,))):
-                raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{base.size - 1}")
+            if not (0 <= tup[0] and tup[-1] < size and all(map(operator.lt, tup, tup[1:]))):
+                raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{size - 1}")
             if not 0 <= c < colors:
                 raise ValueError(f"color {c} for {tup} outside palette {colors}")
-            if tup in col.table:
+            if tup in table:
                 raise ValueError(f"coloring tuple {tup} appears twice")
-            col.table[tup] = c
+            table[tup] = c
         return col
 
 

@@ -195,7 +195,8 @@ class Diagram:
 
     eq_reps[i] is the least term index equal to term i; true_atoms holds
     (relation, rep-index tuple) entries, and every rep tuple not listed is
-    false.  Distinct variables always denote distinct elements.
+    false.  Distinct variables always denote distinct elements, and no
+    variable denotes a constant's element.
     """
 
     sig: OutputSignature
@@ -220,17 +221,18 @@ class Diagram:
                 raise ValueError(f"term {i} has representative {r} after it")
             if eq[r] != r:
                 raise ValueError(f"representative {r} is not its own representative")
-        # variables have depth 0, so they are all checked before any
-        # application; congruence: equal arguments force equal applications
-        var_reps = set()
+        # variables and constants have depth 0, so they are all checked
+        # before any application: a variable's class holds no other depth-0
+        # term, whichever one is spelled first; congruence: equal arguments
+        # force equal applications
         by_head: dict = {}
         for i, (head, v, args) in enumerate(program):
-            if v >= 0:
-                r = eq[i]
-                if r in var_reps or program[r][1] < 0:
-                    raise ValueError("distinct variables may not share a class")
-                var_reps.add(r)
-            elif args:
+            if not args:
+                if (eq[i] != i) if v >= 0 else (program[eq[i]][1] >= 0):
+                    raise ValueError(
+                        "distinct variables may not share a class, nor a variable with a constant"
+                    )
+            else:
                 j = by_head.setdefault((head, tuple([eq[a] for a in args])), i)
                 if eq[j] != eq[i]:
                     terms = self.terms()
@@ -419,8 +421,9 @@ def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, holds) 
 def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) -> Diagram:
     """Diagram of a value tuple inside a target, up to the given term depth.
 
-    The values must be pairwise distinct, matching the convention that
-    distinct variables denote distinct elements.  The term program is
+    The values must be pairwise distinct and none a constant's value,
+    matching the convention that distinct variables denote distinct elements
+    and no variable a constant's.  The term program is
     evaluated bottom-up, each application from its arguments' values.
     """
     if len(set(values)) != len(values):

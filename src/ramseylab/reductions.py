@@ -1,17 +1,22 @@
 """Constructive reductions of colored-order and convex-equivalence colorings
 to plain linear-order colorings.
 
-Both reductions run one pipeline and differ only in how they pack the
-coloring.  Each cuts the base into pieces (residue blocks for colored
-orders, the first elements of each canonical block for convex
-equivalences), packs the coloring into an auxiliary coloring of a linear
-order whose positions are the pieces and whose larger palette records the
-colors of the tuples drawn from them, searches that for a homogeneous set,
-and lifts it back to the union of its pieces.  In the finite setting the lift
-is not automatic: distinct tuple shapes that share a type can land on
-different digits of the auxiliary palette, and the room needed to align them
-may be missing at small sizes.  Every lift is therefore verification-gated.
-When no lift verifies, both reductions end in a `direct` stage that runs
+Both reductions run one pipeline and differ only in their pieces and their
+shapes.  Each cuts the base into pieces (residue blocks for colored orders,
+the first elements of each canonical block for convex equivalences), and
+`_pack` turns the coloring into an auxiliary coloring of a linear order
+whose positions are the pieces.  A shape names, for each of the n slots,
+the offsets it takes inside that slot's piece; the auxiliary color of n
+positions concatenates, shape by shape, the colors of the tuples the shapes
+draw from their pieces.  A colored order has one shape per residue tuple
+(one offset per slot), a convex equivalence one per count tuple (a leading
+run of each piece).  The pipeline searches the auxiliary coloring for a
+homogeneous set and lifts it back to the union of its pieces.  In the finite
+setting the lift is not automatic: distinct tuple shapes that share a type
+can land on different digits of the auxiliary palette, and the room needed
+to align them may be missing at small sizes.  Every lift is therefore
+verification-gated.  When no lift verifies, or when the pieces are too short
+to hold a shape, both reductions end in a `direct` stage that runs
 `find_type_homogeneous` on the coloring itself, so an absent result, and its
 exhaustiveness flag, always come from that search.  Each reported subset is
 verified from scratch once: a lift by the gate that keeps it, a direct find
@@ -94,6 +99,32 @@ def _require_canonical(col: Coloring, kind: str) -> int:
     return lam
 
 
+def _pack(col: Coloring, pieces: list[tuple[int, ...]], shapes) -> Coloring:
+    """The auxiliary linear-order coloring over positions 0..len(pieces)-1.
+
+    A shape lists, for each of the n slots, the offsets it takes inside that
+    slot's piece.  The auxiliary color of g1 < .. < gn concatenates, shape by
+    shape (first shape most significant), as base-c digits, the color of the
+    tuple that takes those offsets from pieces[g1] .. pieces[gn].
+    """
+    n, c = col.arity, col.colors
+    # each shape as flat (slot, offset) pairs, in the order the tuple lists them
+    flat = [[(slot, off) for slot, offs in enumerate(shape) for off in offs] for shape in shapes]
+    color = col.color
+    table = {}
+    for gam in itertools.combinations(range(len(pieces)), n):
+        rows = [pieces[g] for g in gam]
+        value = 0
+        for pairs in flat:
+            value = value * c + color(tuple([rows[slot][off] for slot, off in pairs]))
+        table[gam] = value
+    return Coloring(make_canonical(ClassKind("or"), len(pieces)), n, c ** len(flat), table)
+
+
+def _residue_blocks(chi: int, lam: int) -> list[tuple[int, ...]]:
+    return [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
+
+
 def aux_coloring_chicolor(col: Coloring) -> Coloring:
     """Pack a chi_color coloring into a linear-order coloring.
 
@@ -103,42 +134,10 @@ def aux_coloring_chicolor(col: Coloring) -> Coloring:
     the colors col(chi*g1 + i1, .., chi*gn + in) as base-c digits.  Distinct
     positions make every such element tuple increasing.
     """
-    return _pack_chicolor(col, _require_canonical(col, "chi_color"))
-
-
-def _pack_chicolor(col: Coloring, lam: int) -> Coloring:
-    """`aux_coloring_chicolor` on a coloring already checked to be total
-    over the canonical chi_color structure at level lam."""
+    lam = _require_canonical(col, "chi_color")
     chi = col.base.cls.chi
-    n, c = col.arity, col.colors
-    aux_base = make_canonical(ClassKind("or"), lam)
-    table = {}
-    for gam in itertools.combinations(range(lam), n):
-        value = 0
-        for idx in itertools.product(range(chi), repeat=n):
-            tup = tuple(chi * g + i for g, i in zip(gam, idx))
-            value = value * c + col.color(tup)
-        table[gam] = value
-    return Coloring(aux_base, n, c ** (chi ** n), table)
-
-
-def _finish(
-    kind: str, col: Coloring, level: int, budget: int | None, stages: list[StageRecord]
-) -> ReductionReport:
-    """Shared tail of both reductions when their own stages verified no
-    subset: a final `direct` stage searches the coloring itself, and the
-    report carries that search's verified subset and witness, or its
-    absence and exhaustiveness flag."""
-    res = find_type_homogeneous(col, level, budget=budget)
-    stages.append(
-        StageRecord(
-            "direct",
-            "ok" if res.found else "absent",
-            res.nodes,
-            {"exhaustive": res.exhaustive},
-        )
-    )
-    return ReductionReport(kind, level, stages, res.subset, res.witness, res.exhaustive)
+    shapes = [tuple((i,) for i in idx) for idx in itertools.product(range(chi), repeat=col.arity)]
+    return _pack(col, _residue_blocks(chi, lam), shapes)
 
 
 def _reduce(
@@ -146,45 +145,46 @@ def _reduce(
     col: Coloring,
     level: int,
     budget: int | None,
-    aux: Coloring,
+    aux: Coloring | None,
     pieces: list[tuple[int, ...]],
     aux_level: int,
 ) -> ReductionReport:
     """The pipeline both reductions share: search the auxiliary coloring,
     whose position g stands for the elements pieces[g], and lift a found
     set of positions to the union of their pieces.  The lift is kept only if
-    it verifies, with the witness that check found; otherwise `_finish`
-    searches the coloring directly."""
-    stages = [
-        StageRecord(
-            "aux",
-            "ok",
-            len(aux.table),
-            {"palette": aux.colors, "positions": len(pieces)},
-        )
-    ]
-
-    res = find_type_homogeneous(aux, aux_level, budget=budget)
-    stages.append(
-        StageRecord(
-            "aux_search",
-            "ok" if res.found else "absent",
-            res.nodes,
-            {"exhaustive": res.exhaustive}
-            | ({"positions": list(res.subset)} if res.found else {}),
-        )
-    )
-
-    if res.found:
-        lifted = tuple(sorted(e for g in res.subset for e in pieces[g]))
-        witness = type_homogeneity_witness(col, lifted)
-        if witness is not None and subset_is_big(col.base, lifted, level):
-            stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
-            return ReductionReport(kind, level, stages, lifted, witness, True)
+    it verifies, with the witness that check found.  Otherwise, or with no
+    auxiliary coloring at all, a final `direct` stage searches the coloring
+    itself, and the report carries that search's verified subset and
+    witness, or its absence and exhaustiveness flag."""
+    stages = []
+    if aux is not None:
         stages.append(
-            StageRecord("lift", "failed", 1, {"note": "auxiliary homogeneity did not transfer"})
+            StageRecord("aux", "ok", len(aux.table), {"palette": aux.colors, "positions": len(pieces)})
         )
-    return _finish(kind, col, level, budget, stages)
+        res = find_type_homogeneous(aux, aux_level, budget=budget)
+        stages.append(
+            StageRecord(
+                "aux_search",
+                "ok" if res.found else "absent",
+                res.nodes,
+                {"exhaustive": res.exhaustive}
+                | ({"positions": list(res.subset)} if res.found else {}),
+            )
+        )
+        if res.found:
+            lifted = tuple(sorted(e for g in res.subset for e in pieces[g]))
+            witness = type_homogeneity_witness(col, lifted)
+            if witness is not None and subset_is_big(col.base, lifted, level):
+                stages.append(StageRecord("lift", "ok", 1, {"subset": list(lifted)}))
+                return ReductionReport(kind, level, stages, lifted, witness, True)
+            stages.append(
+                StageRecord("lift", "failed", 1, {"note": "auxiliary homogeneity did not transfer"})
+            )
+    res = find_type_homogeneous(col, level, budget=budget)
+    stages.append(
+        StageRecord("direct", "ok" if res.found else "absent", res.nodes, {"exhaustive": res.exhaustive})
+    )
+    return ReductionReport(kind, level, stages, res.subset, res.witness, res.exhaustive)
 
 
 def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
@@ -198,10 +198,9 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
     nothing, direct search over all positional subsets takes over; every
     union of residue blocks is one of them.
     """
-    lam = _require_canonical(col, "chi_color")
-    chi = col.base.cls.chi
-    pieces = [tuple(range(chi * g, chi * g + chi)) for g in range(lam)]
-    return _reduce("chi_color_to_or", col, level, budget, _pack_chicolor(col, lam), pieces, level)
+    aux = aux_coloring_chicolor(col)
+    pieces = _residue_blocks(col.base.cls.chi, aux.base.size)
+    return _reduce("chi_color_to_or", col, level, budget, aux, pieces, level)
 
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:
@@ -222,22 +221,11 @@ def aux_coloring_ceq(col: Coloring, pieces: dict[int, tuple[int, ...]]) -> Color
     tuples are read, so a homogeneous set of block ids need not make the
     coloring homogeneous on the union of its pieces; callers verify the lift.
     """
-    n, c = col.arity, col.colors
-    ids = sorted(pieces)
-    if any(len(pieces[b]) < n for b in ids):
+    by_id = [pieces[b] for b in sorted(pieces)]
+    if any(len(piece) < col.arity for piece in by_id):
         raise ValueError("every piece needs at least n representatives")
-    comps = compositions_with_zeros(n)
-    aux_base = make_canonical(ClassKind("or"), len(ids))
-    table = {}
-    for combo in itertools.combinations(range(len(ids)), n):
-        value = 0
-        for comp in comps:
-            tup: list[int] = []
-            for slot, count in zip(combo, comp):
-                tup.extend(pieces[ids[slot]][:count])
-            value = value * c + col.color(tuple(tup))
-        table[combo] = value
-    return Coloring(aux_base, n, c ** len(comps), table)
+    shapes = [tuple(map(range, comp)) for comp in compositions_with_zeros(col.arity)]
+    return _pack(col, by_id, shapes)
 
 
 def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> ReductionReport:
@@ -255,7 +243,6 @@ def reduce_ceq(col: Coloring, level: int, budget: int | None = None) -> Reductio
     _require_canonical(col, "ceq")
     width = max(level, col.arity)
     pieces = [block[:width] for block in col.base.blocks]
-    if any(len(piece) < col.arity for piece in pieces):
-        return _finish("ceq_to_or", col, level, budget, [])
-    aux = aux_coloring_ceq(col, dict(enumerate(pieces)))
+    short = any(len(piece) < col.arity for piece in pieces)
+    aux = None if short else aux_coloring_ceq(col, dict(enumerate(pieces)))
     return _reduce("ceq_to_or", col, level, budget, aux, pieces, width)

@@ -130,6 +130,24 @@ def test_diagram_variable_represented_by_a_constant_is_rejected():
         Diagram(BINARY, 2, 0, (0, 1, 0)).validate()
 
 
+@pytest.mark.parametrize("name", ["k", "z"])
+def test_variable_sharing_a_constants_class_is_rejected_whatever_its_spelling(name):
+    # k sorts before x0 and z after it; neither may share x0's class
+    sig = OutputSignature(functions=(("f", 1),), constants=(name,))
+    Diagram(sig, 1, 0, (0, 1)).validate()
+    with pytest.raises(ValueError, match="distinct variables may not share a class"):
+        Diagram(sig, 1, 0, (0, 0)).validate()
+    # the constant names element 0, and f swaps 0 and 1
+    target = TargetStructure(sig, 2, {"f": {(0,): 1, (1,): 0}}, {}, {name: 0})
+    with pytest.raises(ValueError, match="distinct variables may not share a class"):
+        model_diagram(target, (0,), 0)
+    assert model_diagram(target, (1,), 0).eq_reps == (0, 1)
+    # a variable equal to an application of the constant stays legal
+    d = model_diagram(target, (1,), 1)
+    at = {t.spelling(): i for i, t in enumerate(d.terms())}
+    assert d.eq_reps[at[f"f({name})"]] == d.eq_reps[at["x0"]]
+
+
 def test_diagram_atom_validation():
     with pytest.raises(ValueError):
         Diagram(UNARY_REL, 1, 1, (0, 1), frozenset({("S", (0,))})).validate()
@@ -271,7 +289,7 @@ def test_model_diagram_matches_recursive_evaluation():
         cases += [(target, 2, depth) for depth in range(3)]
     for target, arity, depth in cases:
         rng = random.Random(arity * 10 + depth)
-        # a generator may not share the value of k, which sorts before x0
+        # a generator may not share the value of a constant
         free = [x for x in range(target.size) if x != target.constants.get("k")]
         for _ in range(3):
             values = tuple(rng.sample(free, arity))
