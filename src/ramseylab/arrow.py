@@ -20,13 +20,20 @@ Three modes:
                   before it is reported.
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.
-  counterexample  simulated-annealing descent on the number of pool
-                  candidates consistent with the coloring; the energy is kept
-                  exact across single-tuple flips by updating only the
+  counterexample  focused Metropolis descent on the number of pool candidates
+                  consistent with the coloring (the live ones).  Each step
+                  draws a live candidate, one tuple of its same-type groups
+                  and another color for it, flips it, and undoes an uphill
+                  flip with probability 1 - exp(-delta / T) at the fixed
+                  temperature T = `_TEMPERATURE`, after WalkSAT (Selman,
+                  Kautz & Cohen 1994) and focused Metropolis search (Seitz,
+                  Alava & Orponen 2005).  The energy and the live list are
+                  kept exact across single-tuple flips by updating only the
                   same-type groups that hold the flipped tuple.  The pool is
                   complete, so a zero-energy coloring is a refutation, which
                   is verified independently before it is reported; a pool
-                  over the bound gives `unknown` and no descent.
+                  over the bound gives `unknown` and no descent, and so does
+                  one color, which leaves no move.
 
 One typed tuple table per query serves every engine: the increasing tuples
 in lexicographic order, each typed at most once into a small integer type
@@ -52,6 +59,7 @@ from .structures import ClassKind, make_canonical, minimal_big_subsets, require_
 
 DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
+_TEMPERATURE = 0.4  # of the counterexample descent's Metropolis acceptance
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -187,8 +195,11 @@ class _Energy:
     Each group keeps a count of its tuples in every color, each candidate the
     number of its groups that are not monochromatic, and each tuple index the
     groups that hold it.  A tuple lies in at most one group of a candidate,
-    so a flip walks only the groups listed for that tuple.  `digits` is
-    shared with the caller and changed only through `flip`.
+    so a flip walks only the groups listed for that tuple.  The consistent
+    (live) candidates are kept in the list `live`, with each one's position
+    in `at`, so a flip adds or swap-removes a candidate in O(1) and the
+    energy is the length of the list.  `digits` is shared with the caller
+    and changed only through `flip`.
     """
 
     def __init__(self, pool, digits: list[int], colors: int):
@@ -206,18 +217,29 @@ class _Energy:
                     self.holders[i].append(entry)
                 mixed += max(counts) < len(g)
             self.mixed.append(mixed)
-        self.value = self.mixed.count(0)
+        self.live = [k for k, mixed in enumerate(self.mixed) if not mixed]
+        self.at = [0] * len(self.mixed)  # position in `live`, while live
+        for j, k in enumerate(self.live):
+            self.at[k] = j
+
+    @property
+    def value(self) -> int:
+        return len(self.live)
 
     def flip(self, i: int, new: int) -> int:
         """Paint tuple i with color `new`; returns the change in energy."""
         old = self.digits[i]
         self.digits[i] = new
-        mixed = self.mixed
+        mixed, live, at = self.mixed, self.live, self.at
         delta = 0
         for counts, size, k in self.holders[i]:
             if counts[old] == size:
                 if not mixed[k]:
                     delta -= 1
+                    last = live.pop()
+                    if last != k:
+                        live[at[k]] = last
+                        at[last] = at[k]
                 mixed[k] += 1
             counts[old] -= 1
             counts[new] += 1
@@ -225,7 +247,8 @@ class _Energy:
                 mixed[k] -= 1
                 if not mixed[k]:
                     delta += 1
-        self.value += delta
+                    at[k] = len(live)
+                    live.append(k)
         return delta
 
 
@@ -408,31 +431,34 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
         return Verdict("unknown", "counterexample", len(pool), 0, notes=(note,))
 
     rng = random.Random(seed)
-    ntup = len(table.tuples)
-    digits = [rng.randrange(query.colors) for _ in range(ntup)]
-    energy = _Energy(pool, digits, query.colors)
-
+    colors = query.colors
+    digits = [rng.randrange(colors) for _ in table.tuples]
+    energy = _Energy(pool, digits, colors)
+    live = energy.live
+    if live and colors == 1:
+        note = "one color leaves no move; 0 flips made"
+        return Verdict("unknown", "counterexample", 0, 0, notes=(note,))
+    # only recoloring a tuple of its same-type groups can break a candidate
+    moves = [[i for g in groups for i in g] for _, groups in pool]
     steps = budget if budget is not None else 20000
-    temp0 = max(1.0, len(pool) / 4)
-    for step in range(steps):
-        if energy.value == 0:
-            # no candidate is homogeneous, and the pool holds them all
-            col = table.paint(digits).copy()
-            if not verify_refutation(query, col):
-                raise AssertionError("candidate pool and direct search disagree")
-            note = f"refutation found after {step} flips"
-            return Verdict("fails", "counterexample", step + 1, 1, col, notes=(note,))
-        temp = temp0 * (0.999 ** step)
-        i = rng.randrange(ntup)
+    flips = 0
+    while live:
+        if flips == steps:
+            note = f"no refutation within {steps} flips (final energy {len(live)})"
+            return Verdict("unknown", "counterexample", steps, 0, notes=(note,))
+        flips += 1
+        ts = moves[live[rng.randrange(len(live))]]
+        i = ts[rng.randrange(len(ts))]
         old = digits[i]
-        new = rng.randrange(query.colors)
-        if new == old:
-            continue
-        delta = energy.flip(i, new)
-        if delta > 0 and rng.random() >= math.exp(-delta / max(temp, 1e-9)):
+        delta = energy.flip(i, (old + 1 + rng.randrange(colors - 1)) % colors)
+        if delta > 0 and rng.random() >= math.exp(-delta / _TEMPERATURE):
             energy.flip(i, old)
-    note = f"no refutation within {steps} flips (final energy {energy.value})"
-    return Verdict("unknown", "counterexample", steps, 0, notes=(note,))
+    # no candidate is homogeneous, and the pool holds them all
+    col = table.paint(digits).copy()
+    if not verify_refutation(query, col):
+        raise AssertionError("candidate pool and direct search disagree")
+    note = f"refutation found after {flips} flips"
+    return Verdict("fails", "counterexample", flips, 1, col, notes=(note,))
 
 
 def arrow_check(

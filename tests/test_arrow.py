@@ -151,6 +151,48 @@ def test_counterexample_mode_seed_stable():
     assert a.to_doc() == b.to_doc()
 
 
+def test_counterexample_mode_with_one_color_makes_no_flip():
+    # one color leaves no recoloring, so the descent returns at once; the
+    # only coloring leaves a candidate homogeneous, so it refutes nothing
+    v = arrow_check(ArrowQuery(OR, 5, 3, 2, 1), mode="counterexample", seed=0, budget=500)
+    assert (v.status, v.work, v.colorings_checked, v.counterexample) == ("unknown", 0, 0, None)
+    assert v.notes == ("one color leaves no move; 0 flips made",)
+
+
+# flip budgets of the oracle runs: several times the flips the seeds take
+_ORACLE_BUDGET = 10000
+_HOLDS_BUDGET = 2000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_counterexample_refutes_below_r333(seed):
+    # R(3,3,3) = 17: some 3-coloring of the pairs of a 14-element order has no
+    # monochromatic triangle
+    q = ArrowQuery(OR, 14, 3, 2, 3)
+    v = arrow_check(q, mode="counterexample", seed=seed, budget=_ORACLE_BUDGET)
+    assert v.status == "fails"
+    assert verify_refutation(q, v.counterexample)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_counterexample_refutes_below_r443_for_triples(seed):
+    # R(4,4;3) = 13: some 2-coloring of the triples of an 11-element order has
+    # no 4-element subset with all its triples one color
+    q = ArrowQuery(OR, 11, 4, 3, 2)
+    v = arrow_check(q, mode="counterexample", seed=seed, budget=_ORACLE_BUDGET)
+    assert v.status == "fails"
+    assert verify_refutation(q, v.counterexample)
+
+
+@pytest.mark.parametrize("query", [ArrowQuery(OR, 6, 3, 2, 2), ArrowQuery(ClassKind("ordered_graph"), 5, 3, 2, 2)],
+                         ids=["or-6", "ordered_graph-5"])
+def test_counterexample_never_refutes_a_relation_that_holds(query):
+    assert arrow_check(query).status == "holds"
+    for seed in range(10):
+        v = arrow_check(query, mode="counterexample", seed=seed, budget=_HOLDS_BUDGET)
+        assert (v.status, v.work, v.counterexample) == ("unknown", _HOLDS_BUDGET, None)
+
+
 def test_verify_refutation_rejects_good_coloring():
     from ramseylab.colorings import Coloring
     from ramseylab.structures import make_canonical
@@ -270,6 +312,9 @@ def test_incremental_energy_matches_rescan(cls, ambient, sub, colors, most_group
         if rng.random() < 0.3:
             assert energy.flip(i, old) == -delta
             assert energy.value == before == _rescan(digits, pool)
+        # the live list holds the consistent candidates, each at its position
+        assert sorted(energy.live) == [k for k, (_, groups) in enumerate(pool) if _consistent(digits, groups)]
+        assert all(energy.at[k] == j for j, k in enumerate(energy.live))
         values.add(energy.value)
     assert len(values) > 1
 

@@ -59,10 +59,10 @@ def test_parser_is_shared_and_no_flag_carries_over(capsys):
     # one parser serves every main call; each call starts from the defaults
     assert build_parser() is build_parser()
     arrow = ["arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2"]
-    code, out = run(capsys, *arrow, "--mode", "counterexample", "--budget", "7", "--json")
+    code, out = run(capsys, *arrow, "--mode", "counterexample", "--budget", "3", "--json")
     assert code == 2
     params = json.loads(out)["result"]["params"]
-    assert (params["mode"], params["budget"]) == ("counterexample", 7)
+    assert (params["mode"], params["budget"]) == ("counterexample", 3)
     code, out = run(capsys, *arrow)
     assert code == 1
     assert out.startswith("fails (exhaustive;")

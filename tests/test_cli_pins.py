@@ -28,10 +28,10 @@ PINS = [
      "holds (exhaustive; work 125668, colorings 32768)\n",
      "2be1854568f4abc86340a22405351d840af6f447c806fb850445d207b29abe30"),
     ("arrow --cls or --ambient 5 --sub 3 -n 2 -c 2 --mode counterexample --seed 1", 1,
-     "fails (counterexample; work 15, colorings 1)\n"
-     "note: refutation found after 14 flips\n"
+     "fails (counterexample; work 4, colorings 1)\n"
+     "note: refutation found after 4 flips\n"
      "counterexample coloring embedded in the JSON report\n",
-     "b0d699da9ae7ec41045509bf5c37a8cdf8481685894c92c13ab2c2f72d3d780f"),
+     "b6c0432962a3ee28550d5ceb5107744362c1bb6a3ef55696b1670fe59b244402"),
     ("table --cls or -n 2 -c 2 --sub-levels 1,2,3 --ambient-levels 1,2,3,4,5,6", 0,
      "ambient=1 sub=1 holds (work 1)\n"
      "ambient=2 sub=1 holds (work 2)\n"
@@ -77,19 +77,20 @@ PINS = [
      "unknown (randomized; work 40, colorings 10)\n"
      "note: 10 samples searched, 10 hit the budget\n",
      "64d00b66762ff7cb076b008af6f75d77d058bf9a945bdb165b3332b8c7950089"),
-    ("arrow --cls or --ambient 10 --sub 3 -n 2 -c 3 --mode counterexample --budget 300", 2,
-     "unknown (counterexample; work 300, colorings 0)\n"
-     "note: no refutation within 300 flips (final energy 7)\n",
-     "c88d52ed9f0abbab54622e2bf73f9a8a98971fcae5be1ee783525ca288502bcd"),
+    ("arrow --cls or --ambient 10 --sub 3 -n 2 -c 3 --mode counterexample --budget 300", 1,
+     "fails (counterexample; work 50, colorings 1)\n"
+     "note: refutation found after 50 flips\n"
+     "counterexample coloring embedded in the JSON report\n",
+     "b6e85e53908bd856c173dd8d06c343a5a5fe930f40774ff61c8bc8ef170311f5"),
     ("arrow --cls ceq --ambient 8 --sub 3 -n 2 -c 2 --mode counterexample", 2,
      "unknown (counterexample; work 0, colorings 0)\n"
      "note: more than 65536 minimal candidate subsets; no descent was run\n",
      "0582656b7b8acce859da6bec42772923d895d7b89e26454ee7a4bd9134e2f3dc"),
     ("table --cls or -n 2 -c 2 --sub-levels 3 --ambient-levels 5,6 --mode counterexample --seed 1 --budget 500", 0,
-     "ambient=5 sub=3 fails (work 15)\n"
+     "ambient=5 sub=3 fails (work 4)\n"
      "ambient=6 sub=3 unknown (work 500)\n"
      "least ambient level for sub level 3: -\n",
-     "156399f4fb53b1c4bf437ca834b559511db14364873d45e3b14ff4d26bb65fb6"),
+     "33fbfcc515aedffb6c93d3011ad0d64bed00c7c6a795e862842c6653a82651f3"),
     ("table --cls or -n 2 -c 2 --sub-levels 2,3 --ambient-levels 4 --mode randomized --seed 3 --samples 5", 0,
      "ambient=4 sub=2 unknown (work 15)\n"
      "ambient=4 sub=3 fails (work 15)\n"
