@@ -224,11 +224,14 @@ class _Walk:
     witness consistent.  The witness is keyed by per-walk type ids: each
     tuple is typed once per walk, through the coloring's type cache, and its
     type interned to a small int the first time the walk meets it.  At node
-    (chosen, i) the class's bound `feasible(chosen, i)`, built once per walk
-    by `Kind.pruner(base, level, elements)`, prunes the branch when no
-    subset of chosen + elements[i:] holding chosen can be big.  Iterating
-    yields every closed, member-inducing subset reached that
-    `Kind.subset_big` finds level-big (every one at level 0); `nodes`
+    (chosen, i) the walk prunes the branch when chosen + elements[i:] holds
+    fewer than `least = Kind.min_size(cls, level)` elements, or when the
+    class's own bound `feasible(chosen, i)`, built once per walk by
+    `Kind.pruner(base, level, elements)` where the kind has one, finds that
+    no subset of it holding chosen can be big.  Iterating yields every
+    closed, member-inducing subset reached that `Kind.subset_big` finds
+    level-big (every one at level 0); since no subset of fewer than `least`
+    elements is big, `subset_big` is asked only from that size on.  `nodes`
     counts the visited search nodes, and visiting more than `budget` of them
     raises `_Budget`.
 
@@ -247,34 +250,15 @@ class _Walk:
         base, level, elements, col, budget = self.base, self.level, self.elements, self.col, self.budget
         spec = base.cls.spec
         veto, big = spec.admit, spec.subset_big
+        least = spec.min_size(base.cls, level)
         feasible = spec.pruner(base, level, elements)
         if col is not None:
             type_of, color, arity = col.type_of, col.color, col.arity
             ids: dict[TupleType, int] = {}
             typed: dict[tuple[int, ...], tuple[int, int]] = {}  # tuple -> (type id, color)
+        combinations = itertools.combinations
         chosen: list[int] = []
         witness: dict[int, int] = {}
-
-        def admit(e: int, added: list[int]) -> bool:
-            """Add `e` unless a rule vetoes it; witness type ids it fixes go
-            to `added`, even when a later tuple of `e` then conflicts."""
-            if veto is not None and not veto(base, chosen, e):
-                return False
-            if col is not None:
-                for combo in itertools.combinations(chosen, arity - 1):
-                    tup = combo + (e,)
-                    tc = typed.get(tup)
-                    if tc is None:
-                        tc = typed[tup] = (ids.setdefault(type_of(tup), len(ids)), color(tup))
-                    t, c = tc
-                    known = witness.get(t)
-                    if known is None:
-                        witness[t] = c
-                        added.append(t)
-                    elif known != c:
-                        return False
-            chosen.append(e)
-            return True
 
         if level == 0:
             yield ()
@@ -282,9 +266,9 @@ class _Walk:
         # changed says whether the step into it took an element.  `taken`
         # holds (index, witness type ids it added) for each element taken on
         # the current path.  A dead end backtracks to the latest of them,
-        # undoes it and visits the branch without it; a vetoed element goes
-        # straight to the branch without it, once the witness types it fixed
-        # are undone.
+        # undoes it and visits the branch without it; a vetoed element, or
+        # one whose tuples conflict with the witness, goes straight to the
+        # branch without it, once the witness types it fixed are undone.
         taken: list[tuple[int, list[int]]] = []
         i, changed = 0, False
         n, nodes = len(elements), 0
@@ -293,15 +277,32 @@ class _Walk:
             if budget is not None and nodes > budget:
                 self.nodes = nodes
                 raise _Budget
-            if changed and (level == 0 or big(base, chosen, level)):
+            k = len(chosen)
+            if changed and k >= least and (level == 0 or big(base, chosen, level)):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if i < n and feasible(chosen, i):
+            if i < n and k + n - i >= least and (feasible is None or feasible(chosen, i)):
+                e = elements[i]
                 added: list[int] = []
-                if admit(elements[i], added):
-                    taken.append((i, added))
-                    i, changed = i + 1, True
-                    continue
+                if veto is None or veto(base, chosen, e):
+                    # with no coloring there is no tuple to check
+                    for combo in combinations(chosen, arity - 1) if col is not None else ():
+                        tup = combo + (e,)
+                        tc = typed.get(tup)
+                        if tc is None:
+                            tc = typed[tup] = (ids.setdefault(type_of(tup), len(ids)), color(tup))
+                        t, c = tc
+                        known = witness.get(t)
+                        if known is None:
+                            witness[t] = c
+                            added.append(t)
+                        elif known != c:
+                            break
+                    else:
+                        chosen.append(e)
+                        taken.append((i, added))
+                        i, changed = i + 1, True
+                        continue
             elif not taken:
                 self.nodes = nodes
                 return
@@ -358,4 +359,6 @@ def find_type_homogeneous(
 def iter_big_member_subsets(base: FinStructure, level: int, within=None):
     """Yield every closed, member-inducing, level-big subset in lexicographic
     order.  Intended for small universes (the exhaustive partition check)."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     yield from _Walk(base, level, _elements(base, within))

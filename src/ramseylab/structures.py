@@ -298,7 +298,9 @@ class Kind:
         return FinStructure(cls, self.min_size(cls, mu))
 
     def min_size(self, cls: ClassKind, mu: int) -> int:
-        """Size of the canonical mu-big member, the least size of any."""
+        """Size of the canonical mu-big member, the least size of any: no
+        subset of fewer elements is `subset_big`, which the walker's own
+        size bound relies on."""
         return mu
 
     def member(self, s: FinStructure) -> bool:
@@ -317,9 +319,11 @@ class Kind:
         """Sound bound for one walk over the increasing `elements`, as
         `feasible(chosen, i)`: can a subset of chosen + elements[i:] holding
         all of chosen still induce a level-big member?  May answer yes
-        wrongly, never no."""
-        least, n = self.min_size(base.cls, level), len(elements)
-        return lambda chosen, i: len(chosen) + n - i >= least
+        wrongly, never no.  The walker itself prunes when chosen +
+        elements[i:] holds fewer than `min_size(cls, level)` elements and
+        asks `feasible` only past that, so a kind returns a bound only for
+        what its bigness asks beyond size, and None where that is nothing."""
+        return None
 
     def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
         """Atomic data of a closed subset relabeled by `pos`, as fragment
@@ -339,17 +343,50 @@ class Kind:
         return itertools.combinations(range(s.size), self.min_size(s.cls, mu))
 
 
-def _monotone_pruner(kind: Kind, base: FinStructure, level: int, elements: list[int]):
-    """`Kind.pruner` for a kind whose subset bigness only grows with the
-    subset: the whole of chosen + elements[i:] bounds every completion."""
-    return lambda chosen, i: kind.subset_big(base, chosen + elements[i:], level)
+class _Grouped(Kind):
+    """A kind whose bigness reads only how many chosen elements fall in each
+    of its groups (`chi_or` parts, `ceq` blocks), and only grows with them.
+
+    A subclass names its groups, `groups(s)` of them with `group_of(s, e)`
+    in 0..groups(s)-1, and the rule `enough(counts, mu)` on the list of
+    per-group counts.
+    """
+
+    def subset_big(self, s, chosen, mu):
+        counts = [0] * self.groups(s)
+        for e in chosen:
+            counts[self.group_of(s, e)] += 1
+        return self.enough(counts, mu)
+
+    def pruner(self, base, level, elements):
+        # every completion lies inside chosen + elements[i:]: the counts of
+        # elements[i:] are kept per suffix, so a node counts only chosen
+        if level == 0:
+            return None
+        group = {e: self.group_of(base, e) for e in elements}
+        counts = [0] * self.groups(base)
+        suffix = [counts]
+        for e in reversed(elements):
+            counts = counts.copy()
+            counts[group[e]] += 1
+            suffix.append(counts)
+        suffix.reverse()
+        enough = self.enough
+
+        def feasible(chosen, i):
+            counts = suffix[i].copy()
+            for e in chosen:
+                counts[group[e]] += 1
+            return enough(counts, level)
+
+        return feasible
 
 
 class LinearOrder(Kind):
     name = "or"
 
 
-class DisjointOrders(Kind):
+class DisjointOrders(_Grouped):
     name = "chi_or"
     params = ("chi",)
     fields = {"parts": ("parts", [int])}
@@ -369,13 +406,14 @@ class DisjointOrders(Kind):
                 return False
         return all(s.parts[i] <= s.parts[i + 1] for i in range(s.size - 1))
 
-    def subset_big(self, s, chosen, mu):
-        counts = [0] * s.cls.chi
-        for e in chosen:
-            counts[s.part_of(e)] += 1
-        return all(c >= mu for c in counts)
+    def groups(self, s):
+        return s.cls.chi
 
-    pruner = _monotone_pruner
+    def group_of(self, s, e):
+        return s.part_of(e)
+
+    def enough(self, counts, mu):
+        return min(counts) >= mu
 
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
@@ -512,18 +550,13 @@ class Trees(Kind):
 
     def pruner(self, base, level, elements):
         if level == 0:
-            return lambda chosen, i: True
+            return None
         root = tree_root(base)
         if root is None or base.level[root] != 0:
             return lambda chosen, i: False
-        least, n = self.min_size(base.cls, level), len(elements)
         # the root is still to be decided while i is at most its index
         at = elements.index(root) if root in elements else -1
-
-        def feasible(chosen, i):
-            return len(chosen) + n - i >= least and (i <= at or root in chosen)
-
-        return feasible
+        return lambda chosen, i: i <= at or root in chosen
 
     def fragment(self, s, closed, pos):
         # an element's fragment parent is its nearest ancestor inside
@@ -549,7 +582,7 @@ class Trees(Kind):
         yield from below(root)
 
 
-class ConvexEquivalence(Kind):
+class ConvexEquivalence(_Grouped):
     name = "ceq"
     fields = {"blocks": ("eq_blocks", [[int]])}
 
@@ -575,14 +608,14 @@ class ConvexEquivalence(Kind):
                 seen.add(e)
         return len(seen) == s.size
 
-    def subset_big(self, s, chosen, mu):
-        counts: dict[int, int] = {}
-        for e in chosen:
-            b = s.block_of(e)
-            counts[b] = counts.get(b, 0) + 1
-        return sum(1 for c in counts.values() if c >= mu) >= mu
+    def groups(self, s):
+        return len(s.blocks)
 
-    pruner = _monotone_pruner
+    def group_of(self, s, e):
+        return s.block_of(e)
+
+    def enough(self, counts, mu):
+        return len([c for c in counts if c >= mu]) >= mu
 
     def fragment(self, s, closed, pos):
         # blocks numbered by first occurrence
@@ -758,6 +791,8 @@ def subset_induces_member(s: FinStructure, subset) -> bool:
 def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
     """Bigness of the structure a (closed) subset induces, evaluated without
     materializing it."""
+    if mu < 0:
+        raise ValueError("bigness level must be nonnegative")
     return mu == 0 or s.cls.spec.subset_big(s, sorted(set(subset)), mu)
 
 

@@ -218,6 +218,20 @@ def test_iter_big_member_subsets_is_lazy():
     assert next(subsets) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda base: next(iter_big_member_subsets(base, -1)),
+        lambda base: subset_is_big(base, [0], -1),
+    ],
+    ids=["iter_big_member_subsets", "subset_is_big"],
+)
+@pytest.mark.parametrize("cls", SMALL_KINDS, ids=ClassKind.label)
+def test_negative_level_is_rejected(check, cls):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        check(make_canonical(cls, 3))
+
+
 def test_iter_respects_within():
     base = make_canonical(ClassKind("or"), 5)
     got = list(iter_big_member_subsets(base, 2, within=(0, 2, 4)))

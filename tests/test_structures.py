@@ -7,6 +7,7 @@ import pytest
 
 from helpers import SMALL_KINDS, closure_bruteforce, random_member
 from ramseylab.structures import (
+    TABLE,
     ClassKind,
     FinStructure,
     dumps,
@@ -317,6 +318,71 @@ def test_colored_subset_big_matches_induced_definition(chi, lam):
     for bad in ([0, s.size], [-1, 0], [s.size]):
         with pytest.raises(ValueError, match="outside universe"):
             spec.subset_big(s, bad, 1)
+
+
+def test_no_subset_below_min_size_is_big():
+    # the walker prunes on size alone and asks subset_big only from
+    # min_size(cls, mu) elements on; both rest on this, for every kind
+    assert {cls.kind for cls in SMALL_KINDS} == set(TABLE)
+    rng = random.Random(17)
+    cases = 0
+    for cls in SMALL_KINDS:
+        spec = cls.spec
+        members = [make_canonical(cls, lam) for lam in range(4)]
+        members = [s for s in members if s.size <= 10]
+        members += [random_member(cls, rng) for _ in range(12)]
+        for mu in range(1, 4):
+            least = spec.min_size(cls, mu)
+            canon = make_canonical(cls, mu)
+            assert canon.size == least and spec.subset_big(canon, list(range(least)), mu)
+            for s in members:
+                for r in range(min(least, s.size + 1)):
+                    for chosen in itertools.combinations(range(s.size), r):
+                        assert not spec.subset_big(s, list(chosen), mu), (cls.label(), mu, s, chosen)
+                        cases += 1
+    assert cases > 10_000
+
+
+def _walk_states(elements):
+    """Every state (chosen, i) of a walk over `elements`: i elements decided,
+    `chosen` the increasing subset of them taken."""
+    for i in range(len(elements) + 1):
+        for r in range(i + 1):
+            for chosen in itertools.combinations(elements[:i], r):
+                yield list(chosen), i
+
+
+@pytest.mark.parametrize(
+    "cls, lam, within",
+    [
+        (ClassKind("chi_or", chi=2), 2, None),
+        (ClassKind("chi_or", chi=2), 3, None),
+        (ClassKind("chi_or", chi=2), 3, (0, 1, 2)),  # part 1 left out
+        (ClassKind("chi_or", chi=2), 3, (0, 2, 3, 5)),
+        (ClassKind("chi_or", chi=3), 2, None),
+        (ClassKind("chi_or", chi=3), 2, (0, 1, 4, 5)),  # part 1 left out
+        (ClassKind("ceq"), 2, None),
+        (ClassKind("ceq"), 3, None),
+        (ClassKind("ceq"), 3, (0, 1, 2, 6, 7, 8)),  # block 1 left out
+        (ClassKind("ceq"), 3, (1, 2, 3, 5, 7)),
+    ],
+    ids=lambda v: v.label() if isinstance(v, ClassKind) else None,
+)
+def test_group_count_bound_matches_bigness_of_the_whole_suffix(cls, lam, within):
+    # the reference is the bound the per-suffix counts replaced: at node
+    # (chosen, i), is all of chosen + elements[i:] big?
+    s = make_canonical(cls, lam)
+    spec = cls.spec
+    elements = list(range(s.size)) if within is None else list(within)
+    cases = 0
+    for level in range(4):
+        feasible = spec.pruner(s, level, elements)
+        for chosen, i in _walk_states(elements):
+            want = spec.subset_big(s, chosen + elements[i:], level)
+            got = True if feasible is None else feasible(chosen, i)
+            assert got == want, (level, chosen, i)
+            cases += not want
+    assert cases > 0
 
 
 def test_tree_ancestors_match_parent_links():

@@ -46,6 +46,8 @@ SEARCH_PINS = [
     ("n_tree:2", 3, 2, 2, 7, None, range(0, 10), None, True, 47),
     ("n_tree:2", 3, 2, 2, 7, None, range(1, 13), None, True, 1),  # root left out
     ("ceq", 6, 2, 2, 0, None, range(0, 30), (0, 1, 4, 24, 25), True, 126),
+    ("chi_or:2", 6, 2, 2, 4, None, (0, 2, 3, 5, 6, 7, 8, 9, 10, 11), (0, 2, 10, 11), True, 14),
+    ("chi_or:2", 5, 3, 2, 4, None, range(0, 5), None, True, 1),  # part 1 left out
 ]
 
 
@@ -68,6 +70,11 @@ YIELD_PINS = [
     ("n_tree:2", 2, 1, None, 27),
     ("n_tree:1", 5, 2, None, 26),
     ("ceq", 3, 2, None, 256),
+    # part 1 left out: nothing is big above level 0
+    ("chi_or:2", 3, 2, range(0, 3), 0),
+    ("chi_or:2", 3, 0, range(0, 3), 8),
+    ("ceq", 3, 2, (0, 1, 3, 4, 5, 6, 8), 32),
+    ("ceq", 3, 2, range(0, 6), 16),  # block 2 left out
 ]
 
 
