@@ -35,16 +35,15 @@ Three modes:
                   over the bound gives `unknown` and no descent, and so does
                   one color, which leaves no move.
 
-One typed tuple table per query serves every engine: the increasing tuples
-in lexicographic order, each typed at most once into a small integer type
-id, and one coloring over them that the engines repaint.  The pool scan
-holds each same-type group as one integer mask over the table indices,
-tuple i at bit ntup-1-i, so counting up through the integers visits the
-colorings in `itertools.product` order; a refuting coloring's digits are
-decoded from its index only when one is found.  Randomized samples are
-painted into the same table, so each tuple is typed once per query however
-many samples search it.  Work counters are deterministic counts (candidates
-scanned, search nodes, flips), never wall-clock times.
+One tuple table per query serves every engine: the increasing tuples in
+lexicographic order and one coloring over them that the engines repaint,
+whose `Coloring.type_id` types each tuple once per query, however many
+candidates hold it and samples search it.  The pool scan holds each
+same-type group as one integer mask over the table indices, tuple i at bit
+ntup-1-i, so counting up through the integers visits the colorings in
+`itertools.product` order; a refuting coloring's digits are decoded from
+its index only when one is found.  Work counters are deterministic counts
+(candidates scanned, search nodes, flips), never wall-clock times.
 """
 
 from __future__ import annotations
@@ -131,22 +130,14 @@ class Verdict:
 
 class _TupleTable:
     """The increasing `arity`-tuples of a query's canonical ambient, in
-    lexicographic order, with one coloring over them that the engines paint.
-
-    A tuple is typed through the coloring's type cache the first time a
-    candidate holds it, and the type is kept as a small integer id (types
-    numbered in order of first sight), so same-type groups are formed by
-    integer keys and each tuple is typed at most once per query however many
-    candidates hold it.
-    """
+    lexicographic order, with one coloring over them that the engines paint
+    and whose type ids key the same-type groups."""
 
     def __init__(self, query: ArrowQuery):
         self.base = make_canonical(query.cls, query.ambient_level)
         self.tuples = list(itertools.combinations(range(self.base.size), query.arity))
         self.index = {tup: i for i, tup in enumerate(self.tuples)}
         self.col = Coloring(self.base, query.arity, query.colors, dict.fromkeys(self.tuples, 0))
-        self._type_ids: list[int | None] = [None] * len(self.tuples)
-        self._id_of: dict = {}  # TupleType -> type id
 
     def paint(self, digits) -> Coloring:
         """The shared coloring with tuple i colored digits[i]."""
@@ -160,13 +151,8 @@ class _TupleTable:
         monochromatic, so singleton groups are dropped.
         """
         groups: dict[int, list[int]] = {}
-        ids = self._type_ids
         for combo in itertools.combinations(subset, self.col.arity):
-            i = self.index[combo]
-            t = ids[i]
-            if t is None:
-                t = ids[i] = self._id_of.setdefault(self.col.type_of(combo), len(self._id_of))
-            groups.setdefault(t, []).append(i)
+            groups.setdefault(self.col.type_id(combo), []).append(self.index[combo])
         return [g for g in groups.values() if len(g) > 1]
 
     def candidates(self, sub_level: int) -> list | None:

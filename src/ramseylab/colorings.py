@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .structures import (
     FinStructure,
+    _is_int,
     from_doc as structure_from,
     is_member,
     require_fields,
@@ -50,9 +51,13 @@ class Coloring:
     The table may deliberately cover only part of the tuple space when a
     search is restricted to a subset of the universe (extraction does this);
     `is_total` reports whether the full space is covered.
+
+    `type_id` numbers tuple types once per coloring, in first-sight order
+    (`_types`: tuple -> id; `type_of` reads the type back).  Types depend on
+    the base alone, so a repaint keeps every id; a `copy` starts afresh.
     """
 
-    __slots__ = ("base", "arity", "colors", "table", "_types")
+    __slots__ = ("base", "arity", "colors", "table", "_types", "_ids", "_kinds")
 
     def __init__(self, base: FinStructure, arity: int, colors: int, table: dict):
         if arity < 1:
@@ -63,15 +68,18 @@ class Coloring:
         self.arity = arity
         self.colors = colors
         self.table = dict(table)
-        self._types: dict[tuple, TupleType] = {}
+        self._types: dict[tuple, int] = {}
+        self._ids: dict[TupleType, int] = {}
+        self._kinds: list[TupleType] = []  # id -> type
 
     @classmethod
     def from_function(cls, base: FinStructure, arity: int, colors: int, fn) -> "Coloring":
         table = {}
         for tup in itertools.combinations(range(base.size), arity):
             c = fn(tup)
-            if not 0 <= c < colors:
-                raise ValueError(f"color {c} for {tup} outside palette {colors}")
+            # type() is exact, as in from_doc: a bool would be written as true
+            if type(c) is not int or not 0 <= c < colors:
+                raise ValueError(f"color {c!r} for {tup} is not an integer in 0..{colors - 1}")
             table[tup] = c
         return cls(base, arity, colors, table)
 
@@ -81,12 +89,17 @@ class Coloring:
         except KeyError:
             raise ValueError(f"coloring has no entry for tuple {tup}") from None
 
-    def type_of(self, tup: tuple[int, ...]) -> TupleType:
+    def type_id(self, tup: tuple[int, ...]) -> int:
         t = self._types.get(tup)
         if t is None:
-            t = tuple_type(self.base, tup)
-            self._types[tup] = t
+            kind = tuple_type(self.base, tup)
+            t = self._types[tup] = self._ids.setdefault(kind, len(self._ids))
+            if t == len(self._kinds):
+                self._kinds.append(kind)
         return t
+
+    def type_of(self, tup: tuple[int, ...]) -> TupleType:
+        return self._kinds[self.type_id(tup)]
 
     def all_tuples(self):
         return itertools.combinations(range(self.base.size), self.arity)
@@ -190,9 +203,8 @@ def type_homogeneity_witness(col: Coloring, subset) -> HomogeneityWitness | None
         raise ValueError("subset does not induce a member of the class")
     mapping: dict[TupleType, int] = {}
     for tup in itertools.combinations(closed, col.arity):
-        t = col.type_of(tup)
         c = col.color(tup)
-        if mapping.setdefault(t, c) != c:
+        if mapping.setdefault(col.type_of(tup), c) != c:
             return None
     return _witness_from_map(mapping)
 
@@ -221,9 +233,7 @@ class _Walk:
     subsets come out in lexicographic order.  An element is taken only when
     it passes the kind's membership veto, `Kind.admit`, and, when a
     coloring is given, keeps the incrementally maintained type -> color
-    witness consistent.  The witness is keyed by per-walk type ids: each
-    tuple is typed once per walk, through the coloring's type cache, and its
-    type interned to a small int the first time the walk meets it.  At node
+    witness consistent, which is keyed by `Coloring.type_id`.  At node
     (chosen, i) the walk prunes the branch when chosen + elements[i:] holds
     fewer than `least = Kind.min_size(cls, level)` elements, or when the
     class's own bound `feasible(chosen, i)`, built once per walk by
@@ -253,9 +263,7 @@ class _Walk:
         least = spec.min_size(base.cls, level)
         feasible = spec.pruner(base, level, elements)
         if col is not None:
-            type_of, color, arity = col.type_of, col.color, col.arity
-            ids: dict[TupleType, int] = {}
-            typed: dict[tuple[int, ...], tuple[int, int]] = {}  # tuple -> (type id, color)
+            types, table, type_id, color, arity = col._types, col.table, col.type_id, col.color, col.arity
         combinations = itertools.combinations
         chosen: list[int] = []
         witness: dict[int, int] = {}
@@ -288,10 +296,12 @@ class _Walk:
                     # with no coloring there is no tuple to check
                     for combo in combinations(chosen, arity - 1) if col is not None else ():
                         tup = combo + (e,)
-                        tc = typed.get(tup)
-                        if tc is None:
-                            tc = typed[tup] = (ids.setdefault(type_of(tup), len(ids)), color(tup))
-                        t, c = tc
+                        t = types.get(tup)
+                        if t is None:
+                            t = type_id(tup)
+                        c = table.get(tup)
+                        if c is None:  # raises ValueError for a missing entry
+                            c = color(tup)
                         known = witness.get(t)
                         if known is None:
                             witness[t] = c
@@ -317,7 +327,10 @@ class _Walk:
 def _elements(base: FinStructure, within) -> list[int]:
     if within is None:
         return list(range(base.size))
-    elements = sorted(set(within))
+    elements = list(within)
+    if not all(map(_is_int, elements)):
+        raise ValueError(f"within {elements!r} holds a non-integer")
+    elements = sorted(set(elements))
     require_inside(base, elements)
     return elements
 

@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import re
 import sys
+from collections import Counter
 
 import pytest
 
 from helpers import SMALL_KINDS, random_member, time_limit
+from ramseylab import colorings
+from ramseylab.arrow import ArrowQuery, _TupleTable
 from ramseylab.colorings import (
     Coloring,
     HomogeneityWitness,
@@ -17,6 +21,7 @@ from ramseylab.colorings import (
     type_homogeneity_witness,
 )
 from ramseylab.structures import (
+    TABLE,
     ClassKind,
     make_canonical,
     subset_closure,
@@ -60,11 +65,17 @@ def test_coloring_validation():
         Coloring(base, 2, 0, {})
     with pytest.raises(ValueError):
         Coloring.from_function(base, 2, 2, lambda t: 5)
+    # a bool would be written as JSON true, which from_doc refuses
+    with pytest.raises(ValueError, match=re.escape("color True for (0, 1) is not an integer")):
+        Coloring.from_function(make_canonical(ClassKind("or"), 4), 2, 2, lambda t: True)
     # partial tables are allowed on purpose; reads of missing tuples raise
     partial = Coloring(base, 2, 2, {(0, 1): 1})
     assert not partial.is_total()
     with pytest.raises(ValueError):
         partial.color((0, 2))
+    # the walker reads the table directly, and still raises ValueError
+    with pytest.raises(ValueError, match=re.escape("coloring has no entry for tuple (0, 2)")):
+        find_type_homogeneous(partial, 3)
 
 
 def test_witness_against_bruteforce():
@@ -247,6 +258,56 @@ def test_within_outside_the_universe_is_rejected():
             list(iter_big_member_subsets(base, 1, within=within))
         with pytest.raises(ValueError, match="outside universe"):
             find_type_homogeneous(col, 1, within=within)
+
+
+def test_within_must_hold_integers():
+    base = make_canonical(ClassKind("or"), 4)
+    col = random_coloring(base, 2, 2, seed=0)
+    for within in ([True, 2], [1.0, 2, 3], [0, "1"]):
+        with pytest.raises(ValueError, match="non-integer"):
+            list(iter_big_member_subsets(base, 2, within=within))
+        with pytest.raises(ValueError, match="non-integer"):
+            find_type_homogeneous(col, 2, within=within)
+
+
+def test_one_type_numbering_per_coloring():
+    assert {cls.kind for cls in SMALL_KINDS} == set(TABLE)
+    for cls in SMALL_KINDS:
+        base = make_canonical(cls, 2)
+        col = random_coloring(base, 2, 2, seed=0)
+        tuples = list(itertools.combinations(range(base.size), 2))
+        ids = [col.type_id(tup) for tup in tuples]
+        types = [tuple_type(base, tup) for tup in tuples]
+        # dense ids, numbered in order of first sight
+        assert list(dict.fromkeys(ids)) == list(range(len(set(ids))))
+        for (ia, ta), (ib, tb) in itertools.combinations(zip(ids, types), 2):
+            assert (ia == ib) == (ta == tb), cls
+        assert [col.type_of(tup) for tup in tuples] == types
+
+
+def test_each_tuple_is_typed_once_per_coloring(monkeypatch):
+    calls = Counter()
+
+    def counted(base, tup):
+        calls[tup] += 1
+        return tuple_type(base, tup)
+
+    monkeypatch.setattr(colorings, "tuple_type", counted)
+    table = _TupleTable(ArrowQuery(ClassKind("chi_or", chi=2), 4, 2, 2, 2))
+    col = table.paint(random_colors(len(table.tuples), 2, seed=1))
+    res = find_type_homogeneous(col, 2)
+    assert res.found  # so the witness was re-checked
+    pool = table.candidates(2)
+    assert pool and calls and max(calls.values()) == 1
+    ids = {tup: col.type_id(tup) for tup in table.tuples}
+    # types depend on the base alone: a repaint keeps every id
+    assert table.paint(random_colors(len(table.tuples), 2, seed=2)) is col
+    assert {tup: col.type_id(tup) for tup in table.tuples} == ids
+    assert max(calls.values()) == 1
+    fresh = col.copy()
+    assert not fresh._types
+    fresh.type_id(table.tuples[0])
+    assert calls[table.tuples[0]] == 2
 
 
 def test_random_colors_need_a_color():
