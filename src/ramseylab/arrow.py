@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 
 from .colorings import Coloring, find_type_homogeneous, random_colors
-from .structures import ClassKind, make_canonical, minimal_big_subsets, require_fields
+from .structures import ClassKind, _is_int, make_canonical, minimal_big_subsets, require_fields
 
 DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
@@ -74,6 +74,8 @@ class ArrowQuery:
     colors: int
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.ambient_level, self.sub_level, self.arity, self.colors))):
+            raise ValueError(f"levels, arity and colors must be integers: {self}")
         if self.ambient_level < 0 or self.sub_level < 0:
             raise ValueError("levels must be nonnegative")
         if self.arity < 1:

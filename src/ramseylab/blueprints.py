@@ -54,6 +54,8 @@ class InternalCheckError(AssertionError):
 
 @dataclass(frozen=True)
 class Blueprint:
+    """Type-indexed diagrams; a built blueprint is valid, as `__post_init__` runs `validate`."""
+
     cls: ClassKind
     sig: OutputSignature
     n_max: int
@@ -71,6 +73,7 @@ class Blueprint:
             "assignments",
             tuple(sorted(self.assignments, key=lambda e: e[0].sort_key())),
         )
+        self.validate()
 
     def domain(self, arity: int) -> tuple[TupleType, ...]:
         return enumerate_types(self.cls, arity, self.levels[arity - 1])
@@ -120,7 +123,7 @@ class Blueprint:
             "blueprint",
         )
         sig = OutputSignature.from_doc(doc["signature"])
-        bp = Blueprint(
+        return Blueprint(
             ClassKind.from_doc(doc["class"]),
             sig,
             doc["n_max"],
@@ -131,8 +134,6 @@ class Blueprint:
                 for t, d in doc["assignments"]
             ),
         )
-        bp.validate()
-        return bp
 
 
 def check_coherence(bp: Blueprint) -> list[dict]:
@@ -202,9 +203,10 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     (0, "c", name) for a constant, and (1, head, *argument keys) for an
     application, each argument key read off an earlier row.
 
-    Raises BlueprintDomainError when a tuple of the index realizes a type the
-    blueprint misses, ValueError when the diagrams' equalities identify two
-    index elements, SupportOverflowError when no instantiated diagram
+    The blueprint was validated when built; its coherence is checked here.
+    Raises BlueprintDomainError when a tuple of the index realizes a type
+    the blueprint misses, ValueError when the diagrams' equalities identify
+    two index elements, SupportOverflowError when no instantiated diagram
     covers some function value, relation atom or constant, and
     InternalCheckError when the closure contradicts a diagram or two
     diagrams disagree on an atom, which coherence rules out.
@@ -212,7 +214,6 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     failures = check_coherence(bp)
     if failures:
         raise ValueError(f"blueprint is not coherent ({len(failures)} failures)")
-    bp.validate()
     if index.cls != bp.cls:
         raise ValueError("index structure is not in the blueprint's class")
     if not is_member(index):
@@ -473,7 +474,6 @@ def extract_blueprint(
         assignments.extend((t, palette[color[t]]) for t in domain)
 
     bp = Blueprint(index.cls, target.sig, n_max, depth, levels, tuple(assignments))
-    bp.validate()
     failures = check_coherence(bp)
     if failures:
         raise InternalCheckError(

@@ -50,7 +50,8 @@ class Coloring:
 
     The table may deliberately cover only part of the tuple space when a
     search is restricted to a subset of the universe (extraction does this);
-    `is_total` reports whether the full space is covered.
+    `is_total` reports whether the full space is covered.  The constructor
+    checks every color, bools refused; only `from_doc` checks the keys.
 
     `type_id` numbers tuple types once per coloring, in first-sight order
     (`_types`: tuple -> id; `type_of` reads the type back).  Types depend on
@@ -60,28 +61,24 @@ class Coloring:
     __slots__ = ("base", "arity", "colors", "table", "_types", "_ids", "_kinds")
 
     def __init__(self, base: FinStructure, arity: int, colors: int, table: dict):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        if colors < 1:
-            raise ValueError("colors must be at least 1")
+        if not (_is_int(arity) and arity >= 1 and _is_int(colors) and colors >= 1):
+            raise ValueError(f"arity {arity!r} and colors {colors!r} must be integers of at least 1")
         self.base = base
         self.arity = arity
         self.colors = colors
         self.table = dict(table)
+        values = self.table.values()
+        # type() is exact, so a bool is refused; the range test reads the few distinct values
+        if not (_INT.issuperset(map(type, values)) and all(0 <= c < colors for c in set(values))):
+            tup, c = next(e for e in self.table.items() if type(e[1]) is not int or not 0 <= e[1] < colors)
+            raise ValueError(f"color {c!r} for {tup} is not an integer in the palette 0..{colors - 1}")
         self._types: dict[tuple, int] = {}
         self._ids: dict[TupleType, int] = {}
         self._kinds: list[TupleType] = []  # id -> type
 
     @classmethod
     def from_function(cls, base: FinStructure, arity: int, colors: int, fn) -> "Coloring":
-        table = {}
-        for tup in itertools.combinations(range(base.size), arity):
-            c = fn(tup)
-            # type() is exact, as in from_doc: a bool would be written as true
-            if type(c) is not int or not 0 <= c < colors:
-                raise ValueError(f"color {c!r} for {tup} is not an integer in 0..{colors - 1}")
-            table[tup] = c
-        return cls(base, arity, colors, table)
+        return cls(base, arity, colors, {tup: fn(tup) for tup in itertools.combinations(range(base.size), arity)})
 
     def color(self, tup: tuple[int, ...]) -> int:
         try:
@@ -123,27 +120,29 @@ class Coloring:
 
     @staticmethod
     def from_doc(doc: dict) -> "Coloring":
-        """Inverse of `to_doc`.  Raises ValueError on a malformed entry: a row
-        that is not arity + 1 integers, a tuple that is not strictly
-        increasing inside the universe, a color outside the palette, or a
-        repeated tuple.  The table may be partial."""
+        """Inverse of `to_doc`.  Raises ValueError on a row that is not
+        arity + 1 integers, a tuple that is not strictly increasing inside the
+        universe, or a repeated tuple; the constructor checks the colors.  The
+        table may be partial."""
         require_fields(doc, {"base": dict, "arity": int, "colors": int, "entries": list}, "coloring")
         base = structure_from(doc["base"])
-        arity, colors = doc["arity"], doc["colors"]
-        col = Coloring(base, arity, colors, {})
-        table, size = col.table, base.size
-        for row in doc["entries"]:
-            # type() is exact, so bools and other int subclasses are refused
-            if not (isinstance(row, list) and len(row) == arity + 1 and _INT.issuperset(map(type, row))):
-                raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
-            tup, c = tuple(row[:arity]), row[arity]
-            if not (0 <= tup[0] and tup[-1] < size and all(map(operator.lt, tup, tup[1:]))):
-                raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{size - 1}")
-            if not 0 <= c < colors:
-                raise ValueError(f"color {c} for {tup} outside palette {colors}")
-            if tup in table:
-                raise ValueError(f"coloring tuple {tup} appears twice")
-            table[tup] = c
+        arity, entries, size = doc["arity"], doc["entries"], base.size
+
+        def pairs():
+            for row in entries:
+                # type() is exact, so bools and other int subclasses are refused
+                if not (isinstance(row, list) and len(row) == arity + 1 and _INT.issuperset(map(type, row))):
+                    raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
+                tup = tuple(row[:arity])
+                if not (0 <= tup[0] and tup[-1] < size and all(map(operator.lt, tup, tup[1:]))):
+                    raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{size - 1}")
+                yield tup, row[arity]
+        # the constructor refuses a bad arity before it reads the first row
+        col = Coloring(base, arity, doc["colors"], pairs())
+        if len(col.table) != len(entries):
+            seen: set = set()
+            tup = next(tup for tup, _ in pairs() if tup in seen or seen.add(tup))
+            raise ValueError(f"coloring tuple {tup} appears twice")
         return col
 
 

@@ -421,13 +421,15 @@ def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, holds) 
 def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) -> Diagram:
     """Diagram of a value tuple inside a target, up to the given term depth.
 
-    The values must be pairwise distinct and none a constant's value,
-    matching the convention that distinct variables denote distinct elements
-    and no variable a constant's.  The term program is
-    evaluated bottom-up, each application from its arguments' values.
+    The values must be pairwise distinct and none a constant's value, as
+    distinct variables denote distinct elements and no variable a constant's.
+    The term program is evaluated bottom-up, so the result is congruent, and
+    with first-occurrence representatives it needs no `Diagram.validate`.
     """
     if len(set(values)) != len(values):
         raise ValueError("generator values must be pairwise distinct")
+    if not set(values).isdisjoint(target.constants.values()):
+        raise ValueError("distinct variables may not share a class, nor a variable with a constant")
     evals: list[int] = []
     for head, v, args in term_program(target.sig, len(values), depth):
         if v >= 0:
@@ -436,6 +438,4 @@ def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) 
             evals.append(target.functions[head][tuple([evals[a] for a in args])])
         else:
             evals.append(target.constants[head])
-    d = _build_diagram(target.sig, len(values), depth, evals, target.holds)
-    d.validate()
-    return d
+    return _build_diagram(target.sig, len(values), depth, evals, target.holds)

@@ -86,6 +86,12 @@ def test_query_validation():
         ArrowQuery(OR, 3, 2, 0, 2)
     with pytest.raises(ValueError):
         ArrowQuery(OR, 3, 2, 2, 0)
+    # a bool would be written as JSON true, which from_doc refuses
+    with pytest.raises(ValueError, match="must be integers"):
+        ArrowQuery(OR, 3, True, True, 2)
+    # a float would reach arrow_check and fail there with a TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        ArrowQuery(OR, 3.0, 1, 1, 2)
 
 
 def test_query_doc_roundtrip():
@@ -219,6 +225,25 @@ def test_verify_refutation_rejects_other_bases_and_partial_colorings():
     partial = dict(refutation.table)
     del partial[(0, 1)]
     assert not verify_refutation(q, Coloring(refutation.base, 2, 2, partial))
+
+
+def test_an_off_palette_table_never_reaches_verify_refutation():
+    from ramseylab.colorings import Coloring
+    from ramseylab.structures import make_canonical
+
+    # R(3,3) = 6: every 2-colouring of K6 has a monochromatic triangle
+    q = ArrowQuery(OR, 6, 3, 2, 2)
+    assert arrow_check(q).status == "holds"
+    # a pentagon and its complement, with the sixth vertex in a third colour:
+    # no triangle is monochromatic, but the table is no 2-colouring
+    k6 = make_canonical(OR, 6)
+    table = {
+        (a, b): 2 if b == 5 else 0 if b - a in (1, 4) else 1
+        for a, b in itertools.combinations(range(6), 2)
+    }
+    with pytest.raises(ValueError, match="palette"):
+        Coloring(k6, 2, 2, table)
+    assert verify_refutation(ArrowQuery(OR, 6, 3, 2, 3), Coloring(k6, 2, 3, table))
 
 
 def test_verdict_doc_shape():

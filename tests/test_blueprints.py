@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,15 @@ from ramseylab.blueprints import (
     extract_blueprint,
 )
 from ramseylab.colorings import Coloring, find_type_homogeneous, random_coloring
-from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, app, enumerate_terms, var
+from ramseylab.diagrams import (
+    Diagram,
+    OutputSignature,
+    TargetStructure,
+    app,
+    enumerate_terms,
+    model_diagram,
+    var,
+)
 from ramseylab.structures import ClassKind, FinStructure, make_canonical
 from ramseylab.tuple_types import enumerate_types
 
@@ -42,6 +51,30 @@ def test_blueprint_validate_domain_coverage():
     with pytest.raises(ValueError):
         # a diagram of the wrong arity under a domain type
         Blueprint(OR, UNARY, 1, 2, (1,), ((t1, bp.assignments[1][1]),)).validate()
+
+
+def test_each_value_is_checked_once(monkeypatch):
+    calls = []
+    validate = Diagram.validate
+    monkeypatch.setattr(Diagram, "validate", lambda d: calls.append(d) or validate(d))
+    target, assignment = fiber_target(2, 0)
+    # the builder guarantees what Diagram.validate would check
+    model_diagram(target, assignment[:2], 2)
+    assert calls == []
+    bp = extract_blueprint(target, assignment, make_canonical(OR, 2), 2, 2, (1, 2)).blueprint
+    # the constructor checks each assigned diagram, and nothing else does
+    assert Counter(map(id, calls)) == Counter(id(d) for _, d in bp.assignments)
+    calls.clear()
+    em_model(bp, make_canonical(OR, 3))
+    assert calls == []
+    # a document is still checked on load
+    doc = bp.to_doc()
+    doc["assignments"][0][1]["eq"][0] = 1
+    with pytest.raises(ValueError, match="term 0 has representative 1 after it"):
+        Blueprint.from_doc(doc)
+    # and a hand-built blueprint when it is built
+    with pytest.raises(ValueError, match="missing from assignments"):
+        Blueprint(OR, bp.sig, 2, 2, (1, 2), bp.assignments[:1])
 
 
 def test_blueprint_doc_roundtrip():

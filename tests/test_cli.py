@@ -427,7 +427,9 @@ def test_version(capsys):
 
 
 def test_reduce_rejects_color_outside_palette(tmp_path, capsys):
-    doc = Coloring(make_canonical(ClassKind("chi_color", chi=2), 1), 2, 2, {(0, 1): 7}).to_doc()
+    # the constructor refuses the colour, so the document is edited by hand
+    doc = Coloring(make_canonical(ClassKind("chi_color", chi=2), 1), 2, 2, {(0, 1): 0}).to_doc()
+    doc["entries"] = [[0, 1, 7]]
     path = tmp_path / "col.json"
     path.write_text(json.dumps(doc))
     code = main(["reduce", "--cls", "chi_color:2", "--level", "1", "--coloring", str(path)])

@@ -68,6 +68,14 @@ def test_coloring_validation():
     # a bool would be written as JSON true, which from_doc refuses
     with pytest.raises(ValueError, match=re.escape("color True for (0, 1) is not an integer")):
         Coloring.from_function(make_canonical(ClassKind("or"), 4), 2, 2, lambda t: True)
+    # the constructor checks every colour, whoever built the table
+    for color in (7, -1, True, 1.0, None):
+        with pytest.raises(ValueError, match=re.escape(f"color {color!r} for (0, 1) is not an integer in the palette 0..1")):
+            Coloring(base, 2, 2, {(0, 2): 1, (0, 1): color})
+    # so are arity and colors: a bool would be written as JSON true
+    for arity, colors in ((True, 2), (2, True), (2.0, 2), (2, "2")):
+        with pytest.raises(ValueError, match="must be integers"):
+            Coloring(base, arity, colors, {})
     # partial tables are allowed on purpose; reads of missing tuples raise
     partial = Coloring(base, 2, 2, {(0, 1): 1})
     assert not partial.is_total()
