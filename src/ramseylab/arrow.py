@@ -15,11 +15,10 @@ Three modes:
 
   exhaustive      enumerate every coloring and certify each one, by scanning
                   the pool when it fits under the bound and there are two or
-                  more colors, or else by searching the coloring directly; a
-                  failing coloring is re-verified by an independent search
-                  before it is reported.
+                  more colors, or else by searching the coloring directly.
   randomized      seeded sample of colorings, each searched exhaustively or up
-                  to a node budget; can refute, never proves holds.
+                  to a node budget; can refute, never proves holds.  A sample
+                  that admits no homogeneous subset is the refutation.
   counterexample  focused Metropolis descent on the number of pool candidates
                   consistent with the coloring (the live ones).  Each step
                   draws a live candidate, one tuple of its same-type groups
@@ -30,10 +29,13 @@ Three modes:
                   Alava & Orponen 2005).  The energy and the live list are
                   kept exact across single-tuple flips by updating only the
                   same-type groups that hold the flipped tuple.  The pool is
-                  complete, so a zero-energy coloring is a refutation, which
-                  is verified independently before it is reported; a pool
+                  complete, so a zero-energy coloring is a refutation; a pool
                   over the bound gives `unknown` and no descent, and so does
                   one color, which leaves no move.
+
+Every engine returns its `fails` through `_refuted`, which re-verifies the
+refuting coloring with `verify_refutation`, an independent exhaustive search,
+and raises InternalCheckError if it does not refute.
 
 One tuple table per query serves every engine: the increasing tuples in
 lexicographic order and one coloring over them that the engines repaint,
@@ -54,7 +56,14 @@ import random
 from dataclasses import dataclass, field
 
 from .colorings import Coloring, find_type_homogeneous, random_colors
-from .structures import ClassKind, _is_int, make_canonical, minimal_big_subsets, require_fields
+from .structures import (
+    ClassKind,
+    InternalCheckError,
+    _is_int,
+    make_canonical,
+    minimal_big_subsets,
+    require_fields,
+)
 
 DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
@@ -251,6 +260,15 @@ def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
     return res.exhaustive and not res.found
 
 
+def _refuted(query: ArrowQuery, col: Coloring, mode: str, work: int, checked: int, *notes: str) -> Verdict:
+    """The `fails` verdict of every engine: a copy of the refuting coloring,
+    re-verified by `verify_refutation` before it is reported."""
+    col = col.copy()
+    if not verify_refutation(query, col):
+        raise InternalCheckError(f"{mode} refutation failed independent verification")
+    return Verdict("fails", mode, work, checked, col, notes)
+
+
 def _product_digits(k: int, colors: int, ntup: int) -> list[int]:
     """The k-th element of `itertools.product(range(colors), repeat=ntup)`."""
     digits = [0] * ntup
@@ -259,12 +277,12 @@ def _product_digits(k: int, colors: int, ntup: int) -> list[int]:
     return digits
 
 
-def _scan_pool(cands, ntup: int, colors: int, start: int, stop: int) -> tuple[int, int | None]:
-    """Scan the colorings numbered `start` to `stop - 1`, in
-    `itertools.product` order, against the pool `cands`.  Returns the work,
-    the 1-based index of the first consistent candidate summed over the
-    colorings (the pool size for one with none), and the number of the
-    first coloring with no consistent candidate, or None.
+def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
+    """Scan every coloring, in `itertools.product` order, against the pool
+    `cands` until one has no consistent candidate.  Returns the work, the
+    1-based index of the first consistent candidate summed over the
+    colorings scanned (the pool size for one with none), and the number of
+    the first coloring with no consistent candidate, or None.
 
     Each same-type group is one integer mask over the table indices, tuple
     i at bit ntup-1-i, so coloring k read as a base-`colors` number puts the
@@ -273,17 +291,17 @@ def _scan_pool(cands, ntup: int, colors: int, start: int, stop: int) -> tuple[in
     bits = [1 << (ntup - 1 - i) for i in range(ntup)]
     if colors == 2:
         masks = [[sum(bits[i] for i in g) for g in groups] for _, groups in cands]
-        return _scan_two_colors(masks, start, stop)
+        return _scan_two_colors(masks, 2 ** ntup)
     masks = [[(g[0], sum(bits[i] for i in g)) for g in groups] for _, groups in cands]
-    return _scan_many_colors(masks, ntup, colors, start, stop)
+    return _scan_many_colors(masks, ntup, colors)
 
 
-def _scan_two_colors(pool, start: int, stop: int) -> tuple[int, int | None]:
+def _scan_two_colors(pool, total: int) -> tuple[int, int | None]:
     """`_scan_pool` with 2 colors: coloring k is the integer `ones` = k,
     whose set bits are the tuples colored 1, so a group mask gm is
     monochromatic iff `ones & gm` is 0 or gm."""
     work = 0
-    for ones in range(start, stop):
+    for ones in range(total):
         scanned = 0
         for masks in pool:
             scanned += 1
@@ -299,21 +317,20 @@ def _scan_two_colors(pool, start: int, stop: int) -> tuple[int, int | None]:
     return work, None
 
 
-def _scan_many_colors(pool, ntup: int, colors: int, start: int, stop: int) -> tuple[int, int | None]:
+def _scan_many_colors(pool, ntup: int, colors: int) -> tuple[int, int | None]:
     """`_scan_pool` with 3 or more colors.
 
     An odometer over the digits keeps one mask per color, touching only the
     digits that change.  A group is monochromatic iff the mask of its first
     tuple's color covers it, so each group is kept as (first tuple, gm).
     """
-    digits = _product_digits(start, colors, ntup)
+    digits = [0] * ntup
     cmasks = [0] * colors
-    for i, d in enumerate(digits):
-        cmasks[d] |= 1 << (ntup - 1 - i)
+    cmasks[0] = (1 << ntup) - 1
     top = colors - 1
     work = 0
-    for k in range(start, stop):
-        if k != start:
+    for k in range(colors ** ntup):
+        if k:
             i, bit = ntup - 1, 1
             while digits[i] == top:
                 digits[i] = 0
@@ -357,10 +374,9 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         if note is not None:
             return Verdict("holds", "exhaustive", len(cands), 0, notes=(note,))
         # the cost is the candidates scanned per coloring
-        total = query.colors ** ntup
-        work, failing = _scan_pool(cands, ntup, query.colors, 0, total)
+        work, failing = _scan_pool(cands, ntup, query.colors)
         work += len(cands)
-        checked = total if failing is None else failing + 1
+        checked = query.colors ** ntup if failing is None else failing + 1
         digits = None if failing is None else _product_digits(failing, query.colors, ntup)
     else:
         # too many candidates to hold, or one color: search each coloring
@@ -375,10 +391,7 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
                 break
     if digits is None:
         return Verdict("holds", "exhaustive", work, checked)
-    col = table.paint(digits).copy()
-    if not verify_refutation(query, col):
-        raise AssertionError("refutation failed independent verification")
-    return Verdict("fails", "exhaustive", work, checked, col)
+    return _refuted(query, table.paint(digits), "exhaustive", work, checked)
 
 
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:
@@ -394,14 +407,8 @@ def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) 
         if res.found:
             continue
         if res.exhaustive:
-            return Verdict(
-                "fails",
-                "randomized",
-                work,
-                k + 1,
-                col.copy(),
-                notes=(f"sample {k} (seed {sub_seed}) admits no homogeneous subset",),
-            )
+            note = f"sample {k} (seed {sub_seed}) admits no homogeneous subset"
+            return _refuted(query, col, "randomized", work, k + 1, note)
         inconclusive += 1
     notes = (f"{samples} samples searched, {inconclusive} hit the budget",)
     return Verdict("unknown", "randomized", work, samples, notes=notes)
@@ -442,11 +449,8 @@ def _counterexample(query: ArrowQuery, seed: int, budget: int | None) -> Verdict
         if delta > 0 and rng.random() >= math.exp(-delta / _TEMPERATURE):
             energy.flip(i, old)
     # no candidate is homogeneous, and the pool holds them all
-    col = table.paint(digits).copy()
-    if not verify_refutation(query, col):
-        raise AssertionError("candidate pool and direct search disagree")
     note = f"refutation found after {flips} flips"
-    return Verdict("fails", "counterexample", flips, 1, col, notes=(note,))
+    return _refuted(query, table.paint(digits), "counterexample", flips, 1, note)
 
 
 def arrow_check(
@@ -496,9 +500,10 @@ def ramsey_table(cls: ClassKind, arity: int, colors: int, sub_levels, ambient_le
     `arrow_check(query, **probe)`.
 
     Cross-checks the grid against the two monotonicities (verdicts improve
-    with more ambient room and with a smaller target) and raises on any
-    violation, since one would mean an implementation bug.  An empty level
-    list is an input error: a grid with no cells checks nothing.
+    with more ambient room and with a smaller target): a cell that holds
+    while a cell with no less ambient room and no larger target fails is an
+    implementation bug, and raises InternalCheckError.  An empty level list
+    is an input error: a grid with no cells checks nothing.
     """
     sub_levels = sorted(set(sub_levels))
     ambient_levels = sorted(set(ambient_levels))
@@ -518,19 +523,13 @@ def ramsey_table(cls: ClassKind, arity: int, colors: int, sub_levels, ambient_le
                     "work": verdict.work,
                 }
             )
+    held = [cell for cell, s in status.items() if s == "holds"]
+    failed = [cell for cell, s in status.items() if s == "fails"]
+    for (lam, mu), (lam2, mu2) in itertools.product(held, failed):
+        if lam <= lam2 and mu2 <= mu:
+            raise InternalCheckError(
+                f"monotonicity violated: holds at ambient {lam} sub {mu}, fails at ambient {lam2} sub {mu2}"
+            )
     for mu in sub_levels:
-        for lo, hi in itertools.combinations(ambient_levels, 2):
-            if status[(lo, mu)] == "holds" and status[(hi, mu)] == "fails":
-                raise AssertionError(
-                    f"monotonicity violated in ambient level at sub level {mu}"
-                )
-    for lam in ambient_levels:
-        for lo, hi in itertools.combinations(sub_levels, 2):
-            if status[(lam, hi)] == "holds" and status[(lam, lo)] == "fails":
-                raise AssertionError(
-                    f"monotonicity violated in sub level at ambient level {lam}"
-                )
-    for mu in sub_levels:
-        held = [lam for lam in ambient_levels if status[(lam, mu)] == "holds"]
-        report.least_holds[mu] = min(held) if held else None
+        report.least_holds[mu] = min((lam for lam, m in held if m == mu), default=None)
     return report

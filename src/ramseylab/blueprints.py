@@ -33,7 +33,7 @@ from .colorings import (
     type_homogeneity_witness,
 )
 from .diagrams import Diagram, OutputSignature, TargetStructure, UnionFind, model_diagram, term_program
-from .structures import ClassKind, FinStructure, is_member, require_fields, subset_is_big
+from .structures import ClassKind, FinStructure, InternalCheckError, is_member, require_fields, subset_is_big
 from .structures import to_doc as structure_doc
 from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
 
@@ -43,13 +43,9 @@ class BlueprintDomainError(ValueError):
     type is not realized where it must be read off."""
 
 
-class SupportOverflowError(RuntimeError):
+class SupportOverflowError(ValueError):
     """The instantiated diagrams leave a function value or relation atom
     undecided: its support is out of the blueprint's reach."""
-
-
-class InternalCheckError(AssertionError):
-    """A self-check that coherence should have made impossible failed."""
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ and names the first JSON path where the results differ.
 Exit codes: 0 success (holds / found / verified), 1 refuted (fails, witness
 emitted, or a report that does not re-verify), 2 inconclusive (unknown or
 absent within budget), 3 usage or input errors, 4 failed internal checks.
+`main` maps exceptions to codes by family: every self-check raises
+`InternalCheckError` (exit 4), and every input error is a ValueError or an
+OSError (exit 3).
 """
 
 from __future__ import annotations
@@ -27,24 +30,18 @@ import json
 import sys
 
 from . import __version__, reductions
-from .arrow import (
-    ArrowQuery,
-    DEFAULT_CEILING,
-    SearchSpaceTooLarge,
-    arrow_check,
-    ramsey_table,
-)
-from .blueprints import (
-    Blueprint,
-    BlueprintDomainError,
-    InternalCheckError,
-    SupportOverflowError,
-    check_indiscernible,
-    derive_homogeneous,
-    em_model,
-)
+from .arrow import ArrowQuery, DEFAULT_CEILING, arrow_check, ramsey_table
+from .blueprints import Blueprint, check_indiscernible, derive_homogeneous, em_model
 from .colorings import Coloring, random_coloring
-from .structures import TABLE, ClassKind, _is_int, canonical_json, make_canonical, require_fields
+from .structures import (
+    TABLE,
+    ClassKind,
+    InternalCheckError,
+    _is_int,
+    canonical_json,
+    make_canonical,
+    require_fields,
+)
 from .tuple_types import enumerate_types
 
 
@@ -453,14 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
-    except (
-        ValueError,
-        OSError,
-        KeyError,
-        SearchSpaceTooLarge,
-        BlueprintDomainError,
-        SupportOverflowError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

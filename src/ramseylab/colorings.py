@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .structures import (
     FinStructure,
+    InternalCheckError,
     _is_int,
     from_doc as structure_from,
     is_member,
@@ -364,7 +365,7 @@ def find_type_homogeneous(
         return SearchResult(None, None, True, walk.nodes)
     verified = type_homogeneity_witness(col, found)
     if verified is None or not subset_is_big(base, found, level):
-        raise AssertionError("search returned a subset that fails re-verification")
+        raise InternalCheckError("search returned a subset that fails re-verification")
     return SearchResult(found, verified, True, walk.nodes)
 
 

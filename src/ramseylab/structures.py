@@ -54,6 +54,11 @@ _PARAMS = {"chi": 1, "height": 0, "edge_arity": 1, "palette": 1}
 _PAYLOAD = ("parts", "edges", "parent", "level", "blocks", "hyper")
 
 
+class InternalCheckError(AssertionError):
+    """A self-check failed: a result did not survive its own re-verification,
+    which points to a bug, not to bad input."""
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -161,10 +166,6 @@ class FinStructure:
     def part_of(self, e: int) -> int:
         assert self.parts is not None
         return self.parts[e]
-
-    def residue_of(self, e: int) -> int:
-        assert self.cls.kind == "chi_color"
-        return e % self.cls.chi
 
     @cached_property
     def _block_index(self) -> dict[int, int]:

@@ -20,7 +20,7 @@ from ramseylab.arrow import (
     verify_refutation,
 )
 from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets, random_coloring
-from ramseylab.structures import ClassKind, make_canonical
+from ramseylab.structures import ClassKind, InternalCheckError, make_canonical
 
 OR = ClassKind("or")
 
@@ -280,6 +280,25 @@ def test_table_unresolved_least():
     assert report.least_holds[3] is None
 
 
+@pytest.mark.parametrize(
+    "statuses, sub_levels, ambient_levels, cells",
+    [
+        # more ambient room, same target: along the ambient axis only
+        ({(5, 2): "holds", (6, 2): "fails"}, [2], [5, 6], "holds at ambient 5 sub 2, fails at ambient 6 sub 2"),
+        # same ambient, smaller target: along the sub axis only
+        ({(6, 3): "holds", (6, 2): "fails"}, [2, 3], [6], "holds at ambient 6 sub 3, fails at ambient 6 sub 2"),
+    ],
+    ids=["ambient", "sub"],
+)
+def test_table_monotonicity_violation_is_an_internal_check(monkeypatch, statuses, sub_levels, ambient_levels, cells):
+    def fake(query, **probe):
+        return Verdict(statuses[(query.ambient_level, query.sub_level)], "exhaustive", 0, 0)
+
+    monkeypatch.setattr(arrow, "arrow_check", fake)
+    with pytest.raises(InternalCheckError, match=f"monotonicity violated: {cells}"):
+        ramsey_table(OR, 2, 2, sub_levels, ambient_levels)
+
+
 @pytest.mark.parametrize("sub_levels, ambient_levels", [([], [1]), ([1], []), ([], [])])
 def test_table_rejects_an_empty_level_list(sub_levels, ambient_levels):
     # a grid with no cells checks nothing, so it may not pass for a result
@@ -404,7 +423,7 @@ def test_counterexample_pool_disagreeing_with_search_raises(monkeypatch):
     # one color: the whole order is homogeneous, so a pool that misses it
     # cannot pass the first coloring off as a refutation
     monkeypatch.setattr(_TupleTable, "candidates", lambda self, sub_level: [])
-    with pytest.raises(AssertionError, match="pool and direct search disagree"):
+    with pytest.raises(InternalCheckError, match="counterexample refutation failed independent verification"):
         arrow_check(ArrowQuery(OR, 3, 3, 2, 1), mode="counterexample")
 
 
@@ -424,23 +443,23 @@ _MASK_SHAPES = [
 
 @pytest.mark.parametrize("cls, ambient, sub, arity, colors", _MASK_SHAPES, ids=lambda v: getattr(v, "kind", v))
 def test_mask_scan_matches_the_digit_scan(cls, ambient, sub, arity, colors):
-    # on every coloring the mask scan finds the first consistent candidate
-    # the digit-tuple scan finds, and the verdicts agree to the byte
+    # the mask scan sums the work the digit-tuple scan does up to the first
+    # coloring with no consistent candidate and stops there, and the
+    # verdicts agree to the byte
     q = ArrowQuery(cls, ambient, sub, arity, colors)
     table = _TupleTable(q)
     pool = table.candidates(sub)
     ntup = len(table.tuples)
-    work, digits = len(pool), None
+    work, digits, failing = len(pool), None, None
     for k, each in enumerate(itertools.product(range(colors), repeat=ntup)):
         assert _product_digits(k, colors, ntup) == list(each)
         first = next((j for j, (_, groups) in enumerate(pool, 1) if _consistent(each, groups)), None)
-        want = (len(pool), k) if first is None else (first, None)
-        assert _scan_pool(pool, ntup, colors, k, k + 1) == want, each
-        if digits is None:
-            work += want[0]
-            checked = k + 1
-            if first is None:
-                digits = each
+        work += len(pool) if first is None else first
+        checked = k + 1
+        if first is None:
+            digits, failing = each, k
+            break
+    assert _scan_pool(pool, ntup, colors) == (work - len(pool), failing)
     if digits is None:
         reference = Verdict("holds", "exhaustive", work, checked)
     else:

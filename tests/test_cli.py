@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import unary_blueprint
-from ramseylab import __version__
+from ramseylab import __version__, arrow, colorings
 from ramseylab.blueprints import Blueprint
 from ramseylab.cli import build_parser, main, parse_class
 from ramseylab.colorings import Coloring
@@ -421,7 +421,7 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    from ramseylab import __version__
+    from ramseylab import __version__, arrow, colorings
 
     assert capsys.readouterr().out.strip() == __version__
 
@@ -626,3 +626,45 @@ def test_types_report_with_negative_level_exits_3(tmp_path, capsys):
     code, err = _run_on_json(tmp_path, capsys, doc, *CHECK)
     assert code == 3
     assert "level must be nonnegative" in err
+
+
+def _verify_nothing(monkeypatch):
+    monkeypatch.setattr(arrow, "verify_refutation", lambda query, col: False)
+
+
+def _witness_nothing(monkeypatch):
+    monkeypatch.setattr(colorings, "type_homogeneity_witness", lambda col, subset: None)
+
+
+def _fail_cell_6_2(monkeypatch):
+    real = arrow.arrow_check
+
+    def wrapped(query, **probe):
+        verdict = real(query, **probe)
+        if (query.ambient_level, query.sub_level) == (6, 2):
+            verdict.status = "fails"
+        return verdict
+
+    monkeypatch.setattr(arrow, "arrow_check", wrapped)
+
+
+@pytest.mark.parametrize(
+    "patch, argv",
+    [
+        (_verify_nothing, ARROW5),
+        (_verify_nothing, (*ARROW5, "--mode", "counterexample", "--seed", "1")),
+        (_verify_nothing, (*ARROW5, "--mode", "randomized", "--seed", "1806341205", "--samples", "300")),
+        (_witness_nothing, ("reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--seed", "15")),
+        (_fail_cell_6_2, ("table", "--cls", "or", "-n", "2", "-c", "2",
+                          "--sub-levels", "2,3", "--ambient-levels", "5,6")),
+    ],
+    ids=["exhaustive", "counterexample", "randomized", "reduce", "table"],
+)
+def test_every_self_check_exits_4(monkeypatch, capsys, patch, argv):
+    # a failed re-verification or monotonicity check is a bug, never a
+    # verdict: exit 4 with a message, not a traceback and exit 1
+    patch(monkeypatch)
+    assert main(list(argv)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed")

@@ -1,5 +1,6 @@
 """Seeded fuzzing of the document loaders: every `from_doc` either loads a
-mutated document or rejects it with ValueError, never another exception."""
+mutated document or rejects it with ValueError, never another exception, and
+`check --report` answers a report with mutated params with an exit code."""
 
 import copy
 import json
@@ -10,6 +11,7 @@ import pytest
 from helpers import fiber_target, time_limit, unary_blueprint
 from ramseylab.arrow import ArrowQuery
 from ramseylab.blueprints import Blueprint
+from ramseylab.cli import main
 from ramseylab.colorings import Coloring, HomogeneityWitness, type_homogeneity_witness
 from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, model_diagram
 from ramseylab.structures import ClassKind, from_doc as structure_from, make_canonical, to_doc as structure_doc
@@ -104,3 +106,38 @@ def test_mutated_documents_load_or_raise_value_error():
             once = _apply(doc, path, change)
             then, path, change = rng.choice(_changes(once))
             _loads_or_rejects(name, loader, f"{first}, then {then}", _apply(once, path, change))
+
+
+# one report of each command whose params `check` parses field by field
+_REPORTS = [
+    ("types", "--cls", "ceq", "-n", "2"),
+    ("arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2",
+     "--mode", "counterexample", "--seed", "1"),
+    ("arrow", "--cls", "or", "--ambient", "5", "--sub", "3", "-n", "2", "-c", "2",
+     "--mode", "randomized", "--seed", "1806341205", "--samples", "300"),
+    ("table", "--cls", "or", "-n", "2", "-c", "2", "--sub-levels", "1,2", "--ambient-levels", "1,2,3"),
+    ("reduce", "--cls", "ceq", "--level", "2", "--ambient", "2", "--seed", "15"),
+    ("extract", "--cls", "chi_or:2", "--level", "2", "--ambient", "3", "--seed", "3"),
+]
+
+
+@time_limit(30)
+def test_mutated_report_params_exit_0_to_3(tmp_path, capsys):
+    # a seeded sample of single changes to each report's params: `check`
+    # re-runs, refutes or rejects each one, and never raises
+    rng = random.Random(20261019)
+    path = tmp_path / "report.json"
+    for argv in _REPORTS:
+        assert main([*argv, "--json", "--out", str(path)]) in (0, 1, 2)
+        envelope = json.loads(path.read_text())
+        params = envelope["result"]["params"]
+        changes = _changes(params)
+        for what, where, change in rng.sample(changes, min(150, len(changes))):
+            envelope["result"]["params"] = _apply(params, where, change)
+            path.write_text(json.dumps(envelope))
+            try:
+                code = main(["check", "--report", str(path)])
+            except Exception as exc:
+                pytest.fail(f"{argv[0]}: {what} raised {type(exc).__name__}: {exc}")
+            assert code in (0, 1, 2, 3), f"{argv[0]}: {what} exited {code}"
+    capsys.readouterr()
