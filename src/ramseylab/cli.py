@@ -222,8 +222,6 @@ def _result_reduce(params: dict) -> dict:
 
 
 def cmd_reduce(args):
-    if args.cls.kind not in _REDUCERS:
-        raise ValueError("reduce supports chi_color and ceq classes")
     result = _result_reduce(_coloring_params(args))
     report = result["report"]
     lines = []

@@ -36,7 +36,8 @@ whole universe is), closure, admission and pruning for the subset walker, the
 fragment a type records and the decoding back, and the generator of the
 inclusion-minimal big subsets of a member.  Admission is the one per-kind
 veto on subsets: the walker and `subset_induces_member` both take a subset's
-elements in increasing order through `Kind.admit`.
+elements in increasing order through `Kind.admit`.  A count-based kind
+(`chi_or`, `ceq`) subclasses `_Grouped`, naming its groups and `needed`.
 The module-level functions validate their input and dispatch to the table,
 and no other module tells kinds apart, so a new class is one more subclass.
 `canonical_json` writes the certificate bytes of every document.
@@ -257,6 +258,25 @@ def tree_meet(s: FinStructure, a: int, b: int) -> int:
     raise ValueError(f"elements {a} and {b} have no meet")
 
 
+def _induced_parent(s: FinStructure, inside, e: int) -> int:
+    """The parent of e in the tree `inside` induces: its nearest strict
+    ancestor in `inside`, or -1."""
+    return next((a for a in tree_ancestors(s, e) if a in inside), -1)
+
+
+def _faithful_children(s: FinStructure, chosen) -> dict[int, list[int]]:
+    """Each element of the increasing `chosen` mapped to its children in the
+    tree `chosen` induces that sit one level below it, in increasing order.
+    An element with no ancestor in `chosen` is no node's child."""
+    inside = set(chosen)
+    kids: dict[int, list[int]] = {e: [] for e in chosen}
+    for e in chosen:
+        p = _induced_parent(s, inside, e)
+        if p >= 0 and s.level[e] == s.level[p] + 1:
+            kids[p].append(e)
+    return kids
+
+
 # the per-kind table
 
 
@@ -278,8 +298,9 @@ class Kind:
     each FinStructure payload field it uses to the field's document key and
     that key's JSON shape (see `_fits`), which `from_doc` checks.  The
     defaults fit a kind with no payload and bigness by cardinality alone;
-    subclasses override what differs.  `subset_big` and `minimal` are
-    called with mu >= 1 only.
+    subclasses override what differs, or subclass `_Grouped` where bigness
+    counts elements per group.  `subset_big` and `minimal` are called with
+    mu >= 1 only.
     """
 
     name = ""
@@ -345,19 +366,29 @@ class Kind:
 
 
 class _Grouped(Kind):
-    """A kind whose bigness reads only how many chosen elements fall in each
-    of its groups (`chi_or` parts, `ceq` blocks), and only grows with them.
+    """A kind whose bigness at mu asks that `needed(cls, mu)` of its groups
+    (`chi_or` parts, all chi of them; `ceq` blocks, mu of them) each hold at
+    least mu chosen elements.
 
     A subclass names its groups, `groups(s)` of them with `group_of(s, e)`
-    in 0..groups(s)-1, and the rule `enough(counts, mu)` on the list of
-    per-group counts.
+    in 0..groups(s)-1, and `needed`.  The least size (needed * mu), subset
+    bigness, the walker's bound and the minimal big subsets (`needed` of
+    the groups of at least mu elements, by first element, and mu elements
+    of each) follow.
     """
+
+    @staticmethod
+    def _enough(counts, mu, needed):
+        return len([c for c in counts if c >= mu]) >= needed
+
+    def min_size(self, cls, mu):
+        return self.needed(cls, mu) * mu
 
     def subset_big(self, s, chosen, mu):
         counts = [0] * self.groups(s)
         for e in chosen:
             counts[self.group_of(s, e)] += 1
-        return self.enough(counts, mu)
+        return self._enough(counts, mu, self.needed(s.cls, mu))
 
     def pruner(self, base, level, elements):
         # every completion lies inside chosen + elements[i:]: the counts of
@@ -372,15 +403,23 @@ class _Grouped(Kind):
             counts[group[e]] += 1
             suffix.append(counts)
         suffix.reverse()
-        enough = self.enough
+        enough, needed = self._enough, self.needed(base.cls, level)
 
         def feasible(chosen, i):
             counts = suffix[i].copy()
             for e in chosen:
                 counts[group[e]] += 1
-            return enough(counts, level)
+            return enough(counts, level, needed)
 
         return feasible
+
+    def minimal(self, s, mu):
+        members: list[list[int]] = [[] for _ in range(self.groups(s))]
+        for e in range(s.size):
+            members[self.group_of(s, e)].append(e)
+        wide = sorted(g for g in members if len(g) >= mu)
+        for picked in itertools.combinations(wide, self.needed(s.cls, mu)):
+            yield from _concatenations([partial(itertools.combinations, g, mu) for g in picked])
 
 
 class LinearOrder(Kind):
@@ -396,9 +435,6 @@ class DisjointOrders(_Grouped):
         parts = tuple(p for p in range(cls.chi) for _ in range(mu))
         return FinStructure(cls, cls.chi * mu, parts=parts)
 
-    def min_size(self, cls, mu):
-        return cls.chi * mu
-
     def member(self, s):
         if len(s.parts) != s.size:
             return False
@@ -413,18 +449,11 @@ class DisjointOrders(_Grouped):
     def group_of(self, s, e):
         return s.part_of(e)
 
-    def enough(self, counts, mu):
-        return min(counts) >= mu
+    def needed(self, cls, mu):
+        return cls.chi
 
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
-
-    def minimal(self, s, mu):
-        # mu elements of every part
-        parts: list[list[int]] = [[] for _ in range(s.cls.chi)]
-        for e in range(s.size):
-            parts[s.part_of(e)].append(e)
-        return _concatenations([partial(itertools.combinations, p, mu) for p in parts])
 
 
 class ColoredOrder(Kind):
@@ -516,27 +545,11 @@ class Trees(Kind):
         return all(s.parent[i] in (i - 1, *tree_ancestors(s, i - 1)) for i in range(1, n))
 
     def subset_big(self, s, chosen, mu):
-        if not chosen:
+        # the fragment root is the meet of the whole set; it must sit at level 0
+        if not chosen or s.level[chosen[0]] != 0:
             return False
-        inside = set(chosen)
-        root = min(chosen)
-        # fragment root is the meet of the whole set; it must sit at level 0
-        if s.level[root] != 0:
-            return False
-        kids: dict[int, list[int]] = {e: [] for e in chosen}
-        for e in chosen:
-            if e == root:
-                continue
-            for anc in tree_ancestors(s, e):
-                if anc in inside:
-                    kids[anc].append(e)
-                    break
-        for v in chosen:
-            if s.level[v] < s.cls.height:
-                faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
-                if len(faithful) < mu:
-                    return False
-        return True
+        kids = _faithful_children(s, chosen)
+        return all(len(kids[v]) >= mu for v in chosen if s.level[v] < s.cls.height)
 
     # In preorder every meet of a set is the meet of two of its elements
     # adjacent in order: closing adds those meets, and e above a closed
@@ -560,8 +573,8 @@ class Trees(Kind):
         return lambda chosen, i: i <= at or root in chosen
 
     def fragment(self, s, closed, pos):
-        # an element's fragment parent is its nearest ancestor inside
-        parent = tuple([next((pos[a] for a in tree_ancestors(s, e) if a in pos), -1) for e in closed])
+        # pos holds no -1, so a fragment root keeps -1
+        parent = tuple([pos.get(_induced_parent(s, pos, e), -1) for e in closed])
         return (("level", tuple([s.level[e] for e in closed])), ("parent", parent))
 
     def minimal(self, s, mu):
@@ -570,14 +583,13 @@ class Trees(Kind):
         root = tree_root(s)
         if root is None or s.level[root] != 0:
             return
-        kids = tree_children(s)
+        kids = _faithful_children(s, range(s.size))
 
         def below(v: int):
             if s.level[v] >= s.cls.height:
                 yield (v,)
                 return
-            faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
-            for pick in itertools.combinations(faithful, mu):
+            for pick in itertools.combinations(kids[v], mu):
                 yield from _concatenations([partial(below, c) for c in pick], (v,))
 
         yield from below(root)
@@ -590,9 +602,6 @@ class ConvexEquivalence(_Grouped):
     def canonical(self, cls, mu):
         blocks = tuple(tuple(range(b * mu, (b + 1) * mu)) for b in range(mu))
         return FinStructure(cls, mu * mu, blocks=blocks)
-
-    def min_size(self, cls, mu):
-        return mu * mu
 
     def member(self, s):
         seen: set[int] = set()
@@ -615,8 +624,8 @@ class ConvexEquivalence(_Grouped):
     def group_of(self, s, e):
         return s.block_of(e)
 
-    def enough(self, counts, mu):
-        return len([c for c in counts if c >= mu]) >= mu
+    def needed(self, cls, mu):
+        return mu
 
     def fragment(self, s, closed, pos):
         # blocks numbered by first occurrence
@@ -628,12 +637,6 @@ class ConvexEquivalence(_Grouped):
         for i, b in enumerate(frag["blocks"]):
             blocks.setdefault(b, []).append(i)
         return FinStructure(cls, m, blocks=blocks.values()), range(m)
-
-    def minimal(self, s, mu):
-        # mu blocks of at least mu elements, and mu elements of each
-        wide = sorted(b for b in s.blocks if len(b) >= mu)
-        for blocks in itertools.combinations(wide, mu):
-            yield from _concatenations([partial(itertools.combinations, b, mu) for b in blocks])
 
 
 class OrderedGraphs(Kind):
@@ -669,32 +672,29 @@ class Hypergraphs(Kind):
     fields = {"hyper": ("hyper_colors", [([int], int)])}
     embeds = False  # as for ordered graphs
 
+    def colored_subsets(self, cls, elements):
+        """The subsets of the increasing `elements` that F colours, those of
+        fewer than `edge_arity` elements, by size and then lexicographically."""
+        by_size = (itertools.combinations(elements, r) for r in range(cls.edge_arity))
+        return itertools.chain.from_iterable(by_size)
+
     def canonical(self, cls, mu):
-        entries = []
-        for r in range(cls.edge_arity):
-            for subset in itertools.combinations(range(mu), r):
-                entries.append((subset, (r + sum(subset)) % cls.palette))
+        entries = [(sub, (len(sub) + sum(sub)) % cls.palette) for sub in self.colored_subsets(cls, range(mu))]
         return FinStructure(cls, mu, hyper=tuple(entries))
 
     def member(self, s):
-        want = set()
-        for r in range(s.cls.edge_arity):
-            for subset in itertools.combinations(range(s.size), r):
-                want.add(subset)
         got = {}
         for subset, color in s.hyper:
             if subset in got:
                 return False
             got[subset] = color
-        if set(got) != want:
+        if set(got) != set(self.colored_subsets(s.cls, range(s.size))):
             return False
         return all(0 <= c < s.cls.palette for c in got.values())
 
     def fragment(self, s, closed, pos):
-        colors = []
-        for r in range(s.cls.edge_arity):
-            for sub in itertools.combinations(closed, r):
-                colors.append((tuple([pos[e] for e in sub]), s.hyper_color(sub)))
+        subsets = self.colored_subsets(s.cls, closed)
+        colors = [(tuple([pos[e] for e in sub]), s.hyper_color(sub)) for sub in subsets]
         return (("colors", tuple(colors)),)
 
     def decode(self, cls, m, frag):
@@ -759,9 +759,7 @@ def is_big(s: FinStructure, mu: int) -> bool:
     under extension to a larger member; a barren branch can spoil a tree
     that extends a faithful one.
     """
-    if mu < 0:
-        raise ValueError("bigness level must be nonnegative")
-    return mu == 0 or s.cls.spec.subset_big(s, list(range(s.size)), mu)
+    return subset_is_big(s, range(s.size), mu)
 
 
 # subsets: closure, membership, bigness, induced structure

@@ -427,6 +427,23 @@ def test_counterexample_pool_disagreeing_with_search_raises(monkeypatch):
         arrow_check(ArrowQuery(OR, 3, 3, 2, 1), mode="counterexample")
 
 
+def test_a_painted_colour_outside_the_palette_is_refused_before_verification(monkeypatch):
+    # `_TupleTable.paint` writes engine digits unchecked; the copy `_refuted`
+    # takes is the one palette check a painted table gets
+    def off_palette(k, colors, ntup):
+        digits = _product_digits(k, colors, ntup)
+        digits[0] = 2
+        return digits
+
+    def never(query, col):
+        raise AssertionError("verify_refutation was called")
+
+    monkeypatch.setattr(arrow, "_product_digits", off_palette)
+    monkeypatch.setattr(arrow, "verify_refutation", never)
+    with pytest.raises(ValueError, match="palette"):
+        arrow_check(ArrowQuery(OR, 5, 3, 2, 2))
+
+
 # (class, ambient, sub, arity, colors): candidates of one and of two groups,
 # both verdicts with 2 colors and with 3, where a holds verdict runs the
 # odometer through every carry

@@ -247,8 +247,9 @@ def test_reduce_class_mismatch(tmp_path, capsys):
 
 
 def test_reduce_rejects_plain_orders(capsys):
-    code, _ = run(capsys, "reduce", "--cls", "or", "--level", "1")
+    code = main(["reduce", "--cls", "or", "--level", "1"])
     assert code == 3
+    assert "chi_color or ceq" in capsys.readouterr().err
 
 
 def test_reduce_seeded_ceq(capsys):

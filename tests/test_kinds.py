@@ -1,6 +1,7 @@
 """Per-class behaviour: minimal big subsets and canonical embeddings, pinned
-document and type-code bytes, and the rule that only `structures` tells
-class kinds apart."""
+document and type-code bytes, the rule that only `structures` tells class
+kinds apart, and each kind's rules against references written out kind by
+kind."""
 
 import itertools
 import random
@@ -14,16 +15,21 @@ from helpers import SMALL_KINDS, _atoms, closure_bruteforce, random_member
 from ramseylab.colorings import iter_big_member_subsets
 from ramseylab.structures import (
     ClassKind,
+    FinStructure,
     dumps,
     embed_canonical,
     embeds_canonically,
     is_big,
     is_embedding,
+    is_member,
     make_canonical,
     minimal_big_subsets,
     subset_closure,
     subset_induces_member,
     subset_is_big,
+    tree_ancestors,
+    tree_children,
+    tree_root,
 )
 from ramseylab.tuple_types import tuple_type
 
@@ -224,3 +230,212 @@ def test_only_structures_tells_kinds_apart():
         if compares.search(line)
     ]
     assert hits == []
+
+
+# Each kind's rules written out kind by kind, as references for the rules
+# the table states once: the grouped kinds' count rules and minimal
+# generators, the tree's kids lists and the hypergraph's nested loops over
+# coloured subsets.
+
+
+def _product_of(choices) -> list[tuple]:
+    return [sum(pick, ()) for pick in itertools.product(*choices)]
+
+
+def _reference_counts(s, chosen) -> list[int]:
+    if s.cls.kind == "chi_or":
+        counts = [0] * s.cls.chi
+        for e in chosen:
+            counts[s.parts[e]] += 1
+        return counts
+    return [len(set(block) & set(chosen)) for block in s.blocks]
+
+
+def _reference_enough(cls, counts, mu) -> bool:
+    if cls.kind == "chi_or":
+        return min(counts) >= mu
+    return len([c for c in counts if c >= mu]) >= mu
+
+
+def _reference_grouped_minimal(s, mu) -> list[tuple]:
+    if s.cls.kind == "chi_or":
+        parts = [[e for e in range(s.size) if s.parts[e] == p] for p in range(s.cls.chi)]
+        return _product_of([itertools.combinations(p, mu) for p in parts])
+    wide = sorted(b for b in s.blocks if len(b) >= mu)
+    return [
+        cand
+        for blocks in itertools.combinations(wide, mu)
+        for cand in _product_of([itertools.combinations(b, mu) for b in blocks])
+    ]
+
+
+def _reference_tree_big(s, chosen, mu) -> bool:
+    if not chosen:
+        return False
+    inside = set(chosen)
+    root = min(chosen)
+    if s.level[root] != 0:
+        return False
+    kids = {e: [] for e in chosen}
+    for e in chosen:
+        if e == root:
+            continue
+        for anc in tree_ancestors(s, e):
+            if anc in inside:
+                kids[anc].append(e)
+                break
+    for v in chosen:
+        if s.level[v] < s.cls.height:
+            faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
+            if len(faithful) < mu:
+                return False
+    return True
+
+
+def _reference_tree_fragment(s, closed, pos) -> tuple:
+    parent = tuple(next((pos[a] for a in tree_ancestors(s, e) if a in pos), -1) for e in closed)
+    return (("level", tuple(s.level[e] for e in closed)), ("parent", parent))
+
+
+def _reference_tree_minimal(s, mu) -> list[tuple]:
+    root = tree_root(s)
+    if root is None or s.level[root] != 0:
+        return []
+    kids = tree_children(s)
+
+    def below(v):
+        if s.level[v] >= s.cls.height:
+            return [(v,)]
+        faithful = [c for c in kids[v] if s.level[c] == s.level[v] + 1]
+        return [
+            (v, *cand)
+            for pick in itertools.combinations(faithful, mu)
+            for cand in _product_of([below(c) for c in pick])
+        ]
+
+    return below(root)
+
+
+def _reference_hyper_subsets(cls, elements) -> list[tuple]:
+    subsets = []
+    for r in range(cls.edge_arity):
+        for subset in itertools.combinations(elements, r):
+            subsets.append(subset)
+    return subsets
+
+
+def _reference_hyper_member(s) -> bool:
+    got = {}
+    for subset, color in s.hyper:
+        if subset in got:
+            return False
+        got[subset] = color
+    if set(got) != set(_reference_hyper_subsets(s.cls, range(s.size))):
+        return False
+    return all(0 <= c < s.cls.palette for c in got.values())
+
+
+_REFERENCE_KINDS = (
+    ClassKind("chi_or", chi=1),
+    ClassKind("chi_or", chi=2),
+    ClassKind("chi_or", chi=3),
+    ClassKind("ceq"),
+    ClassKind("n_tree", height=1),
+    ClassKind("n_tree", height=2),
+    ClassKind("hypergraph", edge_arity=2, palette=2),
+    ClassKind("hypergraph", edge_arity=3, palette=3),
+)
+
+
+def _ancestors_of(parent, e):
+    while parent[e] >= 0:
+        e = parent[e]
+        yield e
+
+
+def _bushy_tree(cls, rng, n):
+    """A random tree of n elements that hangs each element off a random node
+    below the height on the path to the element before it; the root sits at
+    level 0 or 1."""
+    parent, level = [-1], [rng.choice((0, 0, 0, 1))]
+    for i in range(1, n):
+        path = [v for v in (i - 1, *_ancestors_of(parent, i - 1)) if level[v] < cls.height]
+        if not path:
+            break
+        p = rng.choice(path)
+        parent.append(p)
+        level.append(rng.randint(level[p] + 1, cls.height))
+    return FinStructure(cls, len(parent), parent=parent, level=level)
+
+
+def _reference_members(cls, rng) -> list:
+    """Each canonical member of up to 10 elements and random members; a ceq
+    member comes a second time with its blocks listed last first."""
+    members = [s for s in (make_canonical(cls, lam) for lam in range(11)) if s.size <= 10]
+    members += [random_member(cls, rng, max_size=9) for _ in range(40)]
+    if cls.kind == "ceq":
+        members += [FinStructure(cls, s.size, blocks=s.blocks[::-1]) for s in members if len(s.blocks) > 1]
+    if cls.kind == "n_tree":
+        members += [_bushy_tree(cls, rng, rng.randint(6, 10)) for _ in range(20)]
+    return members
+
+
+@pytest.mark.parametrize("cls", _REFERENCE_KINDS, ids=ClassKind.label)
+def test_kind_rules_match_their_references(cls):
+    rng = random.Random(25)
+    spec = cls.spec
+    subsets = bigs = 0
+    for s in _reference_members(cls, rng):
+        assert is_member(s)
+        every = [sub for r in range(s.size + 1) for sub in itertools.combinations(range(s.size), r)]
+        for mu in range(1, 5):
+            if cls.kind in ("chi_or", "ceq"):
+                assert spec.min_size(cls, mu) == (cls.chi if cls.kind == "chi_or" else mu) * mu
+                assert list(spec.minimal(s, mu)) == _reference_grouped_minimal(s, mu), (s, mu)
+                feasible = spec.pruner(s, mu, list(range(s.size)))
+                for sub in every:
+                    want = _reference_enough(cls, _reference_counts(s, sub), mu)
+                    assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
+                    # the walker's node just past the subset's last element
+                    at = sub[-1] + 1 if sub else 0
+                    rest = _reference_counts(s, sub + tuple(range(at, s.size)))
+                    assert feasible(list(sub), at) == _reference_enough(cls, rest, mu), (s, sub, mu)
+                    bigs += want
+            elif cls.kind == "n_tree":
+                assert list(spec.minimal(s, mu)) == _reference_tree_minimal(s, mu), (s, mu)
+                for sub in every:
+                    want = _reference_tree_big(s, sub, mu)
+                    assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
+                    bigs += want
+        if cls.kind == "n_tree":
+            for sub in every:
+                pos = {e: i for i, e in enumerate(sub)}
+                assert spec.fragment(s, sub, pos) == _reference_tree_fragment(s, sub, pos), (s, sub)
+        elif cls.kind == "hypergraph":
+            assert list(spec.colored_subsets(cls, range(s.size))) == _reference_hyper_subsets(cls, range(s.size))
+            for sub in every:
+                pos = {e: i for i, e in enumerate(sub)}
+                colors = [(tuple(pos[e] for e in x), s.hyper_color(x)) for x in _reference_hyper_subsets(cls, sub)]
+                assert spec.fragment(s, sub, pos) == (("colors", tuple(colors)),), (s, sub)
+        subsets += len(every)
+    assert subsets > 2000
+    assert bigs > 0 or cls.kind == "hypergraph"
+
+
+@pytest.mark.parametrize("cls", [c for c in _REFERENCE_KINDS if c.kind == "hypergraph"], ids=ClassKind.label)
+def test_hypergraph_canonical_and_membership_match_their_references(cls):
+    for mu in range(8):
+        want = [(sub, (len(sub) + sum(sub)) % cls.palette) for sub in _reference_hyper_subsets(cls, range(mu))]
+        assert make_canonical(cls, mu).hyper == tuple(want)
+    rng = random.Random(25)
+    verdicts = set()
+    for _ in range(60):
+        s = random_member(cls, rng, max_size=7)
+        entries = list(s.hyper)
+        variants = [entries, entries[1:], entries + entries[:1], entries + [(tuple(range(cls.edge_arity)), 0)]]
+        variants.append([(sub, cls.palette) for sub, _ in entries])
+        for hyper in variants:
+            t = FinStructure(cls, s.size, hyper=hyper)
+            verdicts.add(_reference_hyper_member(t))
+            assert cls.spec.member(t) == _reference_hyper_member(t), (t,)
+    assert verdicts == {True, False}
