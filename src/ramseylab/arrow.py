@@ -13,9 +13,10 @@ big subsets of its ambient (structures.minimal_big_subsets), at most
 
 Three modes:
 
-  exhaustive      enumerate every coloring and certify each one, by scanning
-                  the pool when it fits under the bound and there are two or
-                  more colors, or else by searching the coloring directly.
+  exhaustive      certify every coloring through one coloring per orbit
+                  under renaming the colors, by scanning the pool when it
+                  fits under the bound and there are two or more colors, or
+                  else by searching the coloring directly.
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.  A sample
                   that admits no homogeneous subset is the refutation.
@@ -42,10 +43,20 @@ lexicographic order and one coloring over them that the engines repaint,
 whose `Coloring.type_id` types each tuple once per query, however many
 candidates hold it and samples search it.  The pool scan holds each
 same-type group as one integer mask over the table indices, tuple i at bit
-ntup-1-i, so counting up through the integers visits the colorings in
+ntup-1-i, so a coloring read as a base-`colors` number is its index in
 `itertools.product` order; a refuting coloring's digits are decoded from
-its index only when one is found.  Work counters are deterministic counts
-(candidates scanned, search nodes, flips), never wall-clock times.
+its index only when one is found.
+
+Renaming the colors never changes whether a coloring admits a homogeneous
+subset, so the exhaustive mode visits, in product order, only the
+restricted-growth colorings (`_restricted_growth`), one per orbit and the
+least of it: about colors^ntup / colors! of them.  The first refuting
+coloring in product order is the least of its orbit, so the refutation
+found is the same.  `colorings_checked` counts the colorings certified, not
+those visited: colors^ntup on a `holds`, and the product index of the
+refutation plus one on a `fails`.  `work` counts what was done for the
+colorings visited.  Work counters are deterministic counts (candidates
+scanned, search nodes, flips), never wall-clock times.
 """
 
 from __future__ import annotations
@@ -277,12 +288,73 @@ def _product_digits(k: int, colors: int, ntup: int) -> list[int]:
     return digits
 
 
+def _product_index(digits, colors: int) -> int:
+    """The index of `digits` in `itertools.product(range(colors), repeat=len(digits))`."""
+    k = 0
+    for d in digits:
+        k = k * colors + d
+    return k
+
+
+def _restricted_growth(ntup: int, colors: int):
+    """The colorings of `ntup` tuples that are restricted-growth strings, in
+    `itertools.product` order: tuple 0 is colored 0, and each tuple's color
+    is at most one more than the largest color before it.  Each orbit of
+    colorings under renaming the colors holds exactly one such string, its
+    lexicographically least member (value precedence, Law & Lee 2004;
+    Knuth, TAOCP 4A 7.2.1.5); the module docstring says why that suffices.
+
+    Yields one pair (digits, cmasks) for every string, both updated in
+    place: the color of each tuple, and per color the mask of the tuples of
+    that color, tuple i at bit ntup-1-i.  A step touches only the digits
+    that change.
+    """
+    digits = [0] * ntup
+    cmasks = [0] * colors
+    cmasks[0] = (1 << ntup) - 1
+    state = digits, cmasks
+    yield state
+    if ntup < 2:
+        return
+    top = colors - 1
+    # cap[i] = min(1 + max(digits[:i]), top), the most digit i may reach;
+    # digit 0 stays 0, and its cap 1 stops every carry there
+    cap = [min(1, top)] * ntup
+    cap[0] = 1
+    last = ntup - 1
+    while True:
+        i, bit = last, 1
+        while digits[i] == cap[i]:
+            i -= 1
+            bit <<= 1
+        if not i:
+            return
+        d = digits[i]
+        digits[i] = d + 1
+        cmasks[d] ^= bit
+        cmasks[d + 1] |= bit
+        if i < last:
+            # the digits after i were at their caps; they restart at 0 under
+            # the cap that digit i's new value sets
+            new = cap[i] + (d + 1 == cap[i] < top)
+            j, low = last, 1
+            while j > i:
+                cmasks[digits[j]] ^= low
+                digits[j] = 0
+                cap[j] = new
+                j -= 1
+                low <<= 1
+            cmasks[0] |= bit - 1
+        yield state
+
+
 def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
-    """Scan every coloring, in `itertools.product` order, against the pool
+    """Scan one coloring per orbit under renaming the colors (see
+    `_restricted_growth`), in `itertools.product` order, against the pool
     `cands` until one has no consistent candidate.  Returns the work, the
     1-based index of the first consistent candidate summed over the
-    colorings scanned (the pool size for one with none), and the number of
-    the first coloring with no consistent candidate, or None.
+    colorings scanned (the pool size for one with none), and the product
+    index of the first coloring with no consistent candidate, or None.
 
     Each same-type group is one integer mask over the table indices, tuple
     i at bit ntup-1-i, so coloring k read as a base-`colors` number puts the
@@ -291,7 +363,7 @@ def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
     bits = [1 << (ntup - 1 - i) for i in range(ntup)]
     if colors == 2:
         masks = [[sum(bits[i] for i in g) for g in groups] for _, groups in cands]
-        return _scan_two_colors(masks, 2 ** ntup)
+        return _scan_two_colors(masks, 2 ** ntup // 2 or 1)
     masks = [[(g[0], sum(bits[i] for i in g)) for g in groups] for _, groups in cands]
     return _scan_many_colors(masks, ntup, colors)
 
@@ -299,7 +371,9 @@ def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
 def _scan_two_colors(pool, total: int) -> tuple[int, int | None]:
     """`_scan_pool` with 2 colors: coloring k is the integer `ones` = k,
     whose set bits are the tuples colored 1, so a group mask gm is
-    monochromatic iff `ones & gm` is 0 or gm."""
+    monochromatic iff `ones & gm` is 0 or gm.  The restricted-growth strings
+    are those with tuple 0, the top bit, colored 0: the `total` integers
+    below 2^(ntup-1), or the one empty coloring when there is no tuple."""
     work = 0
     for ones in range(total):
         scanned = 0
@@ -318,30 +392,13 @@ def _scan_two_colors(pool, total: int) -> tuple[int, int | None]:
 
 
 def _scan_many_colors(pool, ntup: int, colors: int) -> tuple[int, int | None]:
-    """`_scan_pool` with 3 or more colors.
-
-    An odometer over the digits keeps one mask per color, touching only the
-    digits that change.  A group is monochromatic iff the mask of its first
-    tuple's color covers it, so each group is kept as (first tuple, gm).
+    """`_scan_pool` with 3 or more colors, over the masks per color that
+    `_restricted_growth` keeps.  A group is monochromatic iff the mask of
+    its first tuple's color covers it, so each group is kept as
+    (first tuple, gm).
     """
-    digits = [0] * ntup
-    cmasks = [0] * colors
-    cmasks[0] = (1 << ntup) - 1
-    top = colors - 1
     work = 0
-    for k in range(colors ** ntup):
-        if k:
-            i, bit = ntup - 1, 1
-            while digits[i] == top:
-                digits[i] = 0
-                cmasks[top] ^= bit
-                cmasks[0] |= bit
-                i -= 1
-                bit <<= 1
-            d = digits[i]
-            digits[i] = d + 1
-            cmasks[d] ^= bit
-            cmasks[d + 1] |= bit
+    for digits, cmasks in _restricted_growth(ntup, colors):
         scanned = 0
         for masks in pool:
             scanned += 1
@@ -352,7 +409,7 @@ def _scan_many_colors(pool, ntup: int, colors: int) -> tuple[int, int | None]:
                 work += scanned
                 break
         else:
-            return work + scanned, k
+            return work + scanned, _product_index(digits, colors)
     return work, None
 
 
@@ -376,22 +433,21 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         # the cost is the candidates scanned per coloring
         work, failing = _scan_pool(cands, ntup, query.colors)
         work += len(cands)
-        checked = query.colors ** ntup if failing is None else failing + 1
-        digits = None if failing is None else _product_digits(failing, query.colors, ntup)
     else:
-        # too many candidates to hold, or one color: search each coloring
-        # directly; the cost is the search nodes
-        work = checked = 0
-        digits = None
-        for checked, each in enumerate(itertools.product(range(query.colors), repeat=ntup), 1):
-            res = find_type_homogeneous(table.paint(each), query.sub_level)
+        # too many candidates to hold, or one color: search one coloring per
+        # orbit directly; the cost is the search nodes
+        work = 0
+        failing = None
+        for digits, _ in _restricted_growth(ntup, query.colors):
+            res = find_type_homogeneous(table.paint(digits), query.sub_level)
             work += res.nodes
             if not res.found:
-                digits = each
+                failing = _product_index(digits, query.colors)
                 break
-    if digits is None:
-        return Verdict("holds", "exhaustive", work, checked)
-    return _refuted(query, table.paint(digits), "exhaustive", work, checked)
+    if failing is None:
+        return Verdict("holds", "exhaustive", work, query.colors ** ntup)
+    col = table.paint(_product_digits(failing, query.colors, ntup))
+    return _refuted(query, col, "exhaustive", work, failing + 1)
 
 
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:

@@ -283,18 +283,18 @@ class Diagram:
 
     @staticmethod
     def from_doc(doc: dict, sig: OutputSignature) -> "Diagram":
+        """The diagram a document spells, checked for its field types only:
+        the `Blueprint` that holds it runs `validate` once it is built."""
         require_fields(
             doc, {"arity": int, "depth": int, "eq": [int], "atoms": [(str, [int])]}, "diagram"
         )
-        d = Diagram(
+        return Diagram(
             sig,
             doc["arity"],
             doc["depth"],
             tuple(doc["eq"]),
             frozenset((r, tuple(ix)) for r, ix in doc["atoms"]),
         )
-        d.validate()
-        return d
 
 
 class TargetStructure:

@@ -1,6 +1,7 @@
 """Partition relation checks in all three modes."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,14 +14,18 @@ from ramseylab.arrow import (
     Verdict,
     _Energy,
     _product_digits,
+    _product_index,
+    _restricted_growth,
     _scan_pool,
     _TupleTable,
     arrow_check,
     ramsey_table,
     verify_refutation,
 )
+from ramseylab.cli import parse_class
 from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets, random_coloring
 from ramseylab.structures import ClassKind, InternalCheckError, make_canonical
+from test_arrow_pins import PINS
 
 OR = ClassKind("or")
 
@@ -395,9 +400,16 @@ def test_counterexample_over_the_pool_bound_is_unknown():
 
 
 def test_exhaustive_over_the_pool_bound_searches_directly(monkeypatch):
-    # the direct-search fork reaches the verdicts the pool scan reaches
-    queries = [ArrowQuery(OR, 5, 3, 2, 2), ArrowQuery(OR, 6, 4, 3, 2), ArrowQuery(ClassKind("ceq"), 3, 2, 1, 2)]
+    # the direct-search fork reaches the verdicts the pool scan reaches, over
+    # the same restricted-growth colorings; the last query holds with 3 colors
+    queries = [
+        ArrowQuery(OR, 5, 3, 2, 2),
+        ArrowQuery(OR, 6, 4, 3, 2),
+        ArrowQuery(ClassKind("ceq"), 3, 2, 1, 2),
+        ArrowQuery(ClassKind("n_tree", height=1), 4, 2, 2, 3),
+    ]
     scanned = [arrow_check(q) for q in queries]
+    assert scanned[-1].status == "holds"
     monkeypatch.setattr(arrow, "_POOL_CAP", 3)
     for q, want in zip(queries, scanned):
         assert _TupleTable(q).candidates(q.sub_level) is None
@@ -405,6 +417,8 @@ def test_exhaustive_over_the_pool_bound_searches_directly(monkeypatch):
         assert (got.status, got.colorings_checked) == (want.status, want.colorings_checked)
         if want.counterexample is not None:
             assert got.counterexample.to_doc() == want.counterexample.to_doc()
+        # and it searches the restricted-growth colorings only
+        assert got.to_doc() == _product_scan(q, restricted=True).to_doc()
 
 
 def test_counterexample_empty_pool_is_a_refutation():
@@ -444,9 +458,78 @@ def test_a_painted_colour_outside_the_palette_is_refused_before_verification(mon
         arrow_check(ArrowQuery(OR, 5, 3, 2, 2))
 
 
+def _is_restricted_growth(digits) -> bool:
+    """Tuple 0 colored 0, and each color at most one more than the largest before it."""
+    return all(d <= 1 + max(digits[:i], default=-1) for i, d in enumerate(digits))
+
+
+def _product_scan(q, restricted=False) -> Verdict:
+    """The reference exhaustive mode: every coloring in `itertools.product`
+    order, or only the restricted-growth ones, each certified by the
+    digit-tuple scan of the pool when it fits under the bound and there are
+    two or more colors, or else by a direct search, until one refutes."""
+    table = _TupleTable(q)
+    ntup = len(table.tuples)
+    pool = table.candidates(q.sub_level) if q.colors > 1 else None
+    work = 0
+    if pool is not None:
+        note = arrow._distinct_types(pool)
+        if note is not None:
+            return Verdict("holds", "exhaustive", len(pool), 0, notes=(note,))
+        work = len(pool)
+    for k, each in enumerate(itertools.product(range(q.colors), repeat=ntup)):
+        if restricted and not _is_restricted_growth(each):
+            continue
+        if pool is not None:
+            first = next((j for j, (_, groups) in enumerate(pool, 1) if _consistent(each, groups)), None)
+            work += len(pool) if first is None else first
+            refuted = first is None
+        else:
+            res = find_type_homogeneous(table.paint(each), q.sub_level)
+            work += res.nodes
+            refuted = not res.found
+        if refuted:
+            return Verdict("fails", "exhaustive", work, k + 1, table.paint(each).copy())
+    return Verdict("holds", "exhaustive", work, q.colors ** ntup)
+
+
+def _assert_matches_the_product_scan(q) -> None:
+    # the scan of the restricted-growth colorings gives the verdict document
+    # of the reference over them, work included; the full product scan finds
+    # the same verdict, counterexample and colorings checked, for no less work
+    got = arrow_check(q).to_doc()
+    assert got == _product_scan(q, restricted=True).to_doc()
+    full = _product_scan(q).to_doc()
+    assert got["work"] <= full["work"]
+    got["work"] = full["work"]
+    assert got == full
+
+
+@pytest.mark.parametrize("colors", [1, 2, 3, 4])
+def test_restricted_growth_visits_the_least_coloring_of_each_orbit(colors):
+    # the restricted-growth strings in product order, each with its masks
+    # per color, and Sum_{k <= colors} S(ntup, k) of them: one per set
+    # partition of the tuples into at most `colors` blocks
+    for ntup in range(7):
+        bits = [1 << (ntup - 1 - i) for i in range(ntup)]
+        seen = []
+        for digits, cmasks in _restricted_growth(ntup, colors):
+            seen.append(tuple(digits))
+            assert cmasks == [sum(b for b, d in zip(bits, digits) if d == c) for c in range(colors)]
+        want = [each for each in itertools.product(range(colors), repeat=ntup) if _is_restricted_growth(each)]
+        assert seen == want
+        stirling = [sum((-1) ** j * math.comb(k, j) * (k - j) ** ntup for j in range(k + 1)) // math.factorial(k)
+                    for k in range(colors + 1)]
+        assert len(seen) == sum(stirling)
+        assert [_product_digits(_product_index(each, colors), colors, ntup) for each in seen] == list(map(list, seen))
+        if colors == 2:
+            # the two-color scan's rule: tuple 0, the top bit, colored 0
+            assert [_product_index(each, 2) for each in seen] == list(range(2 ** ntup // 2 or 1))
+
+
 # (class, ambient, sub, arity, colors): candidates of one and of two groups,
-# both verdicts with 2 colors and with 3, where a holds verdict runs the
-# odometer through every carry
+# both verdicts with 2 colors, with 3 and with 4, where a holds verdict runs
+# the odometer through every carry, and no tuple at all
 _MASK_SHAPES = [
     (OR, 5, 3, 2, 2),
     (ClassKind("chi_color", chi=2), 3, 2, 1, 2),
@@ -455,33 +538,39 @@ _MASK_SHAPES = [
     (OR, 4, 3, 2, 3),
     (ClassKind("chi_color", chi=2), 3, 2, 1, 3),
     (OR, 7, 3, 1, 3),
+    (ClassKind("n_tree", height=1), 4, 2, 2, 3),
+    (OR, 5, 2, 1, 4),
+    (OR, 1, 1, 2, 3),
+    (OR, 1, 2, 2, 3),
 ]
 
 
 @pytest.mark.parametrize("cls, ambient, sub, arity, colors", _MASK_SHAPES, ids=lambda v: getattr(v, "kind", v))
 def test_mask_scan_matches_the_digit_scan(cls, ambient, sub, arity, colors):
-    # the mask scan sums the work the digit-tuple scan does up to the first
-    # coloring with no consistent candidate and stops there, and the
-    # verdicts agree to the byte
+    # the mask scan sums the work the digit-tuple scan does over the
+    # restricted-growth colorings up to the first with no consistent
+    # candidate, stops there and gives its product index
     q = ArrowQuery(cls, ambient, sub, arity, colors)
     table = _TupleTable(q)
     pool = table.candidates(sub)
     ntup = len(table.tuples)
-    work, digits, failing = len(pool), None, None
+    work, failing = 0, None
     for k, each in enumerate(itertools.product(range(colors), repeat=ntup)):
-        assert _product_digits(k, colors, ntup) == list(each)
+        if not _is_restricted_growth(each):
+            continue
         first = next((j for j, (_, groups) in enumerate(pool, 1) if _consistent(each, groups)), None)
         work += len(pool) if first is None else first
-        checked = k + 1
         if first is None:
-            digits, failing = each, k
+            failing = k
             break
-    assert _scan_pool(pool, ntup, colors) == (work - len(pool), failing)
-    if digits is None:
-        reference = Verdict("holds", "exhaustive", work, checked)
-    else:
-        reference = Verdict("fails", "exhaustive", work, checked, table.paint(digits).copy())
-    assert arrow_check(q).to_doc() == reference.to_doc()
+    assert _scan_pool(pool, ntup, colors) == (work, failing)
+    _assert_matches_the_product_scan(q)
+
+
+@pytest.mark.parametrize("row", [row for row in PINS if row[5] == "exhaustive"], ids=lambda row: "-".join(map(str, row[:5])))
+def test_exhaustive_pins_match_the_product_scan(row):
+    cls, ambient, sub, arity, colors = row[:5]
+    _assert_matches_the_product_scan(ArrowQuery(parse_class(cls), ambient, sub, arity, colors))
 
 
 def _randomized_reference(q, seed, samples, budget):

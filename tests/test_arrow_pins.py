@@ -24,10 +24,10 @@ PINS = [
     ("or", 3, 3, 2, 2, "exhaustive", {}, "135dd18da08dfc61cb07651ef5f633303d7bd15acddef6f47c20c3cb3c4ce690"),
     ("or", 4, 3, 2, 2, "exhaustive", {}, "c48a4757d7ea2a01153c85e33a53495c166fecbc989fceb357fdadd50339dcdc"),
     ("or", 5, 3, 2, 2, "exhaustive", {}, "7ac88fbc274a3a66e8dc2770069132a9e64f0676f41f871923b05bd2df7254f7"),
-    ("or", 6, 3, 2, 2, "exhaustive", {}, "f3f9539b114085e11e47537c90081ee7c905151cd2fd2aa4e33c6e84c4e140c3"),
+    ("or", 6, 3, 2, 2, "exhaustive", {}, "1d76930693db2524b304bd27dece422d4930d9b18055a428de56d575c73a9d80"),
     ("chi_or:2", 3, 1, 2, 2, "exhaustive", {}, "67a5ccc7437266cb3a82887a6600272ab21782a2077be61e9c57693a9dc0b81b"),
-    ("ceq", 3, 2, 1, 2, "exhaustive", {}, "6fc1e206587003cfe79527626b3f3b5b2b4ffa91ae53a2fefae71766c6ff8dc8"),
-    ("or", 6, 3, 2, 3, "exhaustive", {}, "bad8813c21bdd8615581523976ad14d366f9ec35af7b4a8626833ae1823273f0"),
+    ("ceq", 3, 2, 1, 2, "exhaustive", {}, "ca865175976a5aadc18145449bc8bf4b1f4e0cc4103a53485ca3e1f29b11849f"),
+    ("or", 6, 3, 2, 3, "exhaustive", {}, "63c60790b8b1766b4c1e17bbb51116aa0a1847e68858c2986dc164fe6966421b"),
     ("or", 22, 3, 1, 1, "exhaustive", {}, "d53b4f0456eb56772a275bdc8c63e090eb0004f953d656465e9ac1d012079453"),
     ("or", 21, 22, 1, 1, "exhaustive", {}, "2f88c44e1b28a0b9686ae04ead81b50565cfed86eebdb66908efd605b70604c1"),
     ("or", 21, 12, 1, 2, "exhaustive", {}, "a146b9734aff522ca4cd7ed2eb32f335168dc6c6a1d6c2ba0a82b2126b195ad4"),
@@ -76,6 +76,9 @@ PINS = [
 # index of its probe options, and its first digest), so a re-capture updates
 # what the pin checks without renaming it.
 FIRST_CAPTURE = {
+    5: "f3f9539b114085e11e47537c90081ee7c905151cd2fd2aa4e33c6e84c4e140c3",
+    7: "6fc1e206587003cfe79527626b3f3b5b2b4ffa91ae53a2fefae71766c6ff8dc8",
+    8: "bad8813c21bdd8615581523976ad14d366f9ec35af7b4a8626833ae1823273f0",
     20: "a34b465b8cc330c6f8f6202f9f5ca47189525280fb11dcb76658c12d7bb7c530",
     22: "b7fda370053ad0c233ff0c21e72f39a52fd9b7ea0921f0be1c553fd9d5fc35bb",
     23: "5bb9c67804b1216c7f418487626f71b7edeaac69a0f4e539c8b4daeb0b606cfd",
@@ -122,4 +125,4 @@ def test_arrow_verdict_bytes_pinned(cls, ambient, sub, arity, colors, mode, kwar
 
 def test_ramsey_table_bytes_pinned():
     report = ramsey_table(parse_class("or"), 2, 2, [1, 2, 3], [1, 2, 3, 4, 5, 6])
-    assert _sha256(report.to_doc()) == "e32f0b3a058d35b0d46b50ad196955901dc77ca51b085836ac3603f014d274d6"
+    assert _sha256(report.to_doc()) == "464866ee4fd92bf82d969e13522fe6b5c376e082a1eac13b3b43561ba93e5781"

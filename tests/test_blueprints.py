@@ -67,8 +67,11 @@ def test_each_value_is_checked_once(monkeypatch):
     calls.clear()
     em_model(bp, make_canonical(OR, 3))
     assert calls == []
-    # a document is still checked on load
+    # a document is checked on load, each diagram once, by the constructor
     doc = bp.to_doc()
+    loaded = Blueprint.from_doc(doc)
+    assert len(calls) == 2
+    assert Counter(map(id, calls)) == Counter(id(d) for _, d in loaded.assignments)
     doc["assignments"][0][1]["eq"][0] = 1
     with pytest.raises(ValueError, match="term 0 has representative 1 after it"):
         Blueprint.from_doc(doc)

@@ -25,8 +25,8 @@ PINS = [
      '[3] {"blocks":[0,1,2],"gen":[0,1,2],"m":3}\n',
      "575eface53cbf6e093630c0dfc8548dc463690dfcc7ca24b2b08196d36d09a2a"),
     ("arrow --cls or --ambient 6 --sub 3 -n 2 -c 2", 0,
-     "holds (exhaustive; work 125668, colorings 32768)\n",
-     "2be1854568f4abc86340a22405351d840af6f447c806fb850445d207b29abe30"),
+     "holds (exhaustive; work 62844, colorings 32768)\n",
+     "cf34fc4fdd5aca51e3907fa78357a1a81c143be070ebd5e96451c6bdea40804d"),
     ("arrow --cls or --ambient 5 --sub 3 -n 2 -c 2 --mode counterexample --seed 1", 1,
      "fails (counterexample; work 4, colorings 1)\n"
      "note: refutation found after 4 flips\n"
@@ -50,11 +50,11 @@ PINS = [
      "ambient=3 sub=3 fails (work 3)\n"
      "ambient=4 sub=3 fails (work 27)\n"
      "ambient=5 sub=3 fails (work 603)\n"
-     "ambient=6 sub=3 holds (work 125668)\n"
+     "ambient=6 sub=3 holds (work 62844)\n"
      "least ambient level for sub level 1: 1\n"
      "least ambient level for sub level 2: 2\n"
      "least ambient level for sub level 3: 6\n",
-     "ea2069a448a1fb3de429e09e290f7378bc3e8ab639fc9376acc0d39b4a409bcc"),
+     "c9488ae5300e5b63900323f7cd5c0117b854b7fd0fdd4d3805be15a2f31f655d"),
     ("reduce --cls chi_color:2 --level 2 --ambient 6 --seed 7", 0,
      "stage aux: ok (work 15)\n"
      "stage aux_search: ok (work 3)\n"

@@ -36,7 +36,8 @@ def _documents():
         ("hypergraph structure", structure_from, structure_doc(hyper)),
         ("arrow query", ArrowQuery.from_doc, ArrowQuery(ClassKind("chi_or", chi=2), 3, 2, 2, 2).to_doc()),
         ("signature", OutputSignature.from_doc, sig.to_doc()),
-        ("diagram", lambda d: Diagram.from_doc(d, sig), model_diagram(target, (0, 1), 1).to_doc()),
+        # a blueprint validates the diagrams it loads; a diagram alone is validated here
+        ("diagram", lambda d: Diagram.from_doc(d, sig).validate(), model_diagram(target, (0, 1), 1).to_doc()),
         ("blueprint", Blueprint.from_doc, unary_blueprint().to_doc()),
         ("tuple type", TupleType.from_doc, tuple_type(hyper, (1, 2)).to_doc()),
         ("witness", HomogeneityWitness.from_doc, witness.to_doc()),
