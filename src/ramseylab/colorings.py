@@ -14,10 +14,11 @@ j-th element carrying residue j), for the walker and for every check alike.
 One depth-first walker, `_Walk`, serves every search over admissible
 subsets, `find_type_homogeneous` and `iter_big_member_subsets` alike.  It
 decides the elements in increasing order, include-first, pruning on the
-admission rules, on witness conflicts when it carries a coloring, and on
-cheap soundness bounds for bigness; the first subset it reaches is therefore
-the lexicographically least qualifying one, which keeps every search result
-deterministic and reproducible.
+admission rules, on witness conflicts when it carries a coloring, checked
+forward onto the elements still to come, and on cheap soundness bounds for
+bigness; the first subset it reaches is therefore the lexicographically
+least qualifying one, which keeps every search result deterministic and
+reproducible.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class Coloring:
     checks every color, bools refused; only `from_doc` checks the keys.
 
     `type_id` numbers tuple types once per coloring, in first-sight order
-    (`_types`: tuple -> id; `type_of` reads the type back).  Types depend on
-    the base alone, so a repaint keeps every id; a `copy` starts afresh.
+    (`_types`: tuple -> id; `type_of` reads the type back), interning each
+    by its fragment, which names the type within one base and arity.  Types
+    depend on the base alone, so a repaint keeps every id; a `copy` starts
+    afresh.
     """
 
     __slots__ = ("base", "arity", "colors", "table", "_types", "_ids", "_kinds")
@@ -74,7 +77,7 @@ class Coloring:
             tup, c = next(e for e in self.table.items() if type(e[1]) is not int or not 0 <= e[1] < colors)
             raise ValueError(f"color {c!r} for {tup} is not an integer in the palette 0..{colors - 1}")
         self._types: dict[tuple, int] = {}
-        self._ids: dict[TupleType, int] = {}
+        self._ids: dict[tuple, int] = {}  # fragment -> id
         self._kinds: list[TupleType] = []  # id -> type
 
     @classmethod
@@ -91,7 +94,7 @@ class Coloring:
         t = self._types.get(tup)
         if t is None:
             kind = tuple_type(self.base, tup)
-            t = self._types[tup] = self._ids.setdefault(kind, len(self._ids))
+            t = self._types[tup] = self._ids.setdefault(kind.fragment, len(self._ids))
             if t == len(self._kinds):
                 self._kinds.append(kind)
         return t
@@ -149,11 +152,21 @@ class Coloring:
 
 def random_colors(count: int, colors: int, seed: int) -> list[int]:
     """`count` colors drawn by random.Random(seed).randrange(colors), one
-    after another; the seeded draw rule behind every random coloring."""
+    after another; the seeded draw rule behind every random coloring.
+
+    randrange(colors) draws `colors.bit_length()` random bits until they
+    fall below `colors`; the loop below makes the same draws, without
+    randrange's argument checks."""
     if colors < 1:
         raise ValueError("colors must be at least 1")
-    rng = random.Random(seed)
-    return [rng.randrange(colors) for _ in range(count)]
+    getrandbits, bits = random.Random(seed).getrandbits, colors.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= colors:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
 
 
 def random_coloring(s: FinStructure, arity: int, colors: int, seed: int) -> Coloring:
@@ -225,6 +238,59 @@ class _Budget(Exception):
     pass
 
 
+def _group_slack(base: FinStructure, level: int, elements: list[int]):
+    """The walker's per-group count bound for a kind whose bigness counts
+    elements per group (`Kind.needed` is not None), at level >= 1: returns
+    `slack(reach)`, for the elements whose indices in `elements` are set in
+    the bitmask `reach`, how many of them may go, whichever they are, before
+    fewer than `needed` groups each hold `level` of them; negative when that
+    is already so.  None for every other walk."""
+    spec = base.cls.spec
+    needed = spec.needed(base.cls, level) if level else None
+    if needed is None:
+        return None
+    masks = [0] * spec.groups(base)
+    for j, e in enumerate(elements):
+        masks[spec.group_of(base, e)] |= 1 << j
+    if needed > len(masks):
+        return lambda reach: -1
+
+    def slack(reach: int) -> int:
+        # losing r elements lowers the needed-th largest count by at most r
+        counts = sorted([(reach & m).bit_count() for m in masks], reverse=True)
+        return counts[needed - 1] - level
+
+    return slack
+
+
+def _row(col: Coloring, elements: list[int], combo: tuple, after: int) -> dict[int, list[int]]:
+    """The forward-checking row of `combo`: each type id of a tuple combo +
+    (elements[j],), j > after, mapped to one bitmask over j per color c, of
+    the j whose tuple has that type and a color other than c.  A tuple
+    with no entry in the table is left out; taking it reports the gap."""
+    types, table, type_id = col._types, col.table, col.type_id
+    by_type: dict[int, list[int]] = {}
+    for j in range(after + 1, len(elements)):
+        tup = combo + (elements[j],)
+        c = table.get(tup)
+        if c is None:
+            continue
+        t = types.get(tup)
+        if t is None:
+            t = type_id(tup)
+        masks = by_type.get(t)
+        if masks is None:
+            masks = by_type[t] = [0] * col.colors
+        masks[c] |= 1 << j
+    row = {}
+    for t, masks in by_type.items():
+        every = 0
+        for m in masks:
+            every |= m
+        row[t] = [every ^ m for m in masks]
+    return row
+
+
 @dataclass(eq=False)
 class _Walk:
     """Depth-first walk over the admissible subsets of `elements`.
@@ -233,17 +299,46 @@ class _Walk:
     subsets come out in lexicographic order.  An element is taken only when
     it passes the kind's membership veto, `Kind.admit`, and, when a
     coloring is given, keeps the incrementally maintained type -> color
-    witness consistent, which is keyed by `Coloring.type_id`.  At node
-    (chosen, i) the walk prunes the branch when chosen + elements[i:] holds
-    fewer than `least = Kind.min_size(cls, level)` elements, or when the
-    class's own bound `feasible(chosen, i)`, built once per walk by
+    witness consistent, which is keyed by `Coloring.type_id`.
+
+    One int bitmask over the indices of `elements`, `avail`, holds the
+    chosen elements and the undecided ones that some completion may still
+    take; stepping past an element clears its bit.  With a coloring of
+    tuples of two or more elements the walk also checks forward (Haralick &
+    Elliott 1980): an element is blocked, its bit cleared, when some tuple
+    of it with arity - 1 chosen elements has a type that the witness
+    already fixes to another color, and the walk steps over blocked
+    elements without typing them.  The blocks come from rows (`_row`), one
+    per chosen (arity - 1)-combination, each mapping a type id and a
+    witness color to the later elements whose tuple with the combination
+    has that type and another color.  A combination's row is built when the
+    walk takes the combination's last element again, after the first
+    subtree holding that element failed, so a first dive types no more
+    tuples than a walk without rows; a combination with no row blocks
+    nothing.  A take clears the masks of every fixed type from each new
+    combination's row and of each newly fixed type from every chosen
+    combination's row; undoing the take restores the saved `avail`.
+
+    At node (chosen, i) `avail` is chosen + free, where free holds the
+    elements from i on that may still be taken.  The walk prunes the branch
+    when it holds fewer than `least = Kind.min_size(cls, level)` elements;
+    for a kind that counts elements per group, when fewer than `needed`
+    groups hold `level` of them (`_group_slack`); and otherwise when the
+    kind's own bound `feasible(chosen, i)`, built once per walk by
     `Kind.pruner(base, level, elements)` where the kind has one, finds that
-    no subset of it holding chosen can be big.  Iterating yields every
-    closed, member-inducing subset reached that `Kind.subset_big` finds
-    level-big (every one at level 0); since no subset of fewer than `least`
-    elements is big, `subset_big` is asked only from that size on.  `nodes`
-    counts the visited search nodes, and visiting more than `budget` of them
-    raises `_Budget`.
+    no subset of chosen + elements[i:] holding chosen can be big.  The two
+    counts are kept as `slack`, how many elements `avail` may lose,
+    whichever they are, before either fails: stepping past an element
+    lowers it by one, a take that blocks nothing leaves `avail` and so the
+    slack as they were, and only other steps count afresh.  With nothing
+    blocked, as without a coloring, the group bound is the one the counts
+    of chosen + elements[i:] give.  Iterating yields every closed,
+    member-inducing subset reached that `Kind.subset_big` finds level-big
+    (every one at level 0); since no subset of fewer than `least` elements
+    is big, `subset_big` is asked only from that size on.  `nodes` counts
+    the visited search nodes, one per step into a branch or out of a dead
+    end and none per blocked element stepped over; visiting more than
+    `budget` of them raises `_Budget`.
 
     The path is kept in a list, not on the call stack, so the depth of a
     walk is not bounded by Python's recursion limit.
@@ -261,25 +356,31 @@ class _Walk:
         spec = base.cls.spec
         veto, big = spec.admit, spec.subset_big
         least = spec.min_size(base.cls, level)
+        group_slack = _group_slack(base, level, elements)
         feasible = spec.pruner(base, level, elements)
+        forward = col is not None and col.arity > 1
         if col is not None:
             types, table, type_id, color, arity = col._types, col.table, col.type_id, col.color, col.arity
         combinations = itertools.combinations
         chosen: list[int] = []
         witness: dict[int, int] = {}
+        rows: dict[tuple, dict] = {}  # combination -> its row, once built
+        live: list[dict] = []  # the rows of the chosen combinations
 
         if level == 0:
             yield ()
         # The node visited is (i, changed): elements before i are decided, and
         # changed says whether the step into it took an element.  `taken`
-        # holds (index, witness type ids it added) for each element taken on
-        # the current path.  A dead end backtracks to the latest of them,
-        # undoes it and visits the branch without it; a vetoed element, or
-        # one whose tuples conflict with the witness, goes straight to the
-        # branch without it, once the witness types it fixed are undone.
-        taken: list[tuple[int, list[int]]] = []
-        i, changed = 0, False
-        n, nodes = len(elements), 0
+        # holds (index, witness type ids it added, avail and len(live) before
+        # it) for each element taken on the current path.  A dead end
+        # backtracks to the latest of them, undoes it and visits the branch
+        # without it; a vetoed element, or one whose tuples conflict with the
+        # witness, goes straight to the branch without it, once the witness
+        # types it fixed are undone.  `seen` marks the elements ever taken.
+        taken: list[tuple[int, list[int], int, int]] = []
+        i, changed, slack = 0, False, -1
+        nodes, seen = 0, 0
+        avail = (1 << len(elements)) - 1
         while True:
             nodes += 1
             if budget is not None and nodes > budget:
@@ -289,7 +390,14 @@ class _Walk:
             if changed and k >= least and (level == 0 or big(base, chosen, level)):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if i < n and k + n - i >= least and (feasible is None or feasible(chosen, i)):
+            if slack < 0:
+                slack = avail.bit_count() - least
+                if slack >= 0 and group_slack is not None:
+                    slack = min(slack, group_slack(avail))
+            free = avail >> i << i
+            if free and slack >= 0 and (feasible is None or feasible(chosen, i)):
+                if not avail >> i & 1:  # step over blocked elements
+                    i = (free & -free).bit_length() - 1
                 e = elements[i]
                 added: list[int] = []
                 if veto is None or veto(base, chosen, e):
@@ -309,19 +417,43 @@ class _Walk:
                         elif known != c:
                             break
                     else:
+                        taken.append((i, added, avail, len(live)))
+                        if forward:
+                            for row in live if added and live else ():
+                                for t in added:
+                                    masks = row.get(t)
+                                    if masks is not None:
+                                        avail &= ~masks[witness[t]]
+                            if seen >> i & 1:
+                                for combo in combinations(chosen, arity - 2):
+                                    combo += (e,)
+                                    row = rows.get(combo)
+                                    if row is None:
+                                        row = rows[combo] = _row(col, elements, combo, i)
+                                    live.append(row)
+                                    for t, masks in row.items():
+                                        c = witness.get(t)
+                                        if c is not None:
+                                            avail &= ~masks[c]
+                            else:
+                                seen |= 1 << i
                         chosen.append(e)
-                        taken.append((i, added))
+                        if avail != taken[-1][2]:
+                            slack = -1
                         i, changed = i + 1, True
                         continue
             elif not taken:
                 self.nodes = nodes
                 return
             else:
-                i, added = taken.pop()
+                i, added, avail, depth = taken.pop()
                 chosen.pop()
+                del live[depth:]
+                slack = 0  # the step below lowers it to -1: count afresh
             for t in added:
                 del witness[t]
-            i, changed = i + 1, False
+            avail ^= 1 << i
+            i, changed, slack = i + 1, False, slack - 1
 
 
 def _elements(base: FinStructure, within) -> list[int]:

@@ -37,7 +37,8 @@ fragment a type records and the decoding back, and the generator of the
 inclusion-minimal big subsets of a member.  Admission is the one per-kind
 veto on subsets: the walker and `subset_induces_member` both take a subset's
 elements in increasing order through `Kind.admit`.  A count-based kind
-(`chi_or`, `ceq`) subclasses `_Grouped`, naming its groups and `needed`.
+(`chi_or`, `chi_color`, `ceq`) subclasses `_Grouped`, naming its groups
+and `needed`.
 The module-level functions validate their input and dispatch to the table,
 and no other module tells kinds apart, so a new class is one more subclass.
 `canonical_json` writes the certificate bytes of every document.
@@ -337,14 +338,21 @@ class Kind:
     def close(self, s: FinStructure, chosen: set[int]) -> None:
         """Add to `chosen` what the class functions generate from it."""
 
+    def needed(self, cls: ClassKind, mu: int) -> int | None:
+        """How many groups must each hold mu chosen elements for a subset to
+        be mu-big, where bigness counts elements per group (`_Grouped`); None
+        where it does not."""
+        return None
+
     def pruner(self, base: FinStructure, level: int, elements: list[int]):
         """Sound bound for one walk over the increasing `elements`, as
         `feasible(chosen, i)`: can a subset of chosen + elements[i:] holding
         all of chosen still induce a level-big member?  May answer yes
-        wrongly, never no.  The walker itself prunes when chosen +
-        elements[i:] holds fewer than `min_size(cls, level)` elements and
-        asks `feasible` only past that, so a kind returns a bound only for
-        what its bigness asks beyond size, and None where that is nothing."""
+        wrongly, never no.  The walker itself prunes on the count of chosen
+        and still-takeable elements, overall against `min_size(cls, level)`
+        and per group against `needed`, and asks `feasible` only past that,
+        so a kind returns a bound only for what its bigness asks beyond
+        counts (the tree root), and None where that is nothing."""
         return None
 
     def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
@@ -367,19 +375,16 @@ class Kind:
 
 class _Grouped(Kind):
     """A kind whose bigness at mu asks that `needed(cls, mu)` of its groups
-    (`chi_or` parts, all chi of them; `ceq` blocks, mu of them) each hold at
-    least mu chosen elements.
+    (`chi_or` parts, all chi of them; `chi_color` residues, all chi of them;
+    `ceq` blocks, mu of them) each hold at least mu chosen elements.
 
     A subclass names its groups, `groups(s)` of them with `group_of(s, e)`
     in 0..groups(s)-1, and `needed`.  The least size (needed * mu), subset
-    bigness, the walker's bound and the minimal big subsets (`needed` of
-    the groups of at least mu elements, by first element, and mu elements
-    of each) follow.
+    bigness and the minimal big subsets (`needed` of the groups of at least
+    mu elements, by first element, and mu elements of each) follow, and the
+    walker bounds each group's count of chosen and still-takeable elements
+    through them.
     """
-
-    @staticmethod
-    def _enough(counts, mu, needed):
-        return len([c for c in counts if c >= mu]) >= needed
 
     def min_size(self, cls, mu):
         return self.needed(cls, mu) * mu
@@ -388,30 +393,7 @@ class _Grouped(Kind):
         counts = [0] * self.groups(s)
         for e in chosen:
             counts[self.group_of(s, e)] += 1
-        return self._enough(counts, mu, self.needed(s.cls, mu))
-
-    def pruner(self, base, level, elements):
-        # every completion lies inside chosen + elements[i:]: the counts of
-        # elements[i:] are kept per suffix, so a node counts only chosen
-        if level == 0:
-            return None
-        group = {e: self.group_of(base, e) for e in elements}
-        counts = [0] * self.groups(base)
-        suffix = [counts]
-        for e in reversed(elements):
-            counts = counts.copy()
-            counts[group[e]] += 1
-            suffix.append(counts)
-        suffix.reverse()
-        enough, needed = self._enough, self.needed(base.cls, level)
-
-        def feasible(chosen, i):
-            counts = suffix[i].copy()
-            for e in chosen:
-                counts[group[e]] += 1
-            return enough(counts, level, needed)
-
-        return feasible
+        return len([c for c in counts if c >= mu]) >= self.needed(s.cls, mu)
 
     def minimal(self, s, mu):
         members: list[list[int]] = [[] for _ in range(self.groups(s))]
@@ -456,12 +438,21 @@ class DisjointOrders(_Grouped):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
 
 
-class ColoredOrder(Kind):
+class ColoredOrder(_Grouped):
     name = "chi_color"
     params = ("chi",)
 
-    def min_size(self, cls, mu):
-        return cls.chi * mu
+    # a positional subset of chi*mu elements holds mu of each residue, so the
+    # residues are the groups and all chi of them are needed
+
+    def groups(self, s):
+        return s.cls.chi
+
+    def group_of(self, s, e):
+        return e % s.cls.chi
+
+    def needed(self, cls, mu):
+        return cls.chi
 
     def subset_big(self, s, chosen, mu):
         # every subset is closed; it induces a member when it is positional

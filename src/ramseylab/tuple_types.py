@@ -8,7 +8,9 @@ relabeled fragment is already canonical, and types compare and hash by their
 fragments with no isomorphism search.  A fragment is the sorted (entry,
 value) pairs of the closure size `m`, the generator positions `gen` and the
 kind's atomic data, lists held as tuples; its canonical JSON bytes
-(`TupleType.code`) exist only in documents.
+(`TupleType.code`) exist only in documents.  A kind with no functions
+(one that keeps `Kind.close`) closes every tuple to itself, so `tuple_type`
+skips the closure there and relabels the tuple alone.
 
 The atomic data of chi_color and n_tree is read off the ambient structure
 (residues of positions, ambient level labels), so fragments need not
@@ -28,6 +30,7 @@ from functools import cached_property
 from .structures import (
     ClassKind,
     FinStructure,
+    Kind,
     _is_int,
     canonical_json,
     make_canonical,
@@ -97,10 +100,12 @@ def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
             raise ValueError(f"tuple {tup} is not strictly increasing")
     if tup[0] < 0 or tup[-1] >= s.size:
         raise ValueError(f"tuple {tup} outside universe of size {s.size}")
-    closed = subset_closure(s, tup)
+    spec = s.cls.spec
+    # a kind with no functions closes every tuple to itself
+    closed = tup if type(spec).close is Kind.close else subset_closure(s, tup)
     pos = {e: i for i, e in enumerate(closed)}
     entries = [("gen", tuple([pos[e] for e in tup])), ("m", len(closed))]
-    entries += s.cls.spec.fragment(s, closed, pos)
+    entries += spec.fragment(s, closed, pos)
     entries.sort()
     return TupleType(s.cls, len(tup), tuple(entries))
 

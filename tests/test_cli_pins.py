@@ -93,10 +93,10 @@ PINS = [
      "33fbfcc515aedffb6c93d3011ad0d64bed00c7c6a795e862842c6653a82651f3"),
     ("table --cls or -n 2 -c 2 --sub-levels 2,3 --ambient-levels 4 --mode randomized --seed 3 --samples 5", 0,
      "ambient=4 sub=2 unknown (work 15)\n"
-     "ambient=4 sub=3 fails (work 15)\n"
+     "ambient=4 sub=3 fails (work 14)\n"
      "least ambient level for sub level 2: -\n"
      "least ambient level for sub level 3: -\n",
-     "1e3f0863d3c92a352e5f5db48fd39d5cbbc9415a7bb39cd66b5f02b006f081ff"),
+     "8b37189832025ea3bf112b791ec11c3d07791f3daea9b7617836bec2ffc20223"),
     ("table --cls or -n 2 -c 3 --sub-levels 3 --ambient-levels 3 --ceiling 20000", 0,
      "ambient=3 sub=3 fails (work 3)\n"
      "least ambient level for sub level 3: -\n",
@@ -119,9 +119,9 @@ PINS = [
      "stage aux: ok (work 10)\n"
      "stage aux_search: ok (work 3)\n"
      "stage lift: failed (work 1)\n"
-     "stage direct: absent (work 313)\n"
+     "stage direct: absent (work 184)\n"
      "absent (exhaustive)\n",
-     "20a7c2325d67112326559c2b9be6e5beed347dca41fdab2257a30d4d64169ae4"),
+     "2010aaf5141fa2d4483e59b404747672c88165148656cd086e366cc96d2fd6ae"),
     ("reduce --cls chi_color:2 --level 2 --coloring col.json", 0,
      "stage aux: ok (work 3)\n"
      "stage aux_search: ok (work 3)\n"
@@ -138,7 +138,7 @@ PINS = [
     ("extract --cls or --level 3 -n 2 -c 3 --ambient 5 --seed 1", 0,
      "found subset [1, 3, 4]\n"
      "witness covers 1 types\n",
-     "9e7c2218794c6a75cdb8809f020c7c7f41949693af89383deb76ecf4c44c0cf0"),
+     "09d2bdb41e815f57cb361c32cb019854e0b0069875fac99ca132c85468e783a2"),
     ("extract --cls chi_color:2 --level 2 --coloring col.json", 0,
      "found subset [0, 3, 4, 5]\n"
      "witness covers 4 types\n",

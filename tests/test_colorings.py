@@ -318,6 +318,15 @@ def test_each_tuple_is_typed_once_per_coloring(monkeypatch):
     assert calls[table.tuples[0]] == 2
 
 
+def test_random_colors_draw_as_randrange_does():
+    # the draw stream is the one random.Random(seed).randrange(colors) gives
+    for colors in range(1, 6):
+        for seed in range(50):
+            rng = random.Random(seed)
+            assert random_colors(120, colors, seed) == [rng.randrange(colors) for _ in range(120)], (colors, seed)
+    assert random_colors(0, 3, seed=1) == []
+
+
 def test_random_colors_need_a_color():
     for count in (0, 3):
         with pytest.raises(ValueError, match="colors must be at least 1"):

@@ -12,7 +12,7 @@ import pytest
 
 import ramseylab
 from helpers import SMALL_KINDS, _atoms, closure_bruteforce, random_member
-from ramseylab.colorings import iter_big_member_subsets
+from ramseylab.colorings import _group_slack, iter_big_member_subsets
 from ramseylab.structures import (
     ClassKind,
     FinStructure,
@@ -257,6 +257,14 @@ def _reference_enough(cls, counts, mu) -> bool:
     return len([c for c in counts if c >= mu]) >= mu
 
 
+def _reference_slack(cls, counts, mu) -> int:
+    # how far the count of the group that makes or breaks bigness sits
+    # above mu: the least part, or the mu-th fullest block
+    if cls.kind == "chi_or":
+        return min(counts) - mu
+    return sorted(counts, reverse=True)[mu - 1] - mu if len(counts) >= mu else -1
+
+
 def _reference_grouped_minimal(s, mu) -> list[tuple]:
     if s.cls.kind == "chi_or":
         parts = [[e for e in range(s.size) if s.parts[e] == p] for p in range(s.cls.chi)]
@@ -392,14 +400,17 @@ def test_kind_rules_match_their_references(cls):
             if cls.kind in ("chi_or", "ceq"):
                 assert spec.min_size(cls, mu) == (cls.chi if cls.kind == "chi_or" else mu) * mu
                 assert list(spec.minimal(s, mu)) == _reference_grouped_minimal(s, mu), (s, mu)
-                feasible = spec.pruner(s, mu, list(range(s.size)))
+                slack = _group_slack(s, mu, list(range(s.size)))
                 for sub in every:
                     want = _reference_enough(cls, _reference_counts(s, sub), mu)
                     assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
-                    # the walker's node just past the subset's last element
+                    # the walker's node just past the subset's last element,
+                    # with nothing blocked
                     at = sub[-1] + 1 if sub else 0
                     rest = _reference_counts(s, sub + tuple(range(at, s.size)))
-                    assert feasible(list(sub), at) == _reference_enough(cls, rest, mu), (s, sub, mu)
+                    reach = sum(1 << e for e in sub) | (-1 << at) & ((1 << s.size) - 1)
+                    assert slack(reach) == _reference_slack(cls, rest, mu), (s, sub, mu)
+                    assert (slack(reach) >= 0) == _reference_enough(cls, rest, mu), (s, sub, mu)
                     bigs += want
             elif cls.kind == "n_tree":
                 assert list(spec.minimal(s, mu)) == _reference_tree_minimal(s, mu), (s, mu)

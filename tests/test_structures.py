@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import SMALL_KINDS, closure_bruteforce, random_member
+from ramseylab.colorings import _group_slack
 from ramseylab.structures import (
     TABLE,
     ClassKind,
@@ -368,18 +369,26 @@ def _walk_states(elements):
     ids=lambda v: v.label() if isinstance(v, ClassKind) else None,
 )
 def test_group_count_bound_matches_bigness_of_the_whole_suffix(cls, lam, within):
-    # the reference is the bound the per-suffix counts replaced: at node
-    # (chosen, i), is all of chosen + elements[i:] big?
+    # the reference is the bound the per-suffix counts gave: at node
+    # (chosen, i) with nothing blocked, is all of chosen + elements[i:] big?
+    # The walker's slack is nonnegative exactly then, and whichever `slack`
+    # elements of it go, the rest stays big
     s = make_canonical(cls, lam)
     spec = cls.spec
     elements = list(range(s.size)) if within is None else list(within)
+    rng = random.Random(7)
     cases = 0
     for level in range(4):
-        feasible = spec.pruner(s, level, elements)
+        slack = _group_slack(s, level, elements)
         for chosen, i in _walk_states(elements):
-            want = spec.subset_big(s, chosen + elements[i:], level)
-            got = True if feasible is None else feasible(chosen, i)
-            assert got == want, (level, chosen, i)
+            rest = chosen + elements[i:]
+            want = spec.subset_big(s, rest, level)
+            reach = sum(1 << elements.index(e) for e in chosen) | (-1 << i) & ((1 << len(elements)) - 1)
+            room = 0 if slack is None else slack(reach)
+            assert (room >= 0) == want, (level, chosen, i)
+            if want:
+                lost = set(rng.sample(rest, min(room, len(rest))))
+                assert spec.subset_big(s, [e for e in rest if e not in lost], level), (level, chosen, i, lost)
             cases += not want
     assert cases > 0
 

@@ -211,6 +211,36 @@ def test_typing_never_touches_json(monkeypatch):
                 restrict_type(t, positions)
 
 
+def _closure_type(s, tup) -> TupleType:
+    """The type as computed before kinds with no functions skipped the
+    closure: close the tuple, relabel along the order, sort the entries."""
+    closed = subset_closure(s, tup)
+    pos = {e: i for i, e in enumerate(closed)}
+    entries = [("gen", tuple(pos[e] for e in tup)), ("m", len(closed))]
+    entries += s.cls.spec.fragment(s, closed, pos)
+    return TupleType(s.cls, len(tup), tuple(sorted(entries)))
+
+
+_FAST_KINDS = SMALL_KINDS + (ClassKind("n_tree", height=1), ClassKind("hypergraph", edge_arity=3, palette=3))
+
+
+@pytest.mark.parametrize("cls", _FAST_KINDS, ids=ClassKind.label)
+def test_typing_matches_the_closure_computation(cls):
+    # every tuple of arity 1-3 of each canonical member of up to 16 elements
+    rng = random.Random(9)
+    members = [s for s in (make_canonical(cls, lam) for lam in range(1, 17)) if s.size <= 16]
+    members += [random_member(cls, rng, max_size=9) for _ in range(6)]
+    tuples = 0
+    for s in members:
+        for n in (1, 2, 3):
+            for tup in itertools.combinations(range(s.size), n):
+                got = tuple_type(s, tup)
+                want = _closure_type(s, tup)
+                assert (got, got.fragment, got.code) == (want, want.fragment, want.code), (s, tup)
+                tuples += 1
+    assert tuples > 300
+
+
 def test_enumeration_rejects_negative_level():
     with pytest.raises(ValueError, match="level must be nonnegative"):
         enumerate_types(ClassKind("or"), 2, -1)
