@@ -42,7 +42,7 @@ from .structures import (
     subset_is_big,
     to_doc as structure_doc,
 )
-from .tuple_types import TupleType, tuple_type
+from .tuple_types import TupleType, type_fragment
 
 _INT = frozenset({int})
 
@@ -57,9 +57,9 @@ class Coloring:
 
     `type_id` numbers tuple types once per coloring, in first-sight order
     (`_types`: tuple -> id; `type_of` reads the type back), interning each
-    by its fragment, which names the type within one base and arity.  Types
-    depend on the base alone, so a repaint keeps every id; a `copy` starts
-    afresh.
+    tuple's fragment, which names the type within one base and arity; a
+    `TupleType` is built once per new id.  Types depend on the base alone,
+    so a repaint keeps every id; a `copy` starts afresh.
     """
 
     __slots__ = ("base", "arity", "colors", "table", "_types", "_ids", "_kinds")
@@ -93,10 +93,10 @@ class Coloring:
     def type_id(self, tup: tuple[int, ...]) -> int:
         t = self._types.get(tup)
         if t is None:
-            kind = tuple_type(self.base, tup)
-            t = self._types[tup] = self._ids.setdefault(kind.fragment, len(self._ids))
+            fragment = type_fragment(self.base, tup)
+            t = self._types[tup] = self._ids.setdefault(fragment, len(self._ids))
             if t == len(self._kinds):
-                self._kinds.append(kind)
+                self._kinds.append(TupleType(self.base.cls, len(tup), fragment))
         return t
 
     def type_of(self, tup: tuple[int, ...]) -> TupleType:
@@ -106,7 +106,7 @@ class Coloring:
         return itertools.combinations(range(self.base.size), self.arity)
 
     def is_total(self) -> bool:
-        return all(tup in self.table for tup in self.all_tuples())
+        return all(map(self.table.__contains__, self.all_tuples()))
 
     def entries(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.table.items())

@@ -26,6 +26,7 @@ by `find_type_homogeneous`, and the report carries that check's witness.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .colorings import (
@@ -105,20 +106,22 @@ def _pack(col: Coloring, pieces: list[tuple[int, ...]], shapes) -> Coloring:
     A shape lists, for each of the n slots, the offsets it takes inside that
     slot's piece.  The auxiliary color of g1 < .. < gn concatenates, shape by
     shape (first shape most significant), as base-c digits, the color of the
-    tuple that takes those offsets from pieces[g1] .. pieces[gn].
+    tuple that takes those offsets from pieces[g1] .. pieces[gn].  The digits
+    are read column by column: one shape at a time, over all position tuples
+    at once, one element column per (slot, offset) the shape takes.
     """
     n, c = col.arity, col.colors
-    # each shape as flat (slot, offset) pairs, in the order the tuple lists them
-    flat = [[(slot, off) for slot, offs in enumerate(shape) for off in offs] for shape in shapes]
-    color = col.color
-    table = {}
-    for gam in itertools.combinations(range(len(pieces)), n):
-        rows = [pieces[g] for g in gam]
-        value = 0
-        for pairs in flat:
-            value = value * c + color(tuple([rows[slot][off] for slot, off in pairs]))
-        table[gam] = value
-    return Coloring(make_canonical(ClassKind("or"), len(pieces)), n, c ** len(flat), table)
+    gams = list(itertools.combinations(range(len(pieces)), n))
+    # rows[slot][k]: the piece that slot takes in the k-th position tuple
+    rows = [list(map(pieces.__getitem__, map(operator.itemgetter(slot), gams))) for slot in range(n)]
+    values = [0] * len(gams)
+    for shape in shapes:
+        columns = [map(operator.itemgetter(off), rows[slot]) for slot, offs in enumerate(shape) for off in offs]
+        try:
+            values = [v * c + d for v, d in zip(values, map(col.table.__getitem__, zip(*columns)))]
+        except KeyError as missing:
+            raise ValueError(f"coloring has no entry for tuple {missing.args[0]}") from None
+    return Coloring(make_canonical(ClassKind("or"), len(pieces)), n, c ** len(shapes), dict(zip(gams, values)))
 
 
 def _residue_blocks(chi: int, lam: int) -> list[tuple[int, ...]]:

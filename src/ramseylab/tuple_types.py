@@ -8,9 +8,12 @@ relabeled fragment is already canonical, and types compare and hash by their
 fragments with no isomorphism search.  A fragment is the sorted (entry,
 value) pairs of the closure size `m`, the generator positions `gen` and the
 kind's atomic data, lists held as tuples; its canonical JSON bytes
-(`TupleType.code`) exist only in documents.  A kind with no functions
-(one that keeps `Kind.close`) closes every tuple to itself, so `tuple_type`
-skips the closure there and relabels the tuple alone.
+(`TupleType.code`) exist only in documents.  `type_fragment` computes a
+fragment, and `tuple_type` wraps it in a `TupleType`; `Coloring.type_id` and
+`enumerate_types` intern fragments and build one `TupleType` per distinct
+fragment.  A kind with no functions (one that keeps `Kind.close`) closes every
+tuple to itself, so `type_fragment` skips the closure there and relabels the
+tuple alone.
 
 The atomic data of chi_color and n_tree is read off the ambient structure
 (residues of positions, ambient level labels), so fragments need not
@@ -90,8 +93,9 @@ def _freeze(value):
     raise ValueError(f"tuple type code holds {value!r} where integers and lists belong")
 
 
-def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
-    """Type of an increasing tuple of s, computed in the ambient structure."""
+def type_fragment(s: FinStructure, tup: tuple[int, ...]) -> tuple:
+    """Fragment of an increasing tuple of s, computed in the ambient
+    structure; `tuple_type` wraps it, with the same checks."""
     tup = tuple(tup)
     if not tup:
         raise ValueError("tuple must be nonempty")
@@ -107,7 +111,13 @@ def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
     entries = [("gen", tuple([pos[e] for e in tup])), ("m", len(closed))]
     entries += spec.fragment(s, closed, pos)
     entries.sort()
-    return TupleType(s.cls, len(tup), tuple(entries))
+    return tuple(entries)
+
+
+def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
+    """Type of an increasing tuple of s, computed in the ambient structure."""
+    tup = tuple(tup)
+    return TupleType(s.cls, len(tup), type_fragment(s, tup))
 
 
 def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
@@ -146,4 +156,5 @@ def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[Tu
     lv = n if level is None else max(level, n)
     base = make_canonical(cls, lv)
     tuples = itertools.combinations(range(base.size), n)
-    return list(dict.fromkeys(tuple_type(base, tup) for tup in tuples))
+    fragments = dict.fromkeys(type_fragment(base, tup) for tup in tuples)
+    return [TupleType(base.cls, n, fragment) for fragment in fragments]

@@ -28,7 +28,7 @@ from ramseylab.structures import (
     subset_induces_member,
     subset_is_big,
 )
-from ramseylab.tuple_types import tuple_type
+from ramseylab.tuple_types import tuple_type, type_fragment
 
 
 def test_random_coloring_seeded():
@@ -293,14 +293,34 @@ def test_one_type_numbering_per_coloring():
         assert [col.type_of(tup) for tup in tuples] == types
 
 
+def test_type_of_is_tuple_type_on_small_members():
+    # type_id interns fragments and builds a TupleType once per new id;
+    # what it hands back is the type tuple_type builds
+    rng = random.Random(5)
+    for cls in SMALL_KINDS:
+        for _ in range(4):
+            base = random_member(cls, rng, max_size=6)
+            for n in range(1, min(base.size, 3) + 1):
+                col = random_coloring(base, n, 2, seed=0)
+                for tup in itertools.combinations(range(base.size), n):
+                    assert col.type_of(tup) == tuple_type(base, tup), (cls.label(), tup)
+                assert len(col._kinds) == len(col._ids) == len(set(col._kinds))
+    col = random_coloring(make_canonical(ClassKind("or"), 4), 2, 2, seed=0)
+    for tup, message in (((), "nonempty"), ((2, 1), "not strictly increasing"), ((1, 4), "outside universe")):
+        with pytest.raises(ValueError, match=message):
+            tuple_type(col.base, tup)
+        with pytest.raises(ValueError, match=message):
+            col.type_id(tup)
+
+
 def test_each_tuple_is_typed_once_per_coloring(monkeypatch):
     calls = Counter()
 
     def counted(base, tup):
         calls[tup] += 1
-        return tuple_type(base, tup)
+        return type_fragment(base, tup)
 
-    monkeypatch.setattr(colorings, "tuple_type", counted)
+    monkeypatch.setattr(colorings, "type_fragment", counted)
     table = _TupleTable(ArrowQuery(ClassKind("chi_or", chi=2), 4, 2, 2, 2))
     col = table.paint(random_colors(len(table.tuples), 2, seed=1))
     res = find_type_homogeneous(col, 2)

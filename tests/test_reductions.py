@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -221,6 +222,53 @@ def test_aux_ceq_needs_enough_representatives():
     col = random_coloring(base, 2, 2, seed=0)
     with pytest.raises(ValueError):
         aux_coloring_ceq(col, {0: (0,), 1: (2, 3)})
+
+
+def _pack_reference(col, pieces, shapes):
+    # the row-by-row packer the column-by-column one replaced
+    flat = [[(slot, off) for slot, offs in enumerate(shape) for off in offs] for shape in shapes]
+    table = {}
+    for gam in itertools.combinations(range(len(pieces)), col.arity):
+        value = 0
+        for pairs in flat:
+            value = value * col.colors + col.color(tuple(pieces[gam[slot]][off] for slot, off in pairs))
+        table[gam] = value
+    return table
+
+
+def test_pack_matches_the_row_by_row_reference():
+    for n, c, seed in ((1, 3, 0), (2, 2, 1), (2, 3, 2), (3, 2, 3)):
+        col = random_coloring(make_canonical(ClassKind("chi_color", chi=3), 5), n, c, seed=seed)
+        shapes = [tuple((i,) for i in idx) for idx in itertools.product(range(3), repeat=n)]
+        pieces = reductions._residue_blocks(3, 5)
+        assert aux_coloring_chicolor(col).table == _pack_reference(col, pieces, shapes), (n, c)
+        col = random_coloring(make_canonical(CEQ, 4), n, c, seed=seed)
+        pieces = [block[:n] for block in col.base.blocks]
+        shapes = [tuple(map(range, comp)) for comp in compositions_with_zeros(n)]
+        got = aux_coloring_ceq(col, dict(enumerate(pieces)))
+        assert got.table == _pack_reference(col, pieces, shapes), (n, c)
+        assert got.colors == c ** len(shapes)
+
+
+def test_aux_ceq_names_a_missing_tuple():
+    col = random_coloring(make_canonical(CEQ, 3), 2, 2, seed=0)
+    pieces = dict(enumerate(block[:2] for block in col.base.blocks))
+    missing = (pieces[1][0], pieces[2][0])  # counts (1, 1) over blocks 1 and 2 read it
+    partial = Coloring(col.base, 2, 2, {tup: v for tup, v in col.table.items() if tup != missing})
+    with pytest.raises(ValueError, match=re.escape(f"coloring has no entry for tuple {missing}")):
+        aux_coloring_ceq(partial, pieces)
+
+
+def test_is_total_reads_every_tuple():
+    col = random_coloring(make_canonical(CEQ, 3), 2, 2, seed=0)
+    assert col.is_total()
+    # as many entries as the tuple space holds, one of them off the space
+    for stray in ((1, 0), (0, col.base.size)):
+        table = dict(col.table)
+        del table[(0, 1)]
+        table[stray] = 0
+        assert len(table) == len(col.table)
+        assert not Coloring(col.base, 2, 2, table).is_total()
 
 
 def test_reduce_ceq_constant():

@@ -244,3 +244,18 @@ def test_typing_matches_the_closure_computation(cls):
 def test_enumeration_rejects_negative_level():
     with pytest.raises(ValueError, match="level must be nonnegative"):
         enumerate_types(ClassKind("or"), 2, -1)
+
+
+def _enumerate_types_reference(cls, n, level=None):
+    # the scan enumerate_types replaced: one TupleType per tuple, deduplicated
+    base = make_canonical(cls, n if level is None else max(level, n))
+    return list(dict.fromkeys(tuple_type(base, tup) for tup in itertools.combinations(range(base.size), n)))
+
+
+def test_enumerate_types_matches_the_per_tuple_scan():
+    for cls in SMALL_KINDS:
+        for n in (1, 2, 3):
+            for level in (None, n + 1):
+                want = _enumerate_types_reference(cls, n, level)
+                got = enumerate_types(cls, n, level)
+                assert got == want, (cls.label(), n, level)
