@@ -390,8 +390,12 @@ def extract_blueprint(
     BlueprintDomainError.  Arities are processed in increasing order.  At
     each arity the current subset is kept whole when it is already
     diagram-homogeneous; otherwise the standard homogeneity search runs
-    inside it at that arity's level.  Every domain type must be realized in
-    the final subset, else BlueprintDomainError; the extracted blueprint is
+    inside it.  Both ask bigness at the largest max(level_j, j) over this
+    and every later arity j: the domain at arity j is what the canonical
+    member of that bigness realizes.  A search above the arity's own level
+    that finds nothing is not exhaustive, as a less big subset may realize
+    the domains too.  Every domain type must be realized in the final
+    subset, else BlueprintDomainError; the extracted blueprint is
     coherence-checked.
     """
     assignment = tuple(assignment)
@@ -424,10 +428,11 @@ def extract_blueprint(
     stages: list = []
     colorings: list[tuple[Coloring, list[Diagram]]] = []
     for arity in range(1, n_max + 1):
+        level = max(max(lv, j) for j, lv in enumerate(levels[arity - 1:], arity))
         col, palette = _diagram_coloring(target, assignment, index, current, arity, depth)
         colorings.append((col, palette))
         whole = type_homogeneity_witness(col, current)
-        if whole is not None and subset_is_big(index, current, levels[arity - 1]):
+        if whole is not None and subset_is_big(index, current, level):
             stages.append(
                 {
                     "arity": arity,
@@ -437,9 +442,7 @@ def extract_blueprint(
                 }
             )
             continue
-        res: SearchResult = find_type_homogeneous(
-            col, levels[arity - 1], budget=budget, within=current
-        )
+        res: SearchResult = find_type_homogeneous(col, level, budget=budget, within=current)
         stages.append(
             {
                 "arity": arity,
@@ -450,8 +453,8 @@ def extract_blueprint(
                 "exhaustive": res.exhaustive,
             }
         )
-        if not res.found:
-            return ExtractReport(None, None, stages, res.exhaustive)
+        if not res.found:  # a less big subset may still realize the domains
+            return ExtractReport(None, None, stages, res.exhaustive and level == levels[arity - 1])
         current = res.subset
 
     # each arity's coloring stays homogeneous on every later, smaller subset

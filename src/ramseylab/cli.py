@@ -257,7 +257,9 @@ def cmd_extract(args):
             f"witness covers {len(out['witness'])} types",
         ]
     else:
-        lines = [_absent(out["exhaustive"])]
+        # the search ran above --level, where the domains are sure to be realized
+        raised = out["stages"][-1]["exhaustive"] and not out["exhaustive"]
+        lines = ["absent (exhaustive only above --level)" if raised else _absent(out["exhaustive"])]
     return result, lines, 0 if out["status"] == "found" else 2
 
 

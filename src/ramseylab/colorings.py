@@ -15,10 +15,10 @@ One depth-first walker, `_Walk`, serves every search over admissible
 subsets, `find_type_homogeneous` and `iter_big_member_subsets` alike.  It
 decides the elements in increasing order, include-first, pruning on the
 admission rules, on witness conflicts when it carries a coloring, checked
-forward onto the elements still to come, and on cheap soundness bounds for
-bigness; the first subset it reaches is therefore the lexicographically
-least qualifying one, which keeps every search result deterministic and
-reproducible.
+forward onto the elements still to come, and on counts, per group where
+the kind has groups, of the elements a subset may still hold; the first
+subset it reaches is therefore the lexicographically least qualifying one,
+which keeps every search result deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -239,12 +239,13 @@ class _Budget(Exception):
 
 
 def _group_slack(base: FinStructure, level: int, elements: list[int]):
-    """The walker's per-group count bound for a kind whose bigness counts
-    elements per group (`Kind.needed` is not None), at level >= 1: returns
+    """The walker's bigness bound for a kind whose bigness counts elements
+    per group (`Kind.needed` is not None), at level >= 1: returns
     `slack(reach)`, for the elements whose indices in `elements` are set in
     the bitmask `reach`, how many of them may go, whichever they are, before
-    fewer than `needed` groups each hold `level` of them; negative when that
-    is already so.  None for every other walk."""
+    fewer than `needed` groups each reach their quota
+    (`Kind.quotas(base, level)`); negative when that is already so.  None
+    for every other walk."""
     spec = base.cls.spec
     needed = spec.needed(base.cls, level) if level else None
     if needed is None:
@@ -254,11 +255,11 @@ def _group_slack(base: FinStructure, level: int, elements: list[int]):
         masks[spec.group_of(base, e)] |= 1 << j
     if needed > len(masks):
         return lambda reach: -1
+    groups = list(zip(masks, spec.quotas(base, level)))
 
     def slack(reach: int) -> int:
-        # losing r elements lowers the needed-th largest count by at most r
-        counts = sorted([(reach & m).bit_count() for m in masks], reverse=True)
-        return counts[needed - 1] - level
+        # losing r elements lowers the needed-th largest surplus by at most r
+        return sorted([(reach & m).bit_count() - q for m, q in groups])[-needed]
 
     return slack
 
@@ -320,25 +321,25 @@ class _Walk:
     combination's row; undoing the take restores the saved `avail`.
 
     At node (chosen, i) `avail` is chosen + free, where free holds the
-    elements from i on that may still be taken.  The walk prunes the branch
-    when it holds fewer than `least = Kind.min_size(cls, level)` elements;
-    for a kind that counts elements per group, when fewer than `needed`
-    groups hold `level` of them (`_group_slack`); and otherwise when the
-    kind's own bound `feasible(chosen, i)`, built once per walk by
-    `Kind.pruner(base, level, elements)` where the kind has one, finds that
-    no subset of chosen + elements[i:] holding chosen can be big.  The two
-    counts are kept as `slack`, how many elements `avail` may lose,
-    whichever they are, before either fails: stepping past an element
-    lowers it by one, a take that blocks nothing leaves `avail` and so the
-    slack as they were, and only other steps count afresh.  With nothing
-    blocked, as without a coloring, the group bound is the one the counts
-    of chosen + elements[i:] give.  Iterating yields every closed,
-    member-inducing subset reached that `Kind.subset_big` finds level-big
-    (every one at level 0); since no subset of fewer than `least` elements
-    is big, `subset_big` is asked only from that size on.  `nodes` counts
-    the visited search nodes, one per step into a branch or out of a dead
-    end and none per blocked element stepped over; visiting more than
-    `budget` of them raises `_Budget`.
+    elements from i on that may still be taken.  Counts of `avail` are the
+    walk's only bigness bound, kept as `slack`, how many elements it may
+    lose, whichever they are, before the bound fails: for a kind that
+    counts elements per group, before fewer than `needed` groups reach
+    their quotas (`_group_slack`); for every other kind, before it holds
+    fewer than `least = Kind.min_size(cls, level)` elements.  Where the
+    `needed` groups reach their quotas they already hold `least` elements,
+    so the group count alone is the bound.  The walk prunes when the slack
+    is negative.  Stepping past an element lowers it by one, a take that
+    blocks nothing leaves `avail` and so the slack as they were, and only
+    other steps count afresh.  With nothing blocked, as without a coloring,
+    the bound is the one the counts of chosen + elements[i:] give.
+    Iterating yields every closed, member-inducing subset reached that
+    `Kind.subset_big` finds level-big (every one at level 0); since no
+    subset of fewer than `least` elements is big, `subset_big` is asked
+    only from that size on.  `nodes` counts the visited search nodes, one
+    per step into a branch or out of a dead end and none per blocked
+    element stepped over; visiting more than `budget` of them raises
+    `_Budget`.
 
     The path is kept in a list, not on the call stack, so the depth of a
     walk is not bounded by Python's recursion limit.
@@ -357,7 +358,6 @@ class _Walk:
         veto, big = spec.admit, spec.subset_big
         least = spec.min_size(base.cls, level)
         group_slack = _group_slack(base, level, elements)
-        feasible = spec.pruner(base, level, elements)
         forward = col is not None and col.arity > 1
         if col is not None:
             types, table, type_id, color, arity = col._types, col.table, col.type_id, col.color, col.arity
@@ -391,11 +391,9 @@ class _Walk:
                 self.nodes = nodes
                 yield tuple(chosen)
             if slack < 0:
-                slack = avail.bit_count() - least
-                if slack >= 0 and group_slack is not None:
-                    slack = min(slack, group_slack(avail))
+                slack = avail.bit_count() - least if group_slack is None else group_slack(avail)
             free = avail >> i << i
-            if free and slack >= 0 and (feasible is None or feasible(chosen, i)):
+            if free and slack >= 0:
                 if not avail >> i & 1:  # step over blocked elements
                     i = (free & -free).bit_length() - 1
                 e = elements[i]
@@ -502,8 +500,10 @@ def find_type_homogeneous(
 
 
 def iter_big_member_subsets(base: FinStructure, level: int, within=None):
-    """Yield every closed, member-inducing, level-big subset in lexicographic
-    order.  Intended for small universes (the exhaustive partition check)."""
+    """Yield every closed, member-inducing, level-big subset of the member
+    `base` in lexicographic order; meant for small universes (arrow checks)."""
     if level < 0:
         raise ValueError("level must be nonnegative")
+    if not is_member(base):
+        raise ValueError("base is not a member of its class")
     yield from _Walk(base, level, _elements(base, within))

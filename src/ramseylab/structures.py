@@ -32,15 +32,15 @@ and partition-relation tables monotone.
 Everything a kind knows lives in one `Kind` subclass, registered by name in
 `TABLE`: its parameters, its payload fields and their document keys, the
 canonical member, membership and subset bigness (a member is big when its
-whole universe is), closure, admission and pruning for the subset walker, the
-fragment a type records and the decoding back, and the generator of the
-inclusion-minimal big subsets of a member.  Admission is the one per-kind
-veto on subsets: the walker and `subset_induces_member` both take a subset's
-elements in increasing order through `Kind.admit`.  A count-based kind
-(`chi_or`, `chi_color`, `ceq`) subclasses `_Grouped`, naming its groups
-and `needed`.
-The module-level functions validate their input and dispatch to the table,
-and no other module tells kinds apart, so a new class is one more subclass.
+whole universe is), closure, admission, the per-group counts the subset
+walker prunes on, the fragment a type records and the decoding back, and
+the generator of the inclusion-minimal big subsets of a member.  Admission
+is the one per-kind veto on subsets: the walker and `subset_induces_member`
+both take a subset's elements in increasing order through `Kind.admit`.  A
+count-based kind (`chi_or`, `chi_color`, `ceq`) subclasses `_Grouped`,
+naming its groups and `needed`; `n_tree` counts per level.  The
+module-level functions validate their input and dispatch to the table, and
+no other module tells kinds apart, so a new class is one more subclass.
 `canonical_json` writes the certificate bytes of every document.
 """
 
@@ -166,7 +166,6 @@ class FinStructure:
     # payload accessors used by typing and search; valid only on members
 
     def part_of(self, e: int) -> int:
-        assert self.parts is not None
         return self.parts[e]
 
     @cached_property
@@ -180,7 +179,6 @@ class FinStructure:
         return index
 
     def block_of(self, e: int) -> int:
-        assert self.blocks is not None
         try:
             return self._block_index[e]
         except KeyError:
@@ -200,7 +198,6 @@ class FinStructure:
         return tuple(table)
 
     def has_edge(self, a: int, b: int) -> bool:
-        assert self.edges is not None
         lo, hi = (a, b) if a < b else (b, a)
         return (lo, hi) in self.edges
 
@@ -213,7 +210,6 @@ class FinStructure:
         return colors
 
     def hyper_color(self, subset: tuple[int, ...]) -> int:
-        assert self.hyper is not None
         key = tuple(sorted(subset))
         try:
             return self._hyper_colors[key]
@@ -339,20 +335,10 @@ class Kind:
         """Add to `chosen` what the class functions generate from it."""
 
     def needed(self, cls: ClassKind, mu: int) -> int | None:
-        """How many groups must each hold mu chosen elements for a subset to
-        be mu-big, where bigness counts elements per group (`_Grouped`); None
-        where it does not."""
-        return None
-
-    def pruner(self, base: FinStructure, level: int, elements: list[int]):
-        """Sound bound for one walk over the increasing `elements`, as
-        `feasible(chosen, i)`: can a subset of chosen + elements[i:] holding
-        all of chosen still induce a level-big member?  May answer yes
-        wrongly, never no.  The walker itself prunes on the count of chosen
-        and still-takeable elements, overall against `min_size(cls, level)`
-        and per group against `needed`, and asks `feasible` only past that,
-        so a kind returns a bound only for what its bigness asks beyond
-        counts (the tree root), and None where that is nothing."""
+        """How many groups must reach their quotas for a subset to be mu-big,
+        where bigness counts chosen elements per group, or None.  Such a kind
+        also names `groups(s)`, `group_of(s, e)` in 0..groups(s)-1 and
+        `quotas(s, mu)`, one least count per group: the walker's only bound."""
         return None
 
     def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
@@ -379,12 +365,14 @@ class _Grouped(Kind):
     `ceq` blocks, mu of them) each hold at least mu chosen elements.
 
     A subclass names its groups, `groups(s)` of them with `group_of(s, e)`
-    in 0..groups(s)-1, and `needed`.  The least size (needed * mu), subset
-    bigness and the minimal big subsets (`needed` of the groups of at least
-    mu elements, by first element, and mu elements of each) follow, and the
-    walker bounds each group's count of chosen and still-takeable elements
-    through them.
+    in 0..groups(s)-1, and `needed`.  The quotas (mu for every group), the
+    least size (needed * mu), subset bigness and the minimal big subsets
+    (`needed` of the groups of at least mu elements, by first element, and
+    mu elements of each) follow.
     """
+
+    def quotas(self, s, mu):
+        return [mu] * self.groups(s)
 
     def min_size(self, cls, mu):
         return self.needed(cls, mu) * mu
@@ -488,6 +476,11 @@ class ColoredOrder(_Grouped):
 
 
 class Trees(Kind):
+    """Counted per level: a mu-big subset holds its level-0 root and
+    mu children one level down below each of its nodes above the height, so
+    the levels 0..height are the groups, all needed, with quota mu^l at
+    level l; `min_size` is the sum of the quotas."""
+
     name = "n_tree"
     params = ("height",)
     fields = {"parent": ("tree_parent", [int]), "level": ("levels", [int])}
@@ -553,15 +546,17 @@ class Trees(Kind):
     def admit(self, s, chosen, e):
         return not chosen or tree_meet(s, chosen[-1], e) in chosen
 
-    def pruner(self, base, level, elements):
-        if level == 0:
-            return None
-        root = tree_root(base)
-        if root is None or base.level[root] != 0:
-            return lambda chosen, i: False
-        # the root is still to be decided while i is at most its index
-        at = elements.index(root) if root in elements else -1
-        return lambda chosen, i: i <= at or root in chosen
+    def groups(self, s):
+        return s.cls.height + 1
+
+    def group_of(self, s, e):
+        return s.level[e]
+
+    def needed(self, cls, mu):
+        return cls.height + 1
+
+    def quotas(self, s, mu):
+        return [mu**d for d in range(s.cls.height + 1)]
 
     def fragment(self, s, closed, pos):
         # pos holds no -1, so a fragment root keeps -1
@@ -729,7 +724,7 @@ def is_member(s: FinStructure) -> bool:
             if (getattr(s, field) is not None) != (field in spec.fields):
                 return False
         return spec.member(s)
-    except (TypeError, ValueError, IndexError, AttributeError, AssertionError):
+    except (TypeError, ValueError, IndexError, AttributeError):
         return False
 
 

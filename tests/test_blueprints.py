@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import fiber_target, unary_blueprint
+from helpers import SMALL_KINDS, fiber_target, unary_blueprint
 from ramseylab.blueprints import (
     Blueprint,
     BlueprintDomainError,
@@ -31,7 +31,7 @@ from ramseylab.diagrams import (
     model_diagram,
     var,
 )
-from ramseylab.structures import ClassKind, FinStructure, make_canonical
+from ramseylab.structures import ClassKind, FinStructure, embeds_canonically, make_canonical, subset_is_big
 from ramseylab.tuple_types import enumerate_types
 
 OR = ClassKind("or")
@@ -280,6 +280,34 @@ def test_derived_blueprints_stretch_to_every_index(cls, ambient, level):
             model = em_model(der.blueprint, make_canonical(cls, index_level))
             assert check_indiscernible(model) == [], (seed, index_level)
     assert found
+
+
+def test_derive_below_the_arity_realizes_every_domain_type():
+    # below the arity the domain is what the canonical arity-big member
+    # realizes, so each arity searches at that level: a subset too small to
+    # realize a domain type is never accepted, and derive finds a subset
+    # exactly where the search at the arity does
+    rng = random.Random(29)
+    found = absent = 0
+    for cls in SMALL_KINDS:
+        if not embeds_canonically(cls):
+            continue
+        for _ in range(12):
+            arity = rng.randint(2, 3)
+            level = rng.randint(1, arity - 1)
+            base = make_canonical(cls, rng.randint(arity, 4))
+            if base.size > 12:
+                base = make_canonical(cls, arity)
+            col = random_coloring(base, arity, 2, rng.randrange(10**6))
+            der = derive_homogeneous(col, level)
+            res = find_type_homogeneous(col, arity)
+            # an absence above the level asked decides nothing at that level
+            assert der.found == res.found == der.exhaustive, (cls.label(), base.size, arity, level)
+            if der.found:
+                assert subset_is_big(base, der.subset, arity)
+            found += der.found
+            absent += not der.found
+    assert found and absent
 
 
 def test_derive_constant_coloring_keeps_whole_base():

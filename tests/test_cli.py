@@ -280,6 +280,29 @@ def test_extract_exit_codes(capsys):
     assert "found subset [0, 1, 2]" in out
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("--cls or --level 1 -n 2 --ambient 4 --seed 0", 0),
+        ("--cls or --level 2 -n 3 --ambient 4 --seed 0", 0),
+        # no 2-big subtree of the 2-big tree is homogeneous on pairs
+        ("--cls n_tree:2 --level 1 -n 2 --ambient 2 --seed 0", 2),
+        # nor any 2-big ceq subset, though the homogeneous (0, 1, 2) realizes
+        # both pair types: the absence above --level is not exhaustive
+        ("--cls ceq --level 1 -n 2 --ambient 2 --seed 0", 2),
+    ],
+)
+def test_extract_below_the_arity_searches_what_the_domain_reads(tmp_path, capsys, argv, want):
+    # a subset big only at the level asked may realize no tuple of a domain
+    # type; the search asks for one big enough to realize them all
+    out = tmp_path / "extract.json"
+    assert main(["extract", *argv.split(), "--json", "--out", str(out)]) == want
+    assert json.loads(out.read_text())["result"]["derivation"]["exhaustive"] == (want == 0)
+    assert run(capsys, "check", "--report", str(out))[0] == 0
+    text = run(capsys, "extract", *argv.split())[1]
+    assert ("found subset" in text) if want == 0 else text == "absent (exhaustive only above --level)\n"
+
+
 def test_zero_colors_exit_3(capsys):
     code = main(["extract", "--cls", "or", "--level", "2", "--ambient", "3", "-c", "0"])
     assert code == 3

@@ -23,6 +23,7 @@ from ramseylab.colorings import (
 from ramseylab.structures import (
     TABLE,
     ClassKind,
+    FinStructure,
     make_canonical,
     subset_closure,
     subset_induces_member,
@@ -266,6 +267,24 @@ def test_within_outside_the_universe_is_rejected():
             list(iter_big_member_subsets(base, 1, within=within))
         with pytest.raises(ValueError, match="outside universe"):
             find_type_homogeneous(col, 1, within=within)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        # a level above the height would index past the per-level counts
+        FinStructure(ClassKind("n_tree", height=2), 3, parent=(-1, 0, 1), level=(0, 1, 5)),
+        FinStructure(ClassKind("chi_or", chi=2), 3, parts=(0, 2, 1)),
+        FinStructure(ClassKind("ceq"), 3, blocks=((0, 2), (1,))),
+    ],
+    ids=["n_tree", "chi_or", "ceq"],
+)
+def test_non_member_base_is_rejected(base):
+    col = Coloring.from_function(base, 1, 1, lambda t: 0)
+    with pytest.raises(ValueError, match="not a member of its class"):
+        find_type_homogeneous(col, 1)
+    with pytest.raises(ValueError, match="not a member of its class"):
+        next(iter_big_member_subsets(base, 1))
 
 
 def test_within_must_hold_integers():

@@ -3,6 +3,7 @@ document and type-code bytes, the rule that only `structures` tells class
 kinds apart, and each kind's rules against references written out kind by
 kind."""
 
+import ast
 import itertools
 import random
 import re
@@ -232,6 +233,18 @@ def test_only_structures_tells_kinds_apart():
     assert hits == []
 
 
+def test_library_holds_no_assert_statement():
+    # `python -O` strips assert statements, so a check the library relies on
+    # raises an exception of its own instead
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ramseylab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert hits == []
+
+
 # Each kind's rules written out kind by kind, as references for the rules
 # the table states once: the grouped kinds' count rules and minimal
 # generators, the tree's kids lists and the hypergraph's nested loops over
@@ -414,9 +427,25 @@ def test_kind_rules_match_their_references(cls):
                     bigs += want
             elif cls.kind == "n_tree":
                 assert list(spec.minimal(s, mu)) == _reference_tree_minimal(s, mu), (s, mu)
+                quotas = [mu**d for d in range(cls.height + 1)]
+                assert spec.quotas(s, mu) == quotas
+                assert spec.min_size(cls, mu) == sum(quotas)
+                slack = _group_slack(s, mu, list(range(s.size)))
                 for sub in every:
                     want = _reference_tree_big(s, sub, mu)
                     assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
+                    if want:
+                        # a big subtree meets every level's quota
+                        counts = [len([e for e in sub if s.level[e] == d]) for d in range(cls.height + 1)]
+                        assert all(map(int.__ge__, counts, quotas)), (s, sub, mu)
+                    # the walker's node just past the subset's last element,
+                    # with nothing blocked: never pruned while what it may
+                    # still hold is big
+                    at = sub[-1] + 1 if sub else 0
+                    rest = sub + tuple(range(at, s.size))
+                    reach = sum(1 << e for e in sub) | (-1 << at) & ((1 << s.size) - 1)
+                    if _reference_tree_big(s, rest, mu):
+                        assert slack(reach) >= 0, (s, sub, mu)
                     bigs += want
         if cls.kind == "n_tree":
             for sub in every:

@@ -8,8 +8,8 @@ to the walker's pruning, admission or witness bookkeeping that moves a
 single node shows here.
 
 `reference_search` keeps the walk without forward checking, with the
-per-suffix group counts of `chi_or` and `ceq` and no group bound for
-`chi_color`.  On every pin's query and on a seeded grid the walker must
+per-suffix group counts of `chi_or` and `ceq`, no group bound for
+`chi_color`, and only the root rule for `n_tree`, no per-level counts.  On every pin's query and on a seeded grid the walker must
 return its subset, witness and exhaustive flag in no more nodes.
 """
 
@@ -26,7 +26,7 @@ from ramseylab.colorings import (
     random_coloring,
     type_homogeneity_witness,
 )
-from ramseylab.structures import ClassKind, make_canonical
+from ramseylab.structures import ClassKind, make_canonical, tree_root
 
 # (class, canonical level, search level, arity, coloring seed, budget,
 #  within, subset, exhaustive, nodes); every coloring has 2 colours
@@ -42,7 +42,7 @@ SEARCH_PINS = [
     ("chi_color:2", 40, 3, 2, 1, None, None, (0, 1, 4, 9, 18, 29), True, 588),
     # an exhaustive absence, the benchmark's slow shape
     ("chi_color:3", 16, 3, 2, 0, None, None, None, True, 6362),
-    ("n_tree:2", 3, 2, 2, 7, None, None, None, True, 135),
+    ("n_tree:2", 3, 2, 2, 7, None, None, None, True, 101),
     ("n_tree:2", 2, 1, 2, 7, None, None, (0, 1, 2), True, 4),
     ("n_tree:1", 6, 2, 2, 8, None, None, (0, 1, 4), True, 6),
     ("ceq", 6, 2, 2, 0, None, None, (0, 1, 2, 31, 34), True, 113),
@@ -58,7 +58,7 @@ SEARCH_PINS = [
     # searches restricted to part of the universe
     ("or", 12, 4, 2, 1, None, range(1, 12, 2), None, True, 25),
     ("chi_color:2", 20, 2, 2, 3, None, range(2, 20), (2, 3, 4, 5), True, 5),
-    ("n_tree:2", 3, 2, 2, 7, None, range(0, 10), None, True, 42),
+    ("n_tree:2", 3, 2, 2, 7, None, range(0, 10), None, True, 41),
     ("n_tree:2", 3, 2, 2, 7, None, range(1, 13), None, True, 1),  # root left out
     ("ceq", 6, 2, 2, 0, None, range(0, 30), (0, 1, 4, 24, 25), True, 122),
     ("chi_or:2", 6, 2, 2, 4, None, (0, 2, 3, 5, 6, 7, 8, 9, 10, 11), (0, 2, 10, 11), True, 14),
@@ -114,12 +114,18 @@ def test_search_pinned(cls, lam, level, arity, seed, budget, within, subset, exh
 
 def _suffix_pruner(base, level, elements):
     # the group bound as it was for chi_or and ceq: the group counts of
-    # elements[i:] kept per suffix, so a node counts only chosen
+    # elements[i:] kept per suffix, so a node counts only chosen; and the
+    # tree-root rule as it was for n_tree, which counted no other level
     spec = base.cls.spec
-    if base.cls.kind not in ("chi_or", "ceq"):
-        return spec.pruner(base, level, elements)
-    if level == 0:
+    if level == 0 or base.cls.kind not in ("chi_or", "ceq", "n_tree"):
         return None
+    if base.cls.kind == "n_tree":
+        root = tree_root(base)
+        if root is None or base.level[root] != 0:
+            return lambda chosen, i: False
+        # the root is still to be decided while i is at most its index
+        at = elements.index(root) if root in elements else -1
+        return lambda chosen, i: i <= at or root in chosen
     group = {e: spec.group_of(base, e) for e in elements}
     counts = [0] * spec.groups(base)
     suffix = [counts]
