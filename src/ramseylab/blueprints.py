@@ -32,10 +32,10 @@ from .colorings import (
     find_type_homogeneous,
     type_homogeneity_witness,
 )
-from .diagrams import Diagram, OutputSignature, TargetStructure, UnionFind, model_diagram, term_program
+from .diagrams import Diagram, OutputSignature, TargetStructure, model_diagram, term_program
 from .structures import ClassKind, FinStructure, InternalCheckError, is_member, require_fields, subset_is_big
 from .structures import to_doc as structure_doc
-from .tuple_types import TupleType, enumerate_types, restrict_type, tuple_type
+from .tuple_types import TupleType, enumerate_types, restrict_type, type_fragment
 
 
 class BlueprintDomainError(ValueError):
@@ -185,6 +185,16 @@ def _key_str(key) -> str:
     return f"{key[1]}({','.join(_key_str(k) for k in key[2:])})"
 
 
+def _em_plan(diag: Diagram) -> tuple:
+    """What instantiating `diag` reads: its term program, the (term,
+    representative) pairs of its equalities, its representatives, and per
+    relation the verdicts on their tuples in `itertools.product` order."""
+    rows, reps = diag.atom_rows(), diag.reps()
+    verdicts = [list(map(rows[r].__contains__, itertools.product(reps, repeat=a))) for r, a in diag.sig.relations]
+    merges = [(i, r) for i, r in enumerate(diag.eq_reps) if r != i]
+    return term_program(diag.sig, diag.arity, diag.depth), merges, reps, verdicts
+
+
 def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     """Instantiate a coherent blueprint over a member of its index class.
 
@@ -194,10 +204,15 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     A function value or relation atom is decided by every instantiated
     diagram whose term classes cover its arguments, and read off there.
 
-    An instantiated term's key is built bottom-up over the diagram's term
-    program (see `diagrams.term_program`): (0, "e", element) for a variable,
-    (0, "c", name) for a constant, and (1, head, *argument keys) for an
-    application, each argument key read off an earlier row.
+    Instantiated terms are hash-consed bottom-up over the diagram's term
+    program (see `diagrams.term_program`): each distinct flat key,
+    (0, "e", element), (0, "c", name) or (1, head, *argument ids), gets the
+    next small integer id, and the union-find and the congruence closure run
+    over ids.  A class is represented by its least nested key, the flat key
+    with each argument id replaced by that argument's nested key.  Classes
+    and least keys do not depend on the numbering, so the elements keep
+    their order: generators first, then the other classes by the `_key_str`
+    spelling of that key.  Each distinct diagram is planned once.
 
     The blueprint was validated when built; its coherence is checked here.
     Raises BlueprintDomainError when a tuple of the index realizes a type
@@ -215,93 +230,110 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
     if not is_member(index):
         raise ValueError("index structure is not a member of its class")
 
-    table = bp.as_map()
-    instantiated: list[tuple[tuple[int, ...], Diagram, list]] = []
-    uf = UnionFind()
+    # one plan per distinct diagram, found by the fragment of a tuple's type,
+    # which names the type within the blueprint's class
+    plan_of = {d: _em_plan(d) for d in {d for _, d in bp.assignments}}
+    plans = {t.fragment: plan_of[d] for t, d in bp.assignments}
+    ids: dict[tuple, int] = {}  # flat key -> id
+    nested: list[tuple] = []  # id -> nested key
+    parent: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:  # halving the path
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(a: int, b: int) -> bool:
+        # the least nested key stays the root
+        ra, rb = find(a), find(b)
+        if nested[rb] < nested[ra]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        return ra != rb
+
+    instantiated: list[tuple[tuple[int, ...], tuple[int, ...], list, list[int]]] = []
     for arity in range(1, min(bp.n_max, index.size) + 1):
         for tup in itertools.combinations(range(index.size), arity):
-            diag = table.get(tuple_type(index, tup))
-            if diag is None:
+            plan = plans.get(type_fragment(index, tup))
+            if plan is None:
                 raise BlueprintDomainError(
                     f"tuple {tup} realizes a type outside the blueprint domain"
                 )
-            keys: list[tuple] = []
-            for head, v, args in term_program(diag.sig, diag.arity, diag.depth):
+            program, merges, reps, verdicts = plan
+            row: list[int] = []
+            for head, v, args in program:
                 if v >= 0:
-                    keys.append((0, "e", tup[v]))
+                    flat = (0, "e", tup[v])
                 elif args:
-                    keys.append((1, head, *[keys[a] for a in args]))
+                    flat = (1, head, *[row[a] for a in args])
                 else:
-                    keys.append((0, "c", head))
-            for i, k in enumerate(keys):
-                uf.add(k)
-                uf.union(k, keys[diag.eq_reps[i]])
-            instantiated.append((tup, diag, keys))
+                    flat = (0, "c", head)
+                i = ids.get(flat)
+                if i is None:
+                    i = ids[flat] = len(nested)
+                    nested.append((1, head, *[nested[a] for a in flat[2:]]) if args else flat)
+                    parent.append(i)
+                row.append(i)
+            for i, r in merges:
+                union(row[i], row[r])
+            instantiated.append((tup, reps, verdicts, row))
 
     # congruence closure: equal arguments force equal applications
-    apps = [k for k in uf.parent if k[0] == 1]
+    apps = [(i, flat[1], flat[2:]) for flat, i in ids.items() if flat[0] == 1]
     changed = True
     while changed:
         changed = False
         seen: dict = {}
-        for key in apps:
-            norm = (key[1], tuple(uf.find(ch) for ch in key[2:]))
-            other = seen.setdefault(norm, key)
-            if other is not key and uf.union(other, key):
+        for i, head, args in apps:
+            other = seen.setdefault((head, tuple([find(a) for a in args])), i)
+            if other != i and union(other, i):
                 changed = True
 
     # generators first, then the other classes by spelling
-    root = {k: uf.find(k) for k in uf.parent}
+    root = [find(i) for i in range(len(nested))]
     first: dict = {}  # generator class -> least index element in it
     for e in range(index.size):
-        d = first.setdefault(root[(0, "e", e)], e)
+        d = first.setdefault(root[ids[(0, "e", e)]], e)
         if d != e:
             raise ValueError(
                 f"the diagrams identify index elements {d} and {e}; no model "
                 "with distinct generators extends the index"
             )
     ordered = list(first)
-    ordered += sorted(set(root.values()) - set(ordered), key=_key_str)
+    ordered += sorted(set(root) - set(ordered), key=lambda r: _key_str(nested[r]))
     elem_of = {r: i for i, r in enumerate(ordered)}
-    elem = {k: elem_of[r] for k, r in root.items()}
+    elem = [elem_of[r] for r in root]
 
     # every term already shares its representative's class, so the closure
     # agrees with a diagram exactly when distinct representatives stay apart
-    covered: list[tuple[Diagram, tuple[int, ...], tuple[int, ...]]] = []
-    for tup, diag, keys in instantiated:
-        reps = diag.reps()
-        elems = tuple(elem[keys[r]] for r in reps)
-        if len(set(elems)) != len(reps):
+    covered: list[tuple[list, tuple[int, ...]]] = []
+    for tup, reps, verdicts, row in instantiated:
+        elems = tuple([elem[row[r]] for r in reps])
+        if len(set(elems)) != len(elems):
             raise InternalCheckError(f"closure merges distinct terms of the diagram of {tup}")
-        covered.append((diag, reps, elems))
+        covered.append((verdicts, elems))
 
-    fn_table = {(k[1], tuple(elem[ch] for ch in k[2:])): elem[k] for k in apps}
-    functions: dict[str, dict[tuple[int, ...], int]] = {}
+    size = len(ordered)
+    functions: dict[str, dict[tuple[int, ...], int]] = {fname: {} for fname, _ in bp.sig.functions}
+    for i, head, args in apps:
+        functions[head][tuple([elem[a] for a in args])] = elem[i]
     for fname, farity in bp.sig.functions:
-        m: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(range(len(ordered)), repeat=farity):
-            got = fn_table.get((fname, args))
-            if got is None:
-                raise SupportOverflowError(
-                    f"function {fname!r} is undecided on {args}; the blueprint's "
-                    "arity and depth do not reach that combination"
-                )
-            m[args] = got
-        functions[fname] = m
+        if len(functions[fname]) != size ** farity:
+            args = next(a for a in itertools.product(range(size), repeat=farity) if a not in functions[fname])
+            raise SupportOverflowError(
+                f"function {fname!r} is undecided on {args}; the blueprint's "
+                "arity and depth do not reach that combination"
+            )
 
     relations: dict[str, frozenset] = {}
-    for rname, rarity in bp.sig.relations:
+    for k, (rname, rarity) in enumerate(bp.sig.relations):
         decided: dict[tuple[int, ...], bool] = {}
-        for diag, reps, elems in covered:
-            for combo, slot in zip(
-                itertools.product(reps, repeat=rarity),
-                itertools.product(elems, repeat=rarity),
-            ):
-                verdict = (rname, combo) in diag.true_atoms
+        for verdicts, elems in covered:
+            for slot, verdict in zip(itertools.product(elems, repeat=rarity), verdicts[k]):
                 if decided.setdefault(slot, verdict) != verdict:
                     raise InternalCheckError(f"diagrams disagree on atom {rname}{slot}")
-        if len(decided) != len(ordered) ** rarity:
-            slots = itertools.product(range(len(ordered)), repeat=rarity)
+        if len(decided) != size ** rarity:
+            slots = itertools.product(range(size), repeat=rarity)
             slot = next(s for s in slots if s not in decided)
             raise SupportOverflowError(
                 f"relation {rname!r} is undecided on {slot}; no diagram "
@@ -311,14 +343,14 @@ def em_model(bp: Blueprint, index: FinStructure) -> EmModel:
 
     constants = {}
     for cname in bp.sig.constants:
-        if (0, "c", cname) not in elem:
+        if (0, "c", cname) not in ids:
             raise SupportOverflowError(
                 f"constant {cname!r} is undecided; no diagram is instantiated"
             )
-        constants[cname] = elem[(0, "c", cname)]
+        constants[cname] = elem[ids[(0, "c", cname)]]
 
-    target = TargetStructure(bp.sig, len(ordered), functions, relations, constants)
-    images = tuple(elem[(0, "e", e)] for e in range(index.size))
+    target = TargetStructure(bp.sig, size, functions, relations, constants)
+    images = tuple(elem[ids[(0, "e", e)]] for e in range(index.size))
     return EmModel(bp, index, target, images)
 
 
@@ -326,7 +358,9 @@ def check_indiscernible(model: EmModel) -> list[dict]:
     """Mismatches between each tuple's blueprint diagram and the diagram its
     generator images realize in the model; empty when the family is faithful."""
     bp = model.blueprint
-    table = bp.as_map()
+    if model.index.cls != bp.cls:
+        raise ValueError("index structure is not in the blueprint's class")
+    table = {t.fragment: d for t, d in bp.assignments}
     out: list[dict] = []
     for arity in range(1, min(bp.n_max, model.index.size) + 1):
         for tup in itertools.combinations(range(model.index.size), arity):
@@ -335,7 +369,7 @@ def check_indiscernible(model: EmModel) -> list[dict]:
                 out.append({"tuple": list(tup), "reason": "images collide"})
                 continue
             got = model_diagram(model.target, values, bp.depth)
-            want = table[tuple_type(model.index, tup)]
+            want = table[type_fragment(model.index, tup)]
             if got != want:
                 out.append({"tuple": list(tup), "reason": "diagram mismatch"})
     return out

@@ -45,6 +45,7 @@ from .structures import (
 from .tuple_types import TupleType, type_fragment
 
 _INT = frozenset({int})
+_LIST = frozenset({list})
 
 
 class Coloring:
@@ -127,14 +128,29 @@ class Coloring:
         """Inverse of `to_doc`.  Raises ValueError on a row that is not
         arity + 1 integers, a tuple that is not strictly increasing inside the
         universe, or a repeated tuple; the constructor checks the colors.  The
-        table may be partial."""
+        table may be partial.  The rows are checked column by column first;
+        when a check fails or a tuple repeats, they are read again row by row,
+        to name the first bad one."""
         require_fields(doc, {"base": dict, "arity": int, "colors": int, "entries": list}, "coloring")
         base = structure_from(doc["base"])
         arity, entries, size = doc["arity"], doc["entries"], base.size
+        # type() is exact, so bools and other int subclasses are refused
+        if (
+            arity >= 1
+            and _LIST.issuperset(map(type, entries))
+            and set(map(len, entries)) == {arity + 1}
+            and _INT.issuperset(map(type, itertools.chain.from_iterable(entries)))
+        ):
+            cols = list(zip(*entries))
+            if 0 <= min(cols[0]) and max(cols[arity - 1]) < size and all(
+                all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:arity])
+            ):
+                col = Coloring(base, arity, doc["colors"], zip(zip(*cols[:arity]), cols[arity]))
+                if len(col.table) == len(entries):
+                    return col
 
         def pairs():
             for row in entries:
-                # type() is exact, so bools and other int subclasses are refused
                 if not (isinstance(row, list) and len(row) == arity + 1 and _INT.issuperset(map(type, row))):
                     raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
                 tup = tuple(row[:arity])

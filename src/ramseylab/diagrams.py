@@ -13,7 +13,8 @@ argument index points at an earlier row because arguments are shallower.
 Per-tuple work reads the program bottom-up instead of recursing over `Term`
 trees: `model_diagram` evaluates it into a flat list of values,
 `Diagram.validate` checks variables and congruence through the argument
-indices, and blueprint instantiation builds its keys the same way.
+indices, and blueprint instantiation interns each instantiated term as a
+flat key over the ids of its argument rows.
 
 Restriction maps an n-tuple diagram to the diagram of a sub-tuple by renaming
 variables, and commutes with reading diagrams off a target.  That commuting
@@ -161,33 +162,6 @@ def term_program(
     return tuple((t.head, t.index, tuple(index_of[a] for a in t.args)) for t in terms)
 
 
-class UnionFind:
-    """Union by least element, so a class representative is its least member."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-        self.parent[hi] = lo
-        return True
-
-
 @dataclass(frozen=True)
 class Diagram:
     """Equality pattern and relational atoms of an `arity`-tuple's generated
@@ -210,6 +184,14 @@ class Diagram:
 
     def reps(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.eq_reps)))
+
+    def atom_rows(self) -> dict[str, set]:
+        """The representative tuples of the true atoms, by relation name,
+        with an entry for every relation of the signature."""
+        rows: dict[str, set] = {rname: set() for rname, _ in self.sig.relations}
+        for rname, idxs in self.true_atoms:
+            rows.setdefault(rname, set()).add(idxs)
+        return rows
 
     def validate(self) -> None:
         program = term_program(self.sig, self.arity, self.depth)
@@ -266,9 +248,7 @@ class Diagram:
             self.eq_reps[big_index[t.rename(positions)]]
             for t in enumerate_terms(self.sig, k, self.depth)
         ]
-        return _build_diagram(
-            self.sig, k, self.depth, values, lambda r, row: (r, row) in self.true_atoms
-        )
+        return _build_diagram(self.sig, k, self.depth, values, self.atom_rows().__getitem__)
 
     def sort_key(self):
         return (self.arity, self.eq_reps, tuple(sorted(self.true_atoms)))
@@ -357,9 +337,6 @@ class TargetStructure:
         args = tuple(self.eval_term(a, values) for a in term.args)
         return self.functions[term.head][args]
 
-    def holds(self, rname: str, row: tuple[int, ...]) -> bool:
-        return row in self.relations[rname]
-
     def to_doc(self) -> dict:
         return {
             "signature": self.sig.to_doc(),
@@ -398,36 +375,36 @@ class TargetStructure:
         )
 
 
-def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, holds) -> Diagram:
+def _build_diagram(sig: OutputSignature, arity: int, depth: int, values, rows_of) -> Diagram:
     """Diagram in which term i denotes values[i]: equal values share the
     index of their first occurrence as representative, and an atom over
-    representatives is true when holds(relation, row of values) is."""
+    representatives is true when its row of values is in the container
+    rows_of(relation)."""
     first: dict = {}
     eq_reps = tuple(first.setdefault(v, i) for i, v in enumerate(values))
     # `first` lists each distinct value with its first index, so the index
-    # combos and the value rows run in step
-    atoms = frozenset(
-        (rname, combo)
-        for rname, rarity in sig.relations
-        for combo, row in zip(
-            itertools.product(first.values(), repeat=rarity),
-            itertools.product(first, repeat=rarity),
-        )
-        if holds(rname, row)
-    )
-    return Diagram(sig, arity, depth, eq_reps, atoms)
+    # combos and the value rows run in step; the membership tests run in C
+    atoms: list = []
+    for rname, rarity in sig.relations:
+        hits = map(rows_of(rname).__contains__, itertools.product(first, repeat=rarity))
+        combos = itertools.compress(itertools.product(first.values(), repeat=rarity), hits)
+        atoms += zip(itertools.repeat(rname), combos)
+    return Diagram(sig, arity, depth, eq_reps, frozenset(atoms))
 
 
 def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) -> Diagram:
     """Diagram of a value tuple inside a target, up to the given term depth.
 
-    The values must be pairwise distinct and none a constant's value, as
-    distinct variables denote distinct elements and no variable a constant's.
-    The term program is evaluated bottom-up, so the result is congruent, and
-    with first-occurrence representatives it needs no `Diagram.validate`.
+    The values must be pairwise distinct elements of the target and none a
+    constant's value, as distinct variables denote distinct elements and no
+    variable a constant's.  The term program is evaluated bottom-up, so the
+    result is congruent, and with first-occurrence representatives it needs
+    no `Diagram.validate`.
     """
     if len(set(values)) != len(values):
         raise ValueError("generator values must be pairwise distinct")
+    if values and not (0 <= min(values) and max(values) < target.size):
+        raise ValueError(f"generator values must lie in the universe 0..{target.size - 1}")
     if not set(values).isdisjoint(target.constants.values()):
         raise ValueError("distinct variables may not share a class, nor a variable with a constant")
     evals: list[int] = []
@@ -438,4 +415,4 @@ def model_diagram(target: TargetStructure, values: tuple[int, ...], depth: int) 
             evals.append(target.functions[head][tuple([evals[a] for a in args])])
         else:
             evals.append(target.constants[head])
-    return _build_diagram(target.sig, len(values), depth, evals, target.holds)
+    return _build_diagram(target.sig, len(values), depth, evals, target.relations.__getitem__)

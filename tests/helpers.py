@@ -4,20 +4,31 @@ The brute-force routines here recompute closures, type equality, and type
 counts directly from raw structure payloads, deliberately bypassing the
 package's canonical type encoder so the two can check each other.  The
 generators build random class members and random blueprint extraction
-targets for seeded property loops.
+targets for seeded property loops.  The nested-key `em_model` and the
+row-by-row `Coloring.from_doc` are kept as references for the library's
+faster versions.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import signal
 
-from ramseylab.blueprints import Blueprint
-from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure
-from ramseylab.structures import ClassKind, FinStructure, make_canonical
-from ramseylab.tuple_types import enumerate_types
+from ramseylab.blueprints import (
+    Blueprint,
+    BlueprintDomainError,
+    EmModel,
+    SupportOverflowError,
+    _key_str,
+    check_coherence,
+)
+from ramseylab.colorings import Coloring
+from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, model_diagram, term_program
+from ramseylab.structures import ClassKind, FinStructure, InternalCheckError, from_doc, is_member, make_canonical, require_fields
+from ramseylab.tuple_types import enumerate_types, tuple_type
 
 def time_limit(seconds: float):
     """Decorator failing a test with TimeoutError once it has run for
@@ -223,6 +234,24 @@ def unary_blueprint() -> Blueprint:
     return Blueprint(cls, sig, 2, 2, (1, 2), ((t1, d1), (t2, d2)))
 
 
+def binary_blueprint() -> Blueprint:
+    """A binary function g and a constant c over linear orders, at depth 1:
+    the diagrams are read off a target where c is 0, g(a, a) = c and
+    g(a, b) = max(a, b) otherwise, and R is the strict order, so a term
+    model is its generators and c."""
+    cls = ClassKind("or")
+    sig = OutputSignature(functions=(("g", 2),), relations=(("R", 2),), constants=("c",))
+    size = 3
+    g = {(a, b): 0 if a == b else max(a, b) for a in range(size) for b in range(size)}
+    less = frozenset((a, b) for a in range(size) for b in range(size) if a < b)
+    target = TargetStructure(sig, size, {"g": g}, {"R": less}, {"c": 0})
+    t1 = enumerate_types(cls, 1, 1)[0]
+    t2 = enumerate_types(cls, 2, 2)[0]
+    d1 = model_diagram(target, (1,), 1)
+    d2 = model_diagram(target, (1, 2), 1)
+    return Blueprint(cls, sig, 2, 1, (1, 2), ((t1, d1), (t2, d2)))
+
+
 # blueprint extraction targets with a known indiscernible assignment
 
 
@@ -271,3 +300,174 @@ def fiber_target(size: int, seed: int) -> tuple[TargetStructure, tuple[int, ...]
     )
     assignment = tuple(i * k for i in range(size))
     return target, assignment
+
+
+# the nested-key term model, kept as the reference for `blueprints.em_model`
+
+
+class _NestedUnionFind:
+    """Union by least element, so a class representative is its least member."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        lo, hi = (ra, rb) if ra <= rb else (rb, ra)
+        self.parent[hi] = lo
+        return True
+
+
+def em_model_reference(bp: Blueprint, index: FinStructure) -> EmModel:
+    """`em_model` over nested tuple keys: every instantiated term is keyed by
+    (0, "e", element), (0, "c", name) or (1, head, *argument keys), each
+    class is represented by its least key, and every relation atom is asked
+    of its diagram's atom set, slot by slot."""
+    failures = check_coherence(bp)
+    if failures:
+        raise ValueError(f"blueprint is not coherent ({len(failures)} failures)")
+    if index.cls != bp.cls:
+        raise ValueError("index structure is not in the blueprint's class")
+    if not is_member(index):
+        raise ValueError("index structure is not a member of its class")
+
+    table = bp.as_map()
+    instantiated = []
+    uf = _NestedUnionFind()
+    for arity in range(1, min(bp.n_max, index.size) + 1):
+        for tup in itertools.combinations(range(index.size), arity):
+            diag = table.get(tuple_type(index, tup))
+            if diag is None:
+                raise BlueprintDomainError(
+                    f"tuple {tup} realizes a type outside the blueprint domain"
+                )
+            keys: list[tuple] = []
+            for head, v, args in term_program(diag.sig, diag.arity, diag.depth):
+                if v >= 0:
+                    keys.append((0, "e", tup[v]))
+                elif args:
+                    keys.append((1, head, *[keys[a] for a in args]))
+                else:
+                    keys.append((0, "c", head))
+            for i, k in enumerate(keys):
+                uf.add(k)
+                uf.union(k, keys[diag.eq_reps[i]])
+            instantiated.append((tup, diag, keys))
+
+    apps = [k for k in uf.parent if k[0] == 1]
+    changed = True
+    while changed:
+        changed = False
+        seen: dict = {}
+        for key in apps:
+            norm = (key[1], tuple(uf.find(ch) for ch in key[2:]))
+            other = seen.setdefault(norm, key)
+            if other is not key and uf.union(other, key):
+                changed = True
+
+    root = {k: uf.find(k) for k in uf.parent}
+    first: dict = {}
+    for e in range(index.size):
+        d = first.setdefault(root[(0, "e", e)], e)
+        if d != e:
+            raise ValueError(
+                f"the diagrams identify index elements {d} and {e}; no model "
+                "with distinct generators extends the index"
+            )
+    ordered = list(first)
+    ordered += sorted(set(root.values()) - set(ordered), key=_key_str)
+    elem_of = {r: i for i, r in enumerate(ordered)}
+    elem = {k: elem_of[r] for k, r in root.items()}
+
+    covered = []
+    for tup, diag, keys in instantiated:
+        reps = diag.reps()
+        elems = tuple(elem[keys[r]] for r in reps)
+        if len(set(elems)) != len(reps):
+            raise InternalCheckError(f"closure merges distinct terms of the diagram of {tup}")
+        covered.append((diag, reps, elems))
+
+    fn_table = {(k[1], tuple(elem[ch] for ch in k[2:])): elem[k] for k in apps}
+    functions: dict = {}
+    for fname, farity in bp.sig.functions:
+        m: dict = {}
+        for args in itertools.product(range(len(ordered)), repeat=farity):
+            got = fn_table.get((fname, args))
+            if got is None:
+                raise SupportOverflowError(
+                    f"function {fname!r} is undecided on {args}; the blueprint's "
+                    "arity and depth do not reach that combination"
+                )
+            m[args] = got
+        functions[fname] = m
+
+    relations: dict = {}
+    for rname, rarity in bp.sig.relations:
+        decided: dict = {}
+        for diag, reps, elems in covered:
+            for combo, slot in zip(
+                itertools.product(reps, repeat=rarity),
+                itertools.product(elems, repeat=rarity),
+            ):
+                verdict = (rname, combo) in diag.true_atoms
+                if decided.setdefault(slot, verdict) != verdict:
+                    raise InternalCheckError(f"diagrams disagree on atom {rname}{slot}")
+        if len(decided) != len(ordered) ** rarity:
+            slots = itertools.product(range(len(ordered)), repeat=rarity)
+            slot = next(s for s in slots if s not in decided)
+            raise SupportOverflowError(
+                f"relation {rname!r} is undecided on {slot}; no diagram "
+                "covers that support"
+            )
+        relations[rname] = frozenset(slot for slot, holds in decided.items() if holds)
+
+    constants = {}
+    for cname in bp.sig.constants:
+        if (0, "c", cname) not in elem:
+            raise SupportOverflowError(
+                f"constant {cname!r} is undecided; no diagram is instantiated"
+            )
+        constants[cname] = elem[(0, "c", cname)]
+
+    target = TargetStructure(bp.sig, len(ordered), functions, relations, constants)
+    images = tuple(elem[(0, "e", e)] for e in range(index.size))
+    return EmModel(bp, index, target, images)
+
+
+def coloring_from_doc_reference(doc: dict) -> Coloring:
+    """`Coloring.from_doc` row by row: each row is checked in turn, so an
+    error names the first bad row, and a repeated tuple is looked for only
+    once the coloring is built."""
+    require_fields(doc, {"base": dict, "arity": int, "colors": int, "entries": list}, "coloring")
+    base = from_doc(doc["base"])
+    arity, entries, size = doc["arity"], doc["entries"], base.size
+
+    def pairs():
+        for row in entries:
+            if not (isinstance(row, list) and len(row) == arity + 1 and all(type(x) is int for x in row)):
+                raise ValueError(f"coloring entry {row!r} is not {arity + 1} integers")
+            tup = tuple(row[:arity])
+            if not (0 <= tup[0] and tup[-1] < size and all(map(operator.lt, tup, tup[1:]))):
+                raise ValueError(f"coloring tuple {tup} is not increasing inside the universe 0..{size - 1}")
+            yield tup, row[arity]
+
+    col = Coloring(base, arity, doc["colors"], pairs())
+    if len(col.table) != len(entries):
+        seen: set = set()
+        tup = next(tup for tup, _ in pairs() if tup in seen or seen.add(tup))
+        raise ValueError(f"coloring tuple {tup} appears twice")
+    return col

@@ -8,11 +8,12 @@ from collections import Counter
 
 import pytest
 
-from helpers import SMALL_KINDS, fiber_target, unary_blueprint
+from helpers import SMALL_KINDS, binary_blueprint, em_model_reference, fiber_target, unary_blueprint
 from ramseylab.blueprints import (
     Blueprint,
     BlueprintDomainError,
     DeriveResult,
+    EmModel,
     SupportOverflowError,
     check_coherence,
     check_indiscernible,
@@ -31,7 +32,7 @@ from ramseylab.diagrams import (
     model_diagram,
     var,
 )
-from ramseylab.structures import ClassKind, FinStructure, embeds_canonically, make_canonical, subset_is_big
+from ramseylab.structures import ClassKind, FinStructure, canonical_json, embeds_canonically, make_canonical, subset_is_big
 from ramseylab.tuple_types import enumerate_types
 
 OR = ClassKind("or")
@@ -177,8 +178,6 @@ def test_check_indiscernible_flags_tampering():
         {"R": model.target.relations["R"], "U": frozenset(rows)},
         model.target.constants,
     )
-    from ramseylab.blueprints import EmModel
-
     bad = EmModel(bp, index, tampered, model.generator_images)
     assert check_indiscernible(bad)
 
@@ -236,8 +235,8 @@ def test_coloring_target_shape():
     assert target.sig.relations == (("C0", 2), ("C1", 2))
     assert target.sig.constants == () and target.constants == {}
     for tup, c in col.table.items():
-        assert target.holds(f"C{c}", tup)
-        assert not target.holds(f"C{1 - c}", tup)
+        assert tup in target.relations[f"C{c}"]
+        assert tup not in target.relations[f"C{1 - c}"]
 
 
 def test_derive_matches_search_on_seeded_colorings():
@@ -431,6 +430,75 @@ def test_em_model_bytes_pinned_on_fiber_blueprints(size, seed, level, digest):
 )
 def test_em_model_bytes_pinned_on_unary_blueprint(level, digest):
     assert _model_sha256(_unary_blueprint(), level) == digest
+
+
+def test_em_model_bytes_pinned_on_binary_blueprint():
+    # a binary function and a constant: g(e, e) = c, else the later argument
+    digest = "a5cb1c4335eb2204808ed7061b18cc0b850810eea9b3d28c6c772e8a6d165d59"
+    assert _model_sha256(binary_blueprint(), 5) == digest
+
+
+def _em_outcome(build, bp, index):
+    """The model document's canonical bytes, or the error's type and message."""
+    try:
+        return canonical_json(build(bp, index).to_doc())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_em_model_matches_the_nested_key_reference_on_fiber_blueprints(size):
+    for seed in range(4):
+        target, assignment = fiber_target(size, seed)
+        bp = extract_blueprint(target, assignment, make_canonical(OR, size), 2, 2, (1, 2)).blueprint
+        for level in range(13):
+            index = make_canonical(OR, level)
+            got = _em_outcome(em_model, bp, index)
+            assert isinstance(got, str), (seed, level, got)
+            assert got == _em_outcome(em_model_reference, bp, index), (seed, level)
+
+
+@pytest.mark.parametrize("build", [unary_blueprint, binary_blueprint])
+def test_em_model_matches_the_nested_key_reference_on_small_blueprints(build):
+    bp = build()
+    for level in range(13):
+        index = make_canonical(OR, level)
+        assert _em_outcome(em_model, bp, index) == _em_outcome(em_model_reference, bp, index), level
+
+
+def _error_cases():
+    """(blueprint, index) pairs on which em_model raises, one per error."""
+    og = ClassKind("ordered_graph")
+    edge_blind = OutputSignature(relations=(("U", 1),))
+    target = TargetStructure(edge_blind, 2, {}, {"U": frozenset()}, {})
+    domain = extract_blueprint(target, (0, 1), make_canonical(og, 2), 2, 0, (2, 2)).blueprint
+    t1 = enumerate_types(OR, 1, 1)[0]
+    g = OutputSignature(functions=(("g", 2),))
+    function = Blueprint(OR, g, 1, 2, (1,), ((t1, Diagram(g, 1, 2, (0, 1, 2, 3, 4))),))
+    r = OutputSignature(relations=(("R", 2),))
+    relation = Blueprint(OR, r, 1, 0, (1,), ((t1, Diagram(r, 1, 0, (0,))),))
+    return [
+        pytest.param(domain, FinStructure(og, 2, edges=frozenset()), id="domain"),
+        pytest.param(_collapsing_blueprint(), make_canonical(OR, 3), id="identified-generators"),
+        pytest.param(function, make_canonical(OR, 2), id="function-overflow"),
+        pytest.param(relation, make_canonical(OR, 2), id="relation-overflow"),
+        pytest.param(binary_blueprint(), make_canonical(OR, 0), id="constant-overflow"),
+        pytest.param(unary_blueprint(), make_canonical(ClassKind("ceq"), 2), id="wrong-class"),
+    ]
+
+
+@pytest.mark.parametrize("bp, index", _error_cases())
+def test_em_model_raises_what_the_nested_key_reference_raises(bp, index):
+    got = _em_outcome(em_model, bp, index)
+    assert not isinstance(got, str)
+    assert got == _em_outcome(em_model_reference, bp, index)
+
+
+def test_check_indiscernible_refuses_an_index_of_another_class():
+    model = em_model(unary_blueprint(), make_canonical(OR, 2))
+    other = EmModel(model.blueprint, make_canonical(ClassKind("ceq"), 1), model.target, model.generator_images)
+    with pytest.raises(ValueError, match="not in the blueprint's class"):
+        check_indiscernible(other)
 
 
 def test_em_support_overflow_on_uncovered_relation_slot():

@@ -171,7 +171,7 @@ def test_target_validation():
         TargetStructure(sig, 2, {"f": {(0,): 0, (1,): 0}}, {}, {})  # missing R
     ok = TargetStructure(sig, 2, {"f": {(0,): 1, (1,): 0}}, {"R": frozenset({(1,)})}, {})
     assert ok.eval_term(app("f", var(0)), (0,)) == 1
-    assert ok.holds("R", (1,)) and not ok.holds("R", (0,))
+    assert ok.relations["R"] == {(1,)}
 
 
 def test_target_doc_roundtrip():
@@ -197,6 +197,15 @@ def test_model_diagram_needs_distinct_values():
     t = TargetStructure(UNARY, 2, {"f": {(0,): 0, (1,): 1}}, {}, {})
     with pytest.raises(ValueError):
         model_diagram(t, (0, 0), 1)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("values", [(5,), (0, 2), (-1,)])
+def test_model_diagram_refuses_values_outside_the_target(depth, values):
+    # depth 0 reads relations alone, depth 1 the function table too
+    t = TargetStructure(UNARY_REL, 2, {"f": {(0,): 1, (1,): 0}}, {"R": frozenset({(0,)})}, {})
+    with pytest.raises(ValueError, match=r"universe 0\.\.1"):
+        model_diagram(t, values, depth)
 
 
 def _random_target(rng, size=5):
@@ -253,7 +262,7 @@ def _reference_diagram(target, values, depth):
         (rname, combo)
         for rname, rarity in target.sig.relations
         for combo in itertools.product(first.values(), repeat=rarity)
-        if target.holds(rname, tuple(evals[i] for i in combo))
+        if tuple(evals[i] for i in combo) in target.relations[rname]
     )
     return Diagram(target.sig, len(values), depth, eq, atoms)
 

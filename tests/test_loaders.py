@@ -8,11 +8,11 @@ import random
 
 import pytest
 
-from helpers import fiber_target, time_limit, unary_blueprint
+from helpers import coloring_from_doc_reference, fiber_target, time_limit, unary_blueprint
 from ramseylab.arrow import ArrowQuery
 from ramseylab.blueprints import Blueprint
 from ramseylab.cli import main
-from ramseylab.colorings import Coloring, HomogeneityWitness, type_homogeneity_witness
+from ramseylab.colorings import Coloring, HomogeneityWitness, random_coloring, type_homogeneity_witness
 from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, model_diagram
 from ramseylab.structures import ClassKind, from_doc as structure_from, make_canonical, to_doc as structure_doc
 from ramseylab.tuple_types import TupleType, tuple_type
@@ -142,3 +142,47 @@ def test_mutated_report_params_exit_0_to_3(tmp_path, capsys):
                 pytest.fail(f"{argv[0]}: {what} raised {type(exc).__name__}: {exc}")
             assert code in (0, 1, 2, 3), f"{argv[0]}: {what} exited {code}"
     capsys.readouterr()
+
+
+# one malformed row, set in the middle of a valid pair table over 0..5 that
+# leaves out the pair (1, 4)
+_BAD_ROWS = {
+    "bool cell": [1, True, 0],
+    "short row": [1, 2],
+    "decreasing": [3, 2, 0],
+    "repeated element": [3, 3, 0],
+    "below the universe": [-1, 2, 0],
+    "above the universe": [4, 6, 1],
+    "repeated tuple": [0, 1, 0],
+    "off-palette colour": [1, 4, 2],
+    "non-list row": (1, 4, 0),
+}
+
+
+def _pair_doc(extra=None):
+    doc = json.loads(json.dumps(random_coloring(make_canonical(ClassKind("or"), 6), 2, 2, seed=5).to_doc()))
+    doc["entries"] = [row for row in doc["entries"] if row[:2] != [1, 4]]
+    if extra is not None:
+        doc["entries"].insert(len(doc["entries"]) // 2, extra)
+    return doc
+
+
+def _load_outcome(loader, doc):
+    try:
+        col = loader(doc)
+    except ValueError as exc:
+        return str(exc)
+    return list(col.table.items()), col.colors
+
+
+@pytest.mark.parametrize("row", list(_BAD_ROWS.values()), ids=[name.replace(" ", "-") for name in _BAD_ROWS])
+def test_coloring_from_doc_names_the_row_the_row_by_row_reference_names(row):
+    doc = _pair_doc(row)
+    got = _load_outcome(Coloring.from_doc, doc)
+    assert isinstance(got, str)
+    assert got == _load_outcome(coloring_from_doc_reference, doc)
+
+
+def test_coloring_from_doc_builds_the_table_the_row_by_row_reference_builds():
+    doc = _pair_doc()
+    assert _load_outcome(Coloring.from_doc, doc) == _load_outcome(coloring_from_doc_reference, doc)
