@@ -426,11 +426,12 @@ def extract_blueprint(
     diagram-homogeneous; otherwise the standard homogeneity search runs
     inside it.  Both ask bigness at the largest max(level_j, j) over this
     and every later arity j: the domain at arity j is what the canonical
-    member of that bigness realizes.  A search above the arity's own level
-    that finds nothing is not exhaustive, as a less big subset may realize
-    the domains too.  Every domain type must be realized in the final
-    subset, else BlueprintDomainError; the extracted blueprint is
-    coherence-checked.
+    member of that bigness realizes.  A search that finds nothing is
+    exhaustive only when it ran at the arity's own level over the whole
+    index: a less big subset may realize the domains too, and a subset that
+    an earlier arity left out may be homogeneous at every arity.  Every
+    domain type must be realized in the final subset, else
+    BlueprintDomainError; the extracted blueprint is coherence-checked.
     """
     assignment = tuple(assignment)
     if len(assignment) != index.size:
@@ -487,8 +488,9 @@ def extract_blueprint(
                 "exhaustive": res.exhaustive,
             }
         )
-        if not res.found:  # a less big subset may still realize the domains
-            return ExtractReport(None, None, stages, res.exhaustive and level == levels[arity - 1])
+        if not res.found:
+            exhaustive = res.exhaustive and level == levels[arity - 1] and len(current) == index.size
+            return ExtractReport(None, None, stages, exhaustive)
         current = res.subset
 
     # each arity's coloring stays homogeneous on every later, smaller subset

@@ -257,9 +257,13 @@ def cmd_extract(args):
             f"witness covers {len(out['witness'])} types",
         ]
     else:
-        # the search ran above --level, where the domains are sure to be realized
-        raised = out["stages"][-1]["exhaustive"] and not out["exhaustive"]
-        lines = ["absent (exhaustive only above --level)" if raised else _absent(out["exhaustive"])]
+        # the flag disowns an exhaustive last search that ran above --level,
+        # where the domains are sure to be realized, or in an earlier subset
+        *earlier, last = out["stages"]
+        disowned = last["exhaustive"] and not out["exhaustive"]
+        whole = all(s["action"] == "whole" for s in earlier)
+        where = "above --level" if whole else "inside an earlier arity's subset"
+        lines = [f"absent (exhaustive only {where})" if disowned else _absent(out["exhaustive"])]
     return result, lines, 0 if out["status"] == "found" else 2
 
 

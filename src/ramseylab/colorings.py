@@ -15,10 +15,10 @@ One depth-first walker, `_Walk`, serves every search over admissible
 subsets, `find_type_homogeneous` and `iter_big_member_subsets` alike.  It
 decides the elements in increasing order, include-first, pruning on the
 admission rules, on witness conflicts when it carries a coloring, checked
-forward onto the elements still to come, and on counts, per group where
-the kind has groups, of the elements a subset may still hold; the first
-subset it reaches is therefore the lexicographically least qualifying one,
-which keeps every search result deterministic and reproducible.
+forward onto the elements still to come, and on the per-group counts of
+the elements a subset may still hold; the first subset it reaches is
+therefore the lexicographically least qualifying one, which keeps every
+search result deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -255,23 +255,23 @@ class _Budget(Exception):
 
 
 def _group_slack(base: FinStructure, level: int, elements: list[int]):
-    """The walker's bigness bound for a kind whose bigness counts elements
-    per group (`Kind.needed` is not None), at level >= 1: returns
-    `slack(reach)`, for the elements whose indices in `elements` are set in
-    the bitmask `reach`, how many of them may go, whichever they are, before
-    fewer than `needed` groups each reach their quota
-    (`Kind.quotas(base, level)`); negative when that is already so.  None
-    for every other walk."""
+    """The walker's bigness bound: `slack(reach)` says, for the elements
+    whose indices in `elements` are set in the bitmask `reach`, how many of
+    them may go, whichever they are, before fewer than `Kind.needed` groups
+    each hold their quota (`Kind.quotas(base, level)`); negative when that
+    is already so.  At level 0 every subset is big, and all may go."""
     spec = base.cls.spec
-    needed = spec.needed(base.cls, level) if level else None
-    if needed is None:
-        return None
-    masks = [0] * spec.groups(base)
+    if level == 0:
+        return int.bit_count
+    needed, quotas = spec.needed(base.cls, level), spec.quotas(base, level)
+    if needed > len(quotas):
+        return lambda reach: -1
+    if len(quotas) == 1:  # the one group holds every element
+        return lambda reach, quota=quotas[0]: reach.bit_count() - quota
+    masks = [0] * len(quotas)
     for j, e in enumerate(elements):
         masks[spec.group_of(base, e)] |= 1 << j
-    if needed > len(masks):
-        return lambda reach: -1
-    groups = list(zip(masks, spec.quotas(base, level)))
+    groups = list(zip(masks, quotas))
 
     def slack(reach: int) -> int:
         # losing r elements lowers the needed-th largest surplus by at most r
@@ -337,25 +337,21 @@ class _Walk:
     combination's row; undoing the take restores the saved `avail`.
 
     At node (chosen, i) `avail` is chosen + free, where free holds the
-    elements from i on that may still be taken.  Counts of `avail` are the
-    walk's only bigness bound, kept as `slack`, how many elements it may
-    lose, whichever they are, before the bound fails: for a kind that
-    counts elements per group, before fewer than `needed` groups reach
-    their quotas (`_group_slack`); for every other kind, before it holds
-    fewer than `least = Kind.min_size(cls, level)` elements.  Where the
-    `needed` groups reach their quotas they already hold `least` elements,
-    so the group count alone is the bound.  The walk prunes when the slack
-    is negative.  Stepping past an element lowers it by one, a take that
-    blocks nothing leaves `avail` and so the slack as they were, and only
-    other steps count afresh.  With nothing blocked, as without a coloring,
-    the bound is the one the counts of chosen + elements[i:] give.
-    Iterating yields every closed, member-inducing subset reached that
-    `Kind.subset_big` finds level-big (every one at level 0); since no
-    subset of fewer than `least` elements is big, `subset_big` is asked
-    only from that size on.  `nodes` counts the visited search nodes, one
-    per step into a branch or out of a dead end and none per blocked
-    element stepped over; visiting more than `budget` of them raises
-    `_Budget`.
+    elements from i on that may still be taken.  The group counts of
+    `avail` are the walk's only bigness bound, kept as `slack`
+    (`_group_slack`): how many elements it may lose, whichever they are,
+    before fewer than `needed` groups reach their quotas.  The walk prunes
+    when the slack is negative.  Stepping past an element lowers it by
+    one, a take that blocks nothing leaves `avail` and so the slack as
+    they were, and only other steps count afresh.  With nothing blocked,
+    as without a coloring, the bound is the one the counts of
+    chosen + elements[i:] give.  Iterating yields every closed,
+    member-inducing subset reached that `Kind.subset_big` finds level-big
+    (every one at level 0), asked only from the least big size
+    `least = Kind.min_size(cls, level)` on.  `nodes` counts the visited
+    search nodes, one per step into a branch or out of a dead end and none
+    per blocked element stepped over; visiting more than `budget` of them
+    raises `_Budget`.
 
     The path is kept in a list, not on the call stack, so the depth of a
     walk is not bounded by Python's recursion limit.
@@ -407,7 +403,7 @@ class _Walk:
                 self.nodes = nodes
                 yield tuple(chosen)
             if slack < 0:
-                slack = avail.bit_count() - least if group_slack is None else group_slack(avail)
+                slack = group_slack(avail)
             free = avail >> i << i
             if free and slack >= 0:
                 if not avail >> i & 1:  # step over blocked elements

@@ -36,11 +36,10 @@ whole universe is), closure, admission, the per-group counts the subset
 walker prunes on, the fragment a type records and the decoding back, and
 the generator of the inclusion-minimal big subsets of a member.  Admission
 is the one per-kind veto on subsets: the walker and `subset_induces_member`
-both take a subset's elements in increasing order through `Kind.admit`.  A
-count-based kind (`chi_or`, `chi_color`, `ceq`) subclasses `_Grouped`,
-naming its groups and `needed`; `n_tree` counts per level.  The
-module-level functions validate their input and dispatch to the table, and
-no other module tells kinds apart, so a new class is one more subclass.
+both take a subset's elements in increasing order through `Kind.admit`.
+Every kind counts bigness per group (see `Kind`).  The module-level
+functions validate their input and dispatch to the table, and no other
+module tells kinds apart, so a new class is one more subclass.
 `canonical_json` writes the certificate bytes of every document.
 """
 
@@ -162,6 +161,8 @@ class FinStructure:
             object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         if self.hyper is not None:
             object.__setattr__(self, "hyper", _freeze_hyper(self.hyper))
+
+    _member = None  # is_member's answer, once asked
 
     # payload accessors used by typing and search; valid only on members
 
@@ -293,11 +294,16 @@ class Kind:
 
     `params` names the ClassKind parameters the kind takes, and `fields` maps
     each FinStructure payload field it uses to the field's document key and
-    that key's JSON shape (see `_fits`), which `from_doc` checks.  The
-    defaults fit a kind with no payload and bigness by cardinality alone;
-    subclasses override what differs, or subclass `_Grouped` where bigness
-    counts elements per group.  `subset_big` and `minimal` are called with
-    mu >= 1 only.
+    that key's JSON shape (see `_fits`), which `from_doc` checks.
+
+    A subset is mu-big when `needed(cls, mu)` of the `groups(s)` groups
+    (`group_of(s, e)` in 0..groups(s)-1) each hold their quota, one per
+    group in `quotas(s, mu)`, of its elements; the least size (needed * mu),
+    `subset_big` and `minimal` follow.  A kind that asks more (`n_tree`)
+    overrides those three, but its big subsets still meet `needed` quotas:
+    they are the walker's only bound.  The defaults fit a kind with no
+    payload and one group with quota mu, bigness by cardinality.  `quotas`,
+    `subset_big` and `minimal` are called with mu >= 1 only.
     """
 
     name = ""
@@ -316,11 +322,23 @@ class Kind:
     def canonical(self, cls: ClassKind, mu: int) -> FinStructure:
         return FinStructure(cls, self.min_size(cls, mu))
 
+    def groups(self, s: FinStructure) -> int:
+        return 1
+
+    def group_of(self, s: FinStructure, e: int) -> int:
+        return 0
+
+    def needed(self, cls: ClassKind, mu: int) -> int:
+        return 1
+
+    def quotas(self, s: FinStructure, mu: int) -> list[int]:
+        return [mu] * self.groups(s)
+
     def min_size(self, cls: ClassKind, mu: int) -> int:
         """Size of the canonical mu-big member, the least size of any: no
         subset of fewer elements is `subset_big`, which the walker's own
         size bound relies on."""
-        return mu
+        return self.needed(cls, mu) * mu
 
     def member(self, s: FinStructure) -> bool:
         """Payload content check; the payload fields are known present."""
@@ -329,17 +347,18 @@ class Kind:
     def subset_big(self, s: FinStructure, chosen: list[int], mu: int) -> bool:
         """Bigness of the structure the closed subset `chosen`, sorted and
         without repeats, induces."""
-        return len(chosen) >= self.min_size(s.cls, mu)
+        groups = self.groups(s)
+        if groups == 1:  # the one group holds every element; True counts 1
+            reached = len(chosen) >= mu
+        else:
+            counts = [0] * groups
+            for e in chosen:
+                counts[self.group_of(s, e)] += 1
+            reached = len([c for c in counts if c >= mu])
+        return reached >= self.needed(s.cls, mu)
 
     def close(self, s: FinStructure, chosen: set[int]) -> None:
         """Add to `chosen` what the class functions generate from it."""
-
-    def needed(self, cls: ClassKind, mu: int) -> int | None:
-        """How many groups must reach their quotas for a subset to be mu-big,
-        where bigness counts chosen elements per group, or None.  Such a kind
-        also names `groups(s)`, `group_of(s, e)` in 0..groups(s)-1 and
-        `quotas(s, mu)`, one least count per group: the walker's only bound."""
-        return None
 
     def fragment(self, s: FinStructure, closed: tuple[int, ...], pos: dict) -> tuple:
         """Atomic data of a closed subset relabeled by `pos`, as fragment
@@ -356,34 +375,6 @@ class Kind:
         """Each inclusion-minimal closed, member-inducing, mu-big subset of
         the member s once, sorted, the image of the canonical embedding
         first where the kind has one."""
-        return itertools.combinations(range(s.size), self.min_size(s.cls, mu))
-
-
-class _Grouped(Kind):
-    """A kind whose bigness at mu asks that `needed(cls, mu)` of its groups
-    (`chi_or` parts, all chi of them; `chi_color` residues, all chi of them;
-    `ceq` blocks, mu of them) each hold at least mu chosen elements.
-
-    A subclass names its groups, `groups(s)` of them with `group_of(s, e)`
-    in 0..groups(s)-1, and `needed`.  The quotas (mu for every group), the
-    least size (needed * mu), subset bigness and the minimal big subsets
-    (`needed` of the groups of at least mu elements, by first element, and
-    mu elements of each) follow.
-    """
-
-    def quotas(self, s, mu):
-        return [mu] * self.groups(s)
-
-    def min_size(self, cls, mu):
-        return self.needed(cls, mu) * mu
-
-    def subset_big(self, s, chosen, mu):
-        counts = [0] * self.groups(s)
-        for e in chosen:
-            counts[self.group_of(s, e)] += 1
-        return len([c for c in counts if c >= mu]) >= self.needed(s.cls, mu)
-
-    def minimal(self, s, mu):
         members: list[list[int]] = [[] for _ in range(self.groups(s))]
         for e in range(s.size):
             members[self.group_of(s, e)].append(e)
@@ -396,7 +387,7 @@ class LinearOrder(Kind):
     name = "or"
 
 
-class DisjointOrders(_Grouped):
+class DisjointOrders(Kind):
     name = "chi_or"
     params = ("chi",)
     fields = {"parts": ("parts", [int])}
@@ -426,7 +417,7 @@ class DisjointOrders(_Grouped):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
 
 
-class ColoredOrder(_Grouped):
+class ColoredOrder(Kind):
     name = "chi_color"
     params = ("chi",)
 
@@ -581,7 +572,7 @@ class Trees(Kind):
         yield from below(root)
 
 
-class ConvexEquivalence(_Grouped):
+class ConvexEquivalence(Kind):
     name = "ceq"
     fields = {"blocks": ("eq_blocks", [[int]])}
 
@@ -717,15 +708,18 @@ def make_canonical(cls: ClassKind, mu: int) -> FinStructure:
 
 def is_member(s: FinStructure) -> bool:
     """Whether s is a well-formed member of its class.  Malformed payloads
-    answer False, never raise."""
-    try:
-        spec = s.cls.spec
-        for field in _PAYLOAD:
-            if (getattr(s, field) is not None) != (field in spec.fields):
-                return False
-        return spec.member(s)
-    except (TypeError, ValueError, IndexError, AttributeError):
-        return False
+    answer False, never raise.  A structure never changes, so the answer is
+    kept on it, set by object.__setattr__: a cached_property's write
+    through __dict__ would slow every later attribute read of s."""
+    if s._member is None:
+        try:
+            spec = s.cls.spec
+            fits = all((getattr(s, f) is not None) == (f in spec.fields) for f in _PAYLOAD)
+            member = fits and spec.member(s)
+        except (TypeError, ValueError, IndexError, AttributeError):
+            member = False
+        object.__setattr__(s, "_member", member)
+    return s._member
 
 
 # bigness

@@ -226,6 +226,26 @@ def test_extract_search_stage_on_inhomogeneous_assignment():
         assert "search" in actions or actions == ["whole"]
 
 
+def test_extract_absence_inside_a_narrowed_subset_is_not_exhaustive():
+    # f(x) = 2x mod 40, E(a, b) iff 3 divides a - b, L the order: the arity-1
+    # search keeps the lex-least homogeneous 3-subset, and the arity-2 search
+    # inside it finds nothing, yet (1, 4, 10) is homogeneous at both arities
+    n = 40
+    sig = OutputSignature(functions=(("f", 1),), relations=(("E", 2), ("L", 2)))
+    f = {(x,): 2 * x % n for x in range(n)}
+    pairs = list(itertools.product(range(n), repeat=2))
+    E = frozenset((a, b) for a, b in pairs if (a - b) % 3 == 0)
+    L = frozenset((a, b) for a, b in pairs if a < b)
+    target = TargetStructure(sig, n, {"f": f}, {"E": E, "L": L})
+    for arity in (1, 2):
+        diagrams = {model_diagram(target, tup, 1) for tup in itertools.combinations((1, 4, 10), arity)}
+        assert len(diagrams) == 1
+    report = extract_blueprint(target, tuple(range(n)), make_canonical(OR, n), 2, 1, (3, 3))
+    assert report.status == "found" or not report.exhaustive
+    if report.status == "absent":
+        assert report.stages[0]["kept"] < n and report.stages[-1]["exhaustive"]
+
+
 def test_coloring_target_shape():
     base = make_canonical(OR, 3)
     col = random_coloring(base, 2, 2, seed=0)

@@ -10,7 +10,7 @@ from ramseylab.blueprints import Blueprint
 from ramseylab.cli import build_parser, main, parse_class
 from ramseylab.colorings import Coloring
 from ramseylab.diagrams import Diagram, OutputSignature
-from ramseylab.structures import ClassKind, make_canonical
+from ramseylab.structures import ClassKind, FinStructure, make_canonical
 from ramseylab.tuple_types import enumerate_types
 
 
@@ -301,6 +301,25 @@ def test_extract_below_the_arity_searches_what_the_domain_reads(tmp_path, capsys
     assert run(capsys, "check", "--report", str(out))[0] == 0
     text = run(capsys, "extract", *argv.split())[1]
     assert ("found subset" in text) if want == 0 else text == "absent (exhaustive only above --level)\n"
+
+
+def test_extract_absence_inside_a_narrowed_subtree_is_not_exhaustive(tmp_path, capsys):
+    # a barren level-1 node spoils the whole tree, so the arity-1 search keeps
+    # the lex-least 2-big subtree, whose sibling-leaf pairs (2, 3) and (6, 7)
+    # disagree; the subtree of nodes 5 and 8 is homogeneous all the same
+    base = FinStructure(
+        ClassKind("n_tree", height=2), 11,
+        parent=(-1, 0, 1, 1, 0, 0, 5, 5, 0, 8, 8), level=(0, 1, 2, 2, 1, 1, 2, 2, 1, 2, 2),
+    )
+    col = Coloring.from_function(base, 2, 2, lambda tup: int(tup in ((6, 7), (9, 10))))
+    assert colorings.find_type_homogeneous(col, 2).found
+    path, out = tmp_path / "barren.json", tmp_path / "extract.json"
+    path.write_text(json.dumps(col.to_doc()))
+    argv = ["extract", "--cls", "n_tree:2", "--level", "2", "--coloring", str(path)]
+    assert main([*argv, "--json", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["result"]["derivation"]["exhaustive"] is False
+    assert run(capsys, "check", "--report", str(out))[0] == 0
+    assert run(capsys, *argv) == (2, "absent (exhaustive only inside an earlier arity's subset)\n")
 
 
 def test_zero_colors_exit_3(capsys):

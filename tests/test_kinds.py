@@ -357,6 +357,8 @@ def _reference_hyper_member(s) -> bool:
 
 
 _REFERENCE_KINDS = (
+    ClassKind("or"),
+    ClassKind("ordered_graph"),
     ClassKind("chi_or", chi=1),
     ClassKind("chi_or", chi=2),
     ClassKind("chi_or", chi=3),
@@ -425,6 +427,18 @@ def test_kind_rules_match_their_references(cls):
                     assert slack(reach) == _reference_slack(cls, rest, mu), (s, sub, mu)
                     assert (slack(reach) >= 0) == _reference_enough(cls, rest, mu), (s, sub, mu)
                     bigs += want
+            elif cls.kind in ("or", "ordered_graph", "hypergraph"):
+                # one group: bigness is cardinality
+                assert spec.min_size(cls, mu) == mu
+                assert list(spec.minimal(s, mu)) == list(itertools.combinations(range(s.size), mu)), (s, mu)
+                slack = _group_slack(s, mu, list(range(s.size)))
+                for sub in every:
+                    want = len(sub) >= mu
+                    assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
+                    at = sub[-1] + 1 if sub else 0
+                    reach = sum(1 << e for e in sub) | (-1 << at) & ((1 << s.size) - 1)
+                    assert slack(reach) == reach.bit_count() - mu, (s, sub, mu)
+                    bigs += want
             elif cls.kind == "n_tree":
                 assert list(spec.minimal(s, mu)) == _reference_tree_minimal(s, mu), (s, mu)
                 quotas = [mu**d for d in range(cls.height + 1)]
@@ -459,7 +473,7 @@ def test_kind_rules_match_their_references(cls):
                 assert spec.fragment(s, sub, pos) == (("colors", tuple(colors)),), (s, sub)
         subsets += len(every)
     assert subsets > 2000
-    assert bigs > 0 or cls.kind == "hypergraph"
+    assert bigs > 0
 
 
 @pytest.mark.parametrize("cls", [c for c in _REFERENCE_KINDS if c.kind == "hypergraph"], ids=ClassKind.label)

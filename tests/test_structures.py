@@ -365,6 +365,9 @@ def _walk_states(elements):
         (ClassKind("ceq"), 3, None),
         (ClassKind("ceq"), 3, (0, 1, 2, 6, 7, 8)),  # block 1 left out
         (ClassKind("ceq"), 3, (1, 2, 3, 5, 7)),
+        (ClassKind("or"), 4, None),
+        (ClassKind("or"), 5, (0, 2, 3, 4)),
+        (ClassKind("ordered_graph"), 5, None),
     ],
     ids=lambda v: v.label() if isinstance(v, ClassKind) else None,
 )
@@ -384,7 +387,7 @@ def test_group_count_bound_matches_bigness_of_the_whole_suffix(cls, lam, within)
             rest = chosen + elements[i:]
             want = spec.subset_big(s, rest, level)
             reach = sum(1 << elements.index(e) for e in chosen) | (-1 << i) & ((1 << len(elements)) - 1)
-            room = 0 if slack is None else slack(reach)
+            room = slack(reach)
             assert (room >= 0) == want, (level, chosen, i)
             if want:
                 lost = set(rng.sample(rest, min(room, len(rest))))
