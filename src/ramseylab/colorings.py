@@ -42,7 +42,7 @@ from .structures import (
     subset_is_big,
     to_doc as structure_doc,
 )
-from .tuple_types import TupleType, type_fragment
+from .tuple_types import TupleType, require_tuple, type_coder, type_fragment
 
 _INT = frozenset({int})
 _LIST = frozenset({list})
@@ -58,12 +58,16 @@ class Coloring:
 
     `type_id` numbers tuple types once per coloring, in first-sight order
     (`_types`: tuple -> id; `type_of` reads the type back), interning each
-    tuple's fragment, which names the type within one base and arity; a
-    `TupleType` is built once per new id.  Types depend on the base alone,
-    so a repaint keeps every id; a `copy` starts afresh.
+    tuple's type code (`type_coder`, built on the first typing), which names
+    the type within one base and arity; the fragment is computed and a
+    `TupleType` built once per new code.  A tuple is checked to be an
+    increasing `arity`-tuple inside the universe the first time it is
+    typed, and a base that is not a member of its class types nothing.
+    Types depend on the base alone, so a repaint keeps every id; a `copy`
+    starts afresh.
     """
 
-    __slots__ = ("base", "arity", "colors", "table", "_types", "_ids", "_kinds")
+    __slots__ = ("base", "arity", "colors", "table", "_types", "_codes", "_kinds", "_coder")
 
     def __init__(self, base: FinStructure, arity: int, colors: int, table: dict):
         if not (_is_int(arity) and arity >= 1 and _is_int(colors) and colors >= 1):
@@ -78,8 +82,9 @@ class Coloring:
             tup, c = next(e for e in self.table.items() if type(e[1]) is not int or not 0 <= e[1] < colors)
             raise ValueError(f"color {c!r} for {tup} is not an integer in the palette 0..{colors - 1}")
         self._types: dict[tuple, int] = {}
-        self._ids: dict[tuple, int] = {}  # fragment -> id
+        self._codes: dict = {}  # type code -> id
         self._kinds: list[TupleType] = []  # id -> type
+        self._coder = None
 
     @classmethod
     def from_function(cls, base: FinStructure, arity: int, colors: int, fn) -> "Coloring":
@@ -94,10 +99,18 @@ class Coloring:
     def type_id(self, tup: tuple[int, ...]) -> int:
         t = self._types.get(tup)
         if t is None:
-            fragment = type_fragment(self.base, tup)
-            t = self._types[tup] = self._ids.setdefault(fragment, len(self._ids))
-            if t == len(self._kinds):
-                self._kinds.append(TupleType(self.base.cls, len(tup), fragment))
+            base, arity, coder = self.base, self.arity, self._coder
+            require_tuple(base, tup)
+            if len(tup) != arity:
+                raise ValueError(f"tuple {tup} is not a {arity}-tuple")
+            if coder is None:
+                coder = self._coder = type_coder(base)
+            code = coder(tup)
+            t = self._codes.get(code)
+            if t is None:
+                t = self._codes[code] = len(self._kinds)
+                self._kinds.append(TupleType(base.cls, arity, type_fragment(base, tup)))
+            self._types[tup] = t
         return t
 
     def type_of(self, tup: tuple[int, ...]) -> TupleType:

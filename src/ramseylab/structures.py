@@ -33,8 +33,9 @@ Everything a kind knows lives in one `Kind` subclass, registered by name in
 `TABLE`: its parameters, its payload fields and their document keys, the
 canonical member, membership and subset bigness (a member is big when its
 whole universe is), closure, admission, the per-group counts the subset
-walker prunes on, the fragment a type records and the decoding back, and
-the generator of the inclusion-minimal big subsets of a member.  Admission
+walker prunes on, the fragment a type records, the type code that names
+it by arithmetic (`Kind.type_code`) and the decoding back, and the
+generator of the inclusion-minimal big subsets of a member.  Admission
 is the one per-kind veto on subsets: the walker and `subset_induces_member`
 both take a subset's elements in increasing order through `Kind.admit`.
 Every kind counts bigness per group (see `Kind`).  The module-level
@@ -47,8 +48,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 # the least value of each class parameter; a kind takes the ones it names
 _PARAMS = {"chi": 1, "height": 0, "edge_arity": 1, "palette": 1}
@@ -122,6 +124,23 @@ class ClassKind:
         return ClassKind(**doc)
 
 
+class _kept:
+    """A cached_property that keeps its value by object.__setattr__, as
+    `is_member` keeps its answer: a write through the instance __dict__
+    would slow every later attribute read of the structure."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        # no __set__ here, so the instance's value shadows this descriptor
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def _freeze_hyper(entries) -> tuple:
     # by subset size first: the order documents list subsets in
     frozen = ((tuple(subset), int(color)) for subset, color in entries)
@@ -169,10 +188,11 @@ class FinStructure:
     def part_of(self, e: int) -> int:
         return self.parts[e]
 
-    @cached_property
+    # payload maps, built on first use, so malformed payloads still construct
+
+    @_kept
     def _block_index(self) -> dict[int, int]:
-        # built on first use, so malformed payloads still construct; the
-        # first block holding an element wins
+        # the first block holding an element wins
         index: dict[int, int] = {}
         for idx, block in enumerate(self.blocks):
             for e in block:
@@ -185,9 +205,9 @@ class FinStructure:
         except KeyError:
             raise ValueError(f"element {e} in no block") from None
 
-    @cached_property
+    @_kept
     def _ancestors(self) -> tuple[tuple[int, ...], ...]:
-        # as for _block_index: each element's strict ancestors, nearest first
+        # each element's strict ancestors, nearest first
         table = []
         for e in range(self.size):
             chain = []
@@ -202,9 +222,9 @@ class FinStructure:
         lo, hi = (a, b) if a < b else (b, a)
         return (lo, hi) in self.edges
 
-    @cached_property
+    @_kept
     def _hyper_colors(self) -> dict[tuple[int, ...], int]:
-        # as for _block_index: the first entry for a subset wins
+        # the first entry for a subset wins
         colors: dict[tuple[int, ...], int] = {}
         for stored, color in self.hyper:
             colors.setdefault(stored, color)
@@ -365,6 +385,14 @@ class Kind:
         entries: (name, value) pairs whose values are tuples."""
         return ()
 
+    def type_code(self, s: FinStructure):
+        """A function from an increasing tuple of the member s to a small
+        hashable code, built from payload arrays read here once: for one
+        arity, two tuples have equal codes exactly when they have equal
+        fragments.  The default fits a kind with no payload and no
+        functions: one type per arity."""
+        return lambda tup: 0
+
     def decode(self, cls: ClassKind, m: int, frag: dict):
         """A structure realizing a fragment of m elements, given by a dict of
         its entries, and the element that stands for each fragment position.
@@ -416,6 +444,9 @@ class DisjointOrders(Kind):
     def fragment(self, s, closed, pos):
         return (("parts", tuple([s.part_of(e) for e in closed])),)
 
+    def type_code(self, s):
+        return lambda tup, part=s.parts.__getitem__: tuple(map(part, tup))
+
 
 class ColoredOrder(Kind):
     name = "chi_color"
@@ -445,6 +476,10 @@ class ColoredOrder(Kind):
 
     def fragment(self, s, closed, pos):
         return (("res", tuple([e % s.cls.chi for e in closed])),)
+
+    def type_code(self, s):
+        # chi.__rmod__(e) is e % chi
+        return lambda tup, res=s.cls.chi.__rmod__: tuple(map(res, tup))
 
     def minimal(self, s, mu):
         # the positional subsets of chi*mu elements: the j-th element is
@@ -554,6 +589,14 @@ class Trees(Kind):
         parent = tuple([pos.get(_induced_parent(s, pos, e), -1) for e in closed])
         return (("level", tuple([s.level[e] for e in closed])), ("parent", parent))
 
+    def type_code(self, s):
+        # the levels of the tuple and of the meets of its neighbours: the meet
+        # of t_i and t_j is the shallowest of the neighbour meets between
+        # them, and levels rise strictly down a path, so these levels fix
+        # the closure, its order and its parents
+        level, meet = s.level.__getitem__, partial(tree_meet, s)
+        return lambda tup: (tuple(map(level, tup)), tuple(map(level, map(meet, tup, tup[1:]))))
+
     def minimal(self, s, mu):
         # from the level-0 root, mu children at the next level under every
         # node above the height, in preorder
@@ -609,6 +652,13 @@ class ConvexEquivalence(Kind):
         seen: dict[int, int] = {}
         return (("blocks", tuple([seen.setdefault(s.block_of(e), len(seen)) for e in closed])),)
 
+    def type_code(self, s):
+        # blocks are intervals, so an increasing tuple meets each block in a
+        # run, and whether each element shares the block of the one before
+        # fixes the first-occurrence numbering
+        block = [s.block_of(e) for e in range(s.size)].__getitem__
+        return lambda tup: tuple(map(operator.eq, map(block, tup), map(block, tup[1:])))
+
     def decode(self, cls, m, frag):
         blocks: dict[int, list[int]] = {}
         for i, b in enumerate(frag["blocks"]):
@@ -642,6 +692,10 @@ class OrderedGraphs(Kind):
         edges = [(pos[a], pos[b]) for a, b in itertools.combinations(closed, 2) if s.has_edge(a, b)]
         return (("edges", tuple(edges)),)
 
+    def type_code(self, s):
+        # one bit per pair of the tuple, in the fragment's order
+        return lambda tup, edge=s.edges.__contains__: tuple(map(edge, itertools.combinations(tup, 2)))
+
 
 class Hypergraphs(Kind):
     name = "hypergraph"
@@ -673,6 +727,11 @@ class Hypergraphs(Kind):
         subsets = self.colored_subsets(s.cls, closed)
         colors = [(tuple([pos[e] for e in sub]), s.hyper_color(sub)) for sub in subsets]
         return (("colors", tuple(colors)),)
+
+    def type_code(self, s):
+        # the colours of the fragment's subsets, in its order
+        color, cls = s._hyper_colors.__getitem__, s.cls
+        return lambda tup: tuple(map(color, self.colored_subsets(cls, tup)))
 
     def decode(self, cls, m, frag):
         return FinStructure(cls, m, hyper=frag["colors"]), range(m)

@@ -9,11 +9,17 @@ fragments with no isomorphism search.  A fragment is the sorted (entry,
 value) pairs of the closure size `m`, the generator positions `gen` and the
 kind's atomic data, lists held as tuples; its canonical JSON bytes
 (`TupleType.code`) exist only in documents.  `type_fragment` computes a
-fragment, and `tuple_type` wraps it in a `TupleType`; `Coloring.type_id` and
-`enumerate_types` intern fragments and build one `TupleType` per distinct
-fragment.  A kind with no functions (one that keeps `Kind.close`) closes every
-tuple to itself, so `type_fragment` skips the closure there and relabels the
-tuple alone.
+fragment, the definition of a type, and `tuple_type` wraps it in a
+`TupleType`.  A kind with no functions (one that keeps `Kind.close`) closes
+every tuple to itself, so `type_fragment` skips the closure there and
+relabels the tuple alone.
+
+Typing in bulk goes by type codes instead (`type_coder`, `Kind.type_code`;
+not `TupleType.code`, the document bytes): a small hashable value that the
+kind computes from per-element arrays, equal for two tuples of one arity
+exactly when their fragments are.  `Coloring.type_id` and `enumerate_types`
+intern codes, and compute a fragment and build a `TupleType` once per new
+code.
 
 The atomic data of chi_color and n_tree is read off the ambient structure
 (residues of positions, ambient level labels), so fragments need not
@@ -36,6 +42,7 @@ from .structures import (
     Kind,
     _is_int,
     canonical_json,
+    is_member,
     make_canonical,
     require_fields,
     subset_closure,
@@ -93,10 +100,9 @@ def _freeze(value):
     raise ValueError(f"tuple type code holds {value!r} where integers and lists belong")
 
 
-def type_fragment(s: FinStructure, tup: tuple[int, ...]) -> tuple:
-    """Fragment of an increasing tuple of s, computed in the ambient
-    structure; `tuple_type` wraps it, with the same checks."""
-    tup = tuple(tup)
+def require_tuple(s: FinStructure, tup: tuple) -> None:
+    """Raise ValueError unless the tuple is nonempty, strictly increasing
+    and inside the universe of s."""
     if not tup:
         raise ValueError("tuple must be nonempty")
     for a, b in zip(tup, tup[1:]):
@@ -104,6 +110,13 @@ def type_fragment(s: FinStructure, tup: tuple[int, ...]) -> tuple:
             raise ValueError(f"tuple {tup} is not strictly increasing")
     if tup[0] < 0 or tup[-1] >= s.size:
         raise ValueError(f"tuple {tup} outside universe of size {s.size}")
+
+
+def type_fragment(s: FinStructure, tup: tuple[int, ...]) -> tuple:
+    """Fragment of an increasing tuple of s, computed in the ambient
+    structure; `tuple_type` wraps it, with the same checks."""
+    tup = tuple(tup)
+    require_tuple(s, tup)
     spec = s.cls.spec
     # a kind with no functions closes every tuple to itself
     closed = tup if type(spec).close is Kind.close else subset_closure(s, tup)
@@ -112,6 +125,15 @@ def type_fragment(s: FinStructure, tup: tuple[int, ...]) -> tuple:
     entries += spec.fragment(s, closed, pos)
     entries.sort()
     return tuple(entries)
+
+
+def type_coder(s: FinStructure):
+    """The type code of the member s, `Kind.type_code`.  A code reads
+    payload that only membership vouches for, so a structure that is not a
+    member raises ValueError."""
+    if not is_member(s):
+        raise ValueError(f"{s.cls.label()} structure is not a member of its class, so its tuples have no types")
+    return s.cls.spec.type_code(s)
 
 
 def tuple_type(s: FinStructure, tup: tuple[int, ...]) -> TupleType:
@@ -155,6 +177,8 @@ def enumerate_types(cls: ClassKind, n: int, level: int | None = None) -> list[Tu
         raise ValueError("level must be nonnegative")
     lv = n if level is None else max(level, n)
     base = make_canonical(cls, lv)
-    tuples = itertools.combinations(range(base.size), n)
-    fragments = dict.fromkeys(type_fragment(base, tup) for tup in tuples)
-    return [TupleType(base.cls, n, fragment) for fragment in fragments]
+    tuples, again = itertools.tee(itertools.combinations(range(base.size), n))
+    # codes in first-occurrence order, each with a tuple that has it: the
+    # last, which has the first one's fragment
+    reps = dict(zip(map(type_coder(base), tuples), again))
+    return [TupleType(base.cls, n, type_fragment(base, tup)) for tup in reps.values()]

@@ -313,7 +313,7 @@ def test_one_type_numbering_per_coloring():
 
 
 def test_type_of_is_tuple_type_on_small_members():
-    # type_id interns fragments and builds a TupleType once per new id;
+    # type_id interns type codes and builds a TupleType once per new code;
     # what it hands back is the type tuple_type builds
     rng = random.Random(5)
     for cls in SMALL_KINDS:
@@ -323,13 +323,51 @@ def test_type_of_is_tuple_type_on_small_members():
                 col = random_coloring(base, n, 2, seed=0)
                 for tup in itertools.combinations(range(base.size), n):
                     assert col.type_of(tup) == tuple_type(base, tup), (cls.label(), tup)
-                assert len(col._kinds) == len(col._ids) == len(set(col._kinds))
+                assert len(col._kinds) == len(col._codes) == len(set(col._kinds))
     col = random_coloring(make_canonical(ClassKind("or"), 4), 2, 2, seed=0)
     for tup, message in (((), "nonempty"), ((2, 1), "not strictly increasing"), ((1, 4), "outside universe")):
         with pytest.raises(ValueError, match=message):
             tuple_type(col.base, tup)
         with pytest.raises(ValueError, match=message):
             col.type_id(tup)
+
+
+def test_type_of_checks_the_tuple_on_a_code_hit():
+    # or has one code per arity and ceq's code of a pair is one bit: a tuple
+    # of another arity, or outside the universe, must not read as a known type
+    for cls in (ClassKind("or"), ClassKind("ceq")):
+        col = random_coloring(make_canonical(cls, 3), 2, 2, seed=0)
+        col.type_id((0, 1))
+        for tup, message in (
+            ((1,), "not a 2-tuple"),
+            ((0, 1, 2), "not a 2-tuple"),
+            ((), "nonempty"),
+            ((1, 0), "not strictly increasing"),
+            ((1, 1), "not strictly increasing"),
+            ((-1, 0), "outside universe"),
+            ((1, 9), "outside universe"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                col.type_of(tup)
+        assert list(col._types) == [(0, 1)]
+
+
+def test_typing_on_a_malformed_base_raises_value_error():
+    bases = (
+        FinStructure(ClassKind("chi_or", chi=2), 4, parts=(0, 1)),
+        FinStructure(ClassKind("chi_or", chi=2), 4),
+        FinStructure(ClassKind("ceq"), 4, blocks=((0, 1), (3,))),
+        FinStructure(ClassKind("ceq"), 4, blocks=((0, 2), (1, 3))),
+        FinStructure(ClassKind("n_tree", height=1), 3, parent=(-1, 5, 0), level=(0, 1, 1)),
+        FinStructure(ClassKind("ordered_graph"), 3, edges={(2, 0)}),
+        FinStructure(ClassKind("hypergraph", edge_arity=2, palette=2), 3, hyper=(((), 0), ((0,), 1))),
+    )
+    for base in bases:
+        col = Coloring(base, 2, 2, {})  # typing waits for the first tuple
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a member"):
+                col.type_of((0, 2))
+        assert not col._types
 
 
 def test_each_tuple_is_typed_once_per_coloring(monkeypatch):

@@ -259,3 +259,12 @@ def test_enumerate_types_matches_the_per_tuple_scan():
                 want = _enumerate_types_reference(cls, n, level)
                 got = enumerate_types(cls, n, level)
                 assert got == want, (cls.label(), n, level)
+    # the coded scan at the sizes the CLI and blueprints ask for
+    for cls, n, level in (
+        (ClassKind("ceq"), 5, None),
+        (ClassKind("hypergraph", edge_arity=2, palette=2), 4, 6),
+        (ClassKind("hypergraph", edge_arity=3, palette=2), 3, 5),
+        (ClassKind("n_tree", height=2), 3, 3),
+        (ClassKind("n_tree", height=2), 4, None),
+    ):
+        assert enumerate_types(cls, n, level) == _enumerate_types_reference(cls, n, level), (cls.label(), n, level)
