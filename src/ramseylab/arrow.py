@@ -41,9 +41,12 @@ and raises InternalCheckError if it does not refute.
 One tuple table per query serves every engine: the increasing tuples in
 lexicographic order and one coloring over them that the engines repaint,
 whose `Coloring.type_id` types each tuple once per query, however many
-candidates hold it and samples search it.  The pool scan holds each
-same-type group as one integer mask over the table indices, tuple i at bit
-ntup-1-i, so a coloring read as a base-`colors` number is its index in
+candidates hold it and samples search it.  The pool scan is bit-parallel
+(bit-slicing, Biham 1997; broadword computing, Knuth, TAOCP 4A 7.1.3): it
+takes the colorings in blocks of at most 2^`_BLOCK_BITS`, one bit each,
+that share their leading digits and run through every value of their
+trailing ones, and tests a whole block against a candidate in a few
+integer operations.  A coloring's position is its index in
 `itertools.product` order; a refuting coloring's digits are decoded from
 its index only when one is found.
 
@@ -61,6 +64,7 @@ scanned, search nodes, flips), never wall-clock times.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -79,6 +83,7 @@ from .structures import (
 DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
 _TEMPERATURE = 0.4  # of the counterexample descent's Metropolis acceptance
+_BLOCK_BITS = 12  # a block of the pool scan holds at most 2^12 colorings
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -304,16 +309,11 @@ def _restricted_growth(ntup: int, colors: int):
     lexicographically least member (value precedence, Law & Lee 2004;
     Knuth, TAOCP 4A 7.2.1.5); the module docstring says why that suffices.
 
-    Yields one pair (digits, cmasks) for every string, both updated in
-    place: the color of each tuple, and per color the mask of the tuples of
-    that color, tuple i at bit ntup-1-i.  A step touches only the digits
-    that change.
+    Yields the digits of every string, one list updated in place: the color
+    of each tuple.  A step touches only the digits that change.
     """
     digits = [0] * ntup
-    cmasks = [0] * colors
-    cmasks[0] = (1 << ntup) - 1
-    state = digits, cmasks
-    yield state
+    yield digits
     if ntup < 2:
         return
     top = colors - 1
@@ -323,29 +323,54 @@ def _restricted_growth(ntup: int, colors: int):
     cap[0] = 1
     last = ntup - 1
     while True:
-        i, bit = last, 1
+        i = last
         while digits[i] == cap[i]:
             i -= 1
-            bit <<= 1
         if not i:
             return
-        d = digits[i]
-        digits[i] = d + 1
-        cmasks[d] ^= bit
-        cmasks[d + 1] |= bit
+        digits[i] += 1
         if i < last:
             # the digits after i were at their caps; they restart at 0 under
             # the cap that digit i's new value sets
-            new = cap[i] + (d + 1 == cap[i] < top)
-            j, low = last, 1
-            while j > i:
-                cmasks[digits[j]] ^= low
+            new = cap[i] + (digits[i] == cap[i] < top)
+            for j in range(i + 1, ntup):
                 digits[j] = 0
                 cap[j] = new
-                j -= 1
-                low <<= 1
-            cmasks[0] |= bit - 1
-        yield state
+        yield digits
+
+
+@functools.cache
+def _block_masks(colors: int, low: int) -> tuple[tuple, tuple]:
+    """The masks of a pool scan block whose `low` trailing digits run
+    through its colors**low positions in product order, position p at bit p:
+
+    pattern[j][x]: the positions where trailing digit j is x, runs of `run`
+    repeating with period run * colors, built by doubling;
+
+    growth[m + 1]: the positions whose trailing digits continue a prefix
+    whose largest digit is m (-1 for no prefix) as a restricted-growth
+    string, built by the first trailing digit t over growth one digit
+    shorter: t <= m keeps m, t = m + 1 raises it, and a 0 past the top
+    stops it.
+    """
+    size = colors ** low
+    full = (1 << size) - 1
+    pattern = []
+    for j in range(low):
+        run = colors ** (low - 1 - j)
+        zero, span = (1 << run) - 1, run * colors
+        while span < size:
+            zero |= zero << span
+            span *= 2
+        pattern.append(tuple((zero & full) << (x * run) for x in range(colors)))
+    growth, width = [1] * (colors + 1) + [0], 1
+    for _ in range(low):
+        rep, grown = 0, [growth[1]]
+        for m in range(colors):
+            rep |= 1 << (m * width)
+            grown.append(growth[m + 1] * rep | growth[m + 2] << (m + 1) * width)
+        growth, width = grown + [0], width * colors
+    return tuple(pattern), tuple(growth)
 
 
 def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
@@ -356,60 +381,74 @@ def _scan_pool(cands, ntup: int, colors: int) -> tuple[int, int | None]:
     colorings scanned (the pool size for one with none), and the product
     index of the first coloring with no consistent candidate, or None.
 
-    Each same-type group is one integer mask over the table indices, tuple
-    i at bit ntup-1-i, so coloring k read as a base-`colors` number puts the
-    color of tuple i at digit ntup-1-i.
+    The colorings go in blocks of `colors`**low, one bit each: the leading
+    `high` digits are one restricted-growth prefix, and position p of the
+    block gives the trailing `low` digits the product index p.  Each set of
+    positions is one integer, so one integer operation tests the whole block.
     """
-    bits = [1 << (ntup - 1 - i) for i in range(ntup)]
-    if colors == 2:
-        masks = [[sum(bits[i] for i in g) for g in groups] for _, groups in cands]
-        return _scan_two_colors(masks, 2 ** ntup // 2 or 1)
-    masks = [[(g[0], sum(bits[i] for i in g)) for g in groups] for _, groups in cands]
-    return _scan_many_colors(masks, ntup, colors)
+    low = 0
+    while low < ntup and colors ** (low + 1) <= 1 << _BLOCK_BITS:
+        low += 1
+    high, size = ntup - low, colors ** low
+    full = (1 << size) - 1
+    pattern, growth = _block_masks(colors, low)
+    # per candidate, the positions where its wholly trailing groups are
+    # monochromatic, and its other groups as (first tuple, mask of leading
+    # tuples, patterns of the trailing ones); a group is monochromatic on
+    # the OR over colors of the AND of its tuples' patterns
+    pool = []
+    for _, groups in cands:
+        const, lead = full, []
+        for g in groups:
+            rows = [pattern[i - high] for i in g if i >= high]
+            if min(g) < high:
+                lead.append((min(g), sum(1 << i for i in g if i < high), rows))
+                continue
+            mono = 0
+            for x in range(colors):
+                each = full
+                for row in rows:
+                    each &= row[x]
+                mono |= each
+            const &= mono
+        pool.append((const, lead))
 
-
-def _scan_two_colors(pool, total: int) -> tuple[int, int | None]:
-    """`_scan_pool` with 2 colors: coloring k is the integer `ones` = k,
-    whose set bits are the tuples colored 1, so a group mask gm is
-    monochromatic iff `ones & gm` is 0 or gm.  The restricted-growth strings
-    are those with tuple 0, the top bit, colored 0: the `total` integers
-    below 2^(ntup-1), or the one empty coloring when there is no tuple."""
-    work = 0
-    for ones in range(total):
-        scanned = 0
-        for masks in pool:
-            scanned += 1
-            for gm in masks:
-                hit = ones & gm
-                if hit and hit != gm:
+    def scan(pre, left):
+        # the work of the block of prefix `pre` over the positions `left`,
+        # and those of them that no candidate covers; a group's leading
+        # tuples are monochromatic when the prefix's mask of its first
+        # tuple's color covers them
+        cmasks = [0] * colors
+        for i, x in enumerate(pre):
+            cmasks[x] |= 1 << i
+        work, count = 0, left.bit_count()
+        for const, lead in pool:
+            work += count
+            cover = const
+            for first, lm, rows in lead:
+                x = pre[first]
+                if cmasks[x] & lm != lm:
                     break
+                for row in rows:
+                    cover &= row[x]
             else:
-                work += scanned
-                break
-        else:
-            return work + scanned, ones
-    return work, None
+                rest = left & ~cover
+                if rest != left:
+                    left, count = rest, rest.bit_count()
+                    if not left:
+                        break
+        return work, left
 
-
-def _scan_many_colors(pool, ntup: int, colors: int) -> tuple[int, int | None]:
-    """`_scan_pool` with 3 or more colors, over the masks per color that
-    `_restricted_growth` keeps.  A group is monochromatic iff the mask of
-    its first tuple's color covers it, so each group is kept as
-    (first tuple, gm).
-    """
     work = 0
-    for digits, cmasks in _restricted_growth(ntup, colors):
-        scanned = 0
-        for masks in pool:
-            scanned += 1
-            for first, gm in masks:
-                if cmasks[digits[first]] & gm != gm:
-                    break
-            else:
-                work += scanned
-                break
-        else:
-            return work + scanned, _product_index(digits, colors)
+    for pre in _restricted_growth(high, colors):
+        start = growth[max(pre, default=-1) + 1]
+        spent, left = scan(pre, start)
+        if left:
+            # the lowest position left refutes; the work stops there
+            bit = (left & -left).bit_length() - 1
+            spent, _ = scan(pre, start & ((2 << bit) - 1))
+            return work + spent, _product_index(pre, colors) * size + bit
+        work += spent
     return work, None
 
 
@@ -438,7 +477,7 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
         # orbit directly; the cost is the search nodes
         work = 0
         failing = None
-        for digits, _ in _restricted_growth(ntup, query.colors):
+        for digits in _restricted_growth(ntup, query.colors):
             res = find_type_homogeneous(table.paint(digits), query.sub_level)
             work += res.nodes
             if not res.found:

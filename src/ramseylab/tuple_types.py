@@ -34,13 +34,13 @@ import base64
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .structures import (
     ClassKind,
     FinStructure,
     Kind,
     _is_int,
+    _kept,
     canonical_json,
     is_member,
     make_canonical,
@@ -57,7 +57,7 @@ class TupleType:
     arity: int
     fragment: tuple
 
-    @cached_property
+    @_kept
     def code(self) -> bytes:
         """The fragment's canonical JSON bytes, as documents hold them."""
         return canonical_json(dict(self.fragment)).encode("ascii")

@@ -507,15 +507,11 @@ def _assert_matches_the_product_scan(q) -> None:
 
 @pytest.mark.parametrize("colors", [1, 2, 3, 4])
 def test_restricted_growth_visits_the_least_coloring_of_each_orbit(colors):
-    # the restricted-growth strings in product order, each with its masks
-    # per color, and Sum_{k <= colors} S(ntup, k) of them: one per set
-    # partition of the tuples into at most `colors` blocks
+    # the restricted-growth strings in product order, and Sum_{k <= colors}
+    # S(ntup, k) of them: one per set partition of the tuples into at most
+    # `colors` blocks
     for ntup in range(7):
-        bits = [1 << (ntup - 1 - i) for i in range(ntup)]
-        seen = []
-        for digits, cmasks in _restricted_growth(ntup, colors):
-            seen.append(tuple(digits))
-            assert cmasks == [sum(b for b, d in zip(bits, digits) if d == c) for c in range(colors)]
+        seen = [tuple(digits) for digits in _restricted_growth(ntup, colors)]
         want = [each for each in itertools.product(range(colors), repeat=ntup) if _is_restricted_growth(each)]
         assert seen == want
         stirling = [sum((-1) ** j * math.comb(k, j) * (k - j) ** ntup for j in range(k + 1)) // math.factorial(k)
@@ -523,13 +519,14 @@ def test_restricted_growth_visits_the_least_coloring_of_each_orbit(colors):
         assert len(seen) == sum(stirling)
         assert [_product_digits(_product_index(each, colors), colors, ntup) for each in seen] == list(map(list, seen))
         if colors == 2:
-            # the two-color scan's rule: tuple 0, the top bit, colored 0
+            # with 2 colors, the strings are those with tuple 0 colored 0
             assert [_product_index(each, 2) for each in seen] == list(range(2 ** ntup // 2 or 1))
 
 
 # (class, ambient, sub, arity, colors): candidates of one and of two groups,
 # both verdicts with 2 colors, with 3 and with 4, where a holds verdict runs
-# the odometer through every carry, and no tuple at all
+# through every restricted-growth position of its one block, and no tuple
+# at all
 _MASK_SHAPES = [
     (OR, 5, 3, 2, 2),
     (ClassKind("chi_color", chi=2), 3, 2, 1, 2),
@@ -554,17 +551,49 @@ def test_mask_scan_matches_the_digit_scan(cls, ambient, sub, arity, colors):
     table = _TupleTable(q)
     pool = table.candidates(sub)
     ntup = len(table.tuples)
-    work, failing = 0, None
+    assert _scan_pool(pool, ntup, colors) == _digit_scan(pool, ntup, colors)
+    _assert_matches_the_product_scan(q)
+
+
+def _digit_scan(pool, ntup, colors):
+    """The reference pool scan: the work of the digit-tuple scan over the
+    restricted-growth colorings up to the first with no consistent
+    candidate, and that coloring's product index, or None."""
+    work = 0
     for k, each in enumerate(itertools.product(range(colors), repeat=ntup)):
         if not _is_restricted_growth(each):
             continue
         first = next((j for j, (_, groups) in enumerate(pool, 1) if _consistent(each, groups)), None)
         work += len(pool) if first is None else first
         if first is None:
-            failing = k
-            break
-    assert _scan_pool(pool, ntup, colors) == (work, failing)
-    _assert_matches_the_product_scan(q)
+            return work, k
+    return work, None
+
+
+@pytest.mark.parametrize("colors, ntup, block", [(2, 15, 2 ** 12), (3, 9, 3 ** 7), (4, 8, 4 ** 6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_scan_matches_the_digit_scan_across_blocks(colors, ntup, block, seed):
+    # seeded pools of random groups over more tuples than one block spans,
+    # so the leading digits take several restricted-growth prefixes: a
+    # refutation past the first block, a holds through every block and the
+    # empty pool
+    rng = random.Random(seed)
+
+    def candidates(n):
+        return [(None, [rng.sample(range(ntup), rng.randint(2, 3)) for _ in range(rng.randint(1, 2))])
+                for _ in range(n)]
+
+    # the first candidate covers the first block, whose prefix is all 0
+    later = [(None, [[0, 1]])] + candidates(6)
+    work, failing = _digit_scan(later, ntup, colors)
+    assert failing is not None and failing >= block
+    assert _scan_pool(later, ntup, colors) == (work, failing)
+    # every coloring repeats a color among tuple 0 and the last `colors`
+    pigeons = [0] + list(range(ntup - colors, ntup))
+    holds = candidates(6) + [(None, [list(pair)]) for pair in itertools.combinations(pigeons, 2)]
+    work, failing = _scan_pool(holds, ntup, colors)
+    assert failing is None and (work, failing) == _digit_scan(holds, ntup, colors)
+    assert _scan_pool([], ntup, colors) == _digit_scan([], ntup, colors) == (0, 0)
 
 
 @pytest.mark.parametrize("row", [row for row in PINS if row[5] == "exhaustive"], ids=lambda row: "-".join(map(str, row[:5])))
