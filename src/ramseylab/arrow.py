@@ -20,6 +20,12 @@ Three modes:
   randomized      seeded sample of colorings, each searched exhaustively or up
                   to a node budget; can refute, never proves holds.  A sample
                   that admits no homogeneous subset is the refutation.
+                  Without a budget, the same-type groups of the first
+                  `_KEPT_CAP` subsets the searches find are kept (as
+                  `_ties`), and a sample on which one of them is
+                  homogeneous is decided by that check alone; the cap
+                  bounds the checks a sample costs.  Its work is the kept
+                  subsets tested plus the search nodes.
   counterexample  focused Metropolis descent on the number of pool candidates
                   consistent with the coloring (the live ones).  Each step
                   draws a live candidate, one tuple of its same-type groups
@@ -59,7 +65,7 @@ found is the same.  `colorings_checked` counts the colorings certified, not
 those visited: colors^ntup on a `holds`, and the product index of the
 refutation plus one on a `fails`.  `work` counts what was done for the
 colorings visited.  Work counters are deterministic counts (candidates
-scanned, search nodes, flips), never wall-clock times.
+scanned, kept subsets tested, search nodes, flips), never wall-clock times.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
 _TEMPERATURE = 0.4  # of the counterexample descent's Metropolis acceptance
 _BLOCK_BITS = 12  # a block of the pool scan holds at most 2^12 colorings
+_KEPT_CAP = 64  # most found subsets a randomized run keeps to test samples on
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -489,17 +496,55 @@ def _exhaustive(query: ArrowQuery, ceiling: int) -> Verdict:
     return _refuted(query, col, "exhaustive", work, failing + 1)
 
 
+def _ties(groups) -> list[tuple[int, int]]:
+    """Each same-type group's first table index paired with each of its
+    others: a coloring is homogeneous on the subset whose groups these are
+    (`_TupleTable.groups`) exactly when it colors both of every pair alike."""
+    return [(g[0], i) for g in groups for i in g[1:]]
+
+
+def _first_homogeneous(kept, digits) -> int:
+    """The 1-based position of the first subset in `kept`, each given by its
+    `_ties`, on which `digits` is homogeneous, or 0 when there is none."""
+    for pos, ties in enumerate(kept, 1):
+        for i, j in ties:
+            if digits[i] != digits[j]:
+                break
+        else:
+            return pos
+    return 0
+
+
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:
+    """Search seeded samples for one that admits no homogeneous subset.
+
+    Without a budget, the same-type groups of the first `_KEPT_CAP` subsets
+    the searches find are kept, in the order found, and each sample is
+    tested against them before it is painted: a sample on which a kept
+    subset is homogeneous has a homogeneous subset, so it is decided without
+    a search.  Under a budget every sample is searched, because a covered
+    sample's search might have hit the budget, and the note counts those.
+    The work is the kept subsets tested plus the search nodes.
+    """
     table = _TupleTable(query)
     rng = random.Random(seed)
     work = 0
     inconclusive = 0
+    kept: list[list[tuple[int, int]]] = []  # the `_ties` of found subsets
+    cap = _KEPT_CAP if budget is None else 0
     for k in range(samples):
         sub_seed = rng.randrange(2 ** 32)
-        col = table.paint(random_colors(len(table.tuples), query.colors, sub_seed))
+        digits = random_colors(len(table.tuples), query.colors, sub_seed)
+        tested = _first_homogeneous(kept, digits)
+        work += tested or len(kept)
+        if tested:
+            continue
+        col = table.paint(digits)
         res = find_type_homogeneous(col, query.sub_level, budget=budget)
         work += res.nodes
         if res.found:
+            if len(kept) < cap:
+                kept.append(_ties(table.groups(res.subset)))
             continue
         if res.exhaustive:
             note = f"sample {k} (seed {sub_seed}) admits no homogeneous subset"
@@ -558,8 +603,12 @@ def arrow_check(
 ) -> Verdict:
     """Decide or probe the partition relation for `query`.  See the module
     docstring for the three modes."""
+    if not all(map(_is_int, (seed, samples, ceiling))):
+        raise ValueError(f"seed {seed!r}, samples {samples!r} and ceiling {ceiling!r} must be integers")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if budget is not None and not _is_int(budget):
+        raise ValueError(f"budget {budget!r} must be None or an integer")
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
     if mode == "exhaustive":

@@ -23,7 +23,12 @@ from ramseylab.arrow import (
     verify_refutation,
 )
 from ramseylab.cli import parse_class
-from ramseylab.colorings import find_type_homogeneous, iter_big_member_subsets, random_coloring
+from ramseylab.colorings import (
+    find_type_homogeneous,
+    iter_big_member_subsets,
+    random_coloring,
+    type_homogeneity_witness,
+)
 from ramseylab.structures import ClassKind, InternalCheckError, make_canonical
 from test_arrow_pins import PINS
 
@@ -97,6 +102,24 @@ def test_query_validation():
     # a float would reach arrow_check and fail there with a TypeError
     with pytest.raises(ValueError, match="must be integers"):
         ArrowQuery(OR, 3.0, 1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "mode, probe",
+    [
+        ("randomized", {"samples": True}),  # would be written as JSON true
+        ("counterexample", {"budget": True}),
+        ("exhaustive", {"ceiling": 10.5}),
+        ("randomized", {"samples": 2.5}),
+        ("counterexample", {"budget": 2.5}),  # never equal to a flip count
+        ("randomized", {"budget": 2.5}),
+        ("randomized", {"seed": 1.5}),
+        ("counterexample", {"seed": False}),
+    ],
+)
+def test_probe_options_must_be_integers(mode, probe):
+    with pytest.raises(ValueError, match="integer"):
+        arrow_check(ArrowQuery(OR, 5, 3, 2, 2), mode=mode, **probe)
 
 
 def test_query_doc_roundtrip():
@@ -622,10 +645,27 @@ def _randomized_reference(q, seed, samples, budget):
     return Verdict("unknown", "randomized", work, samples, notes=notes)
 
 
+# (class, ambient, sub, arity, colors): or@4 sub 2 candidates have no
+# same-type group, ordered_graph and ceq subsets hold several groups, and
+# or@8 sub 4 colours triples
+_RANDOMIZED_GRID = [
+    ("or", 5, 3, 2, 2),
+    ("or", 6, 3, 2, 2),
+    ("or", 4, 2, 2, 2),
+    ("ceq", 3, 2, 2, 3),
+    ("n_tree:2", 3, 2, 2, 2),
+    ("chi_or:2", 4, 2, 2, 2),
+    ("ordered_graph", 5, 3, 2, 2),
+    ("or", 8, 4, 3, 2),
+]
+
+
 def test_randomized_on_the_shared_table_matches_fresh_colorings(monkeypatch):
-    # each sample painted into one typed table gives the verdict that a
-    # fresh random_coloring per sample gives; the refutation handed back is
-    # a copy, which later paints of the table leave alone
+    # each sample painted into one typed table, or decided by a subset an
+    # earlier sample's search found, gives the status, colorings checked,
+    # notes and refutation that a fresh random_coloring per sample gives;
+    # the refutation handed back is a copy, which later paints of the table
+    # leave alone.  A cap of 2 kept subsets is reached on most queries.
     tables = []
 
     class Recording(_TupleTable):
@@ -635,16 +675,54 @@ def test_randomized_on_the_shared_table_matches_fresh_colorings(monkeypatch):
 
     monkeypatch.setattr(arrow, "_TupleTable", Recording)
     seen = set()
-    for (cls, ambient, sub, colors), seed, budget in itertools.product(
-        [(OR, 5, 3, 2), (OR, 6, 3, 2), (ClassKind("ceq"), 3, 2, 3)], range(4), [None, 6]
-    ):
-        q = ArrowQuery(cls, ambient, sub, 2, colors)
-        want = _randomized_reference(q, seed, 40, budget).to_doc()
-        got = arrow_check(q, mode="randomized", seed=seed, samples=40, budget=budget)
-        assert got.to_doc() == want
+    saved = 0
+    for row, seed, budget, cap in itertools.product(_RANDOMIZED_GRID, range(3), [None, 6], [arrow._KEPT_CAP, 2]):
+        monkeypatch.setattr(arrow, "_KEPT_CAP", cap)
+        cls, ambient, sub, arity, colors = row
+        q = ArrowQuery(parse_class(cls), ambient, sub, arity, colors)
+        want = _randomized_reference(q, seed, 200, budget).to_doc()
+        got = arrow_check(q, mode="randomized", seed=seed, samples=200, budget=budget)
+        doc = got.to_doc()
+        saved += want.pop("work") - doc.pop("work")
+        assert doc == want, (row, seed, budget, cap)
         seen.add(want["status"] if want["status"] == "fails" else want["notes"][0])
         if got.counterexample is not None:
             tables[-1].paint([colors - 1] * len(tables[-1].tuples))
             assert got.counterexample.to_doc() == want["counterexample"]
     assert "fails" in seen
     assert any(note.endswith(" hit the budget") and not note.endswith(" 0 hit the budget") for note in seen)
+    assert saved > 0
+
+
+def test_randomized_without_kept_subsets_is_the_reference(monkeypatch):
+    # with no subset kept every sample is searched, so the work is the
+    # search nodes alone, as in the reference
+    monkeypatch.setattr(arrow, "_KEPT_CAP", 0)
+    for row, seed in itertools.product(_RANDOMIZED_GRID, range(2)):
+        cls, ambient, sub, arity, colors = row
+        q = ArrowQuery(parse_class(cls), ambient, sub, arity, colors)
+        got = arrow_check(q, mode="randomized", seed=seed, samples=100)
+        assert got.to_doc() == _randomized_reference(q, seed, 100, None).to_doc(), (row, seed)
+
+
+def test_kept_subset_cover_matches_the_witness():
+    # the cover check on a found subset's same-type groups agrees with
+    # type_homogeneity_witness on that subset, over seeded later samples
+    hits = misses = 0
+    for row in _RANDOMIZED_GRID:
+        cls, ambient, sub, arity, colors = row
+        table = _TupleTable(ArrowQuery(parse_class(cls), ambient, sub, arity, colors))
+        rng = random.Random(f"{row}")
+        found = []
+        for _ in range(60):
+            digits = [rng.randrange(colors) for _ in table.tuples]
+            col = table.paint(digits)
+            for subset in found:
+                covered = arrow._first_homogeneous([arrow._ties(table.groups(subset))], digits) == 1
+                assert covered == (type_homogeneity_witness(col, subset) is not None), (row, subset, digits)
+                hits += covered
+                misses += not covered
+            res = find_type_homogeneous(col, sub)
+            if res.found:
+                found.append(res.subset)
+    assert hits and misses

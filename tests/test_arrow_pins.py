@@ -31,14 +31,14 @@ PINS = [
     ("or", 22, 3, 1, 1, "exhaustive", {}, "d53b4f0456eb56772a275bdc8c63e090eb0004f953d656465e9ac1d012079453"),
     ("or", 21, 22, 1, 1, "exhaustive", {}, "2f88c44e1b28a0b9686ae04ead81b50565cfed86eebdb66908efd605b70604c1"),
     ("or", 21, 12, 1, 2, "exhaustive", {}, "a146b9734aff522ca4cd7ed2eb32f335168dc6c6a1d6c2ba0a82b2126b195ad4"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "7e5a0e710648ead32ce103836dae1faf3cb0487f0d00cfccc9c34b6ff32315c4"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "fed500fde1d6bce251fde6501a038caf7c850e364f6951a41a8180a14c619dd2"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "5b971186f6882a999e2169afbbc82b45eef0c9ec928660d5f4a1e8f9fdbcabf0"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "49d425aef583ac52b02bb8d9b12a41c3dd9ed26de54bf5296f5a65be03a0ef94"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "2320dc201425d479d4f96affc4dcf3c69b3260f06c438a97dd80e4c93b34b055"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "1642cc9b63ed539f132081f866a581bc76de481c521f50d4447bdf2442304313"),
     ("or", 5, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "438cb84b265e38c7c0f5dffdcf1e518c9b1bc9007f9f70e9556d5c3ccadb1b21"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "3d3604cb454a35f203490fb83766217d3003fe73af077198e83d91caf43b56ec"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "eee7f593cf4e15d123bd830d1f00423f5c133d77e4ca669f3dfbc4d6a6f7b43b"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "c454a136bab8eaa059938d011f950c580bbd0c9e79c20512537c67c4322b2106"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "6f1c0ed85eed7c17751bd1411b3f2431a599a6b3b6ed2514e69e451a82edca63"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "5b971186f6882a999e2169afbbc82b45eef0c9ec928660d5f4a1e8f9fdbcabf0"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "4823569ab9e5144502ff4970ac18bcf451e132c3a8846de3218461250df59311"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "8058bab8863fc613d69ea34affd79546ee4fa59fdf01a66278ac0330f08467a2"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "8a0e1353f075657612ade19efe355224217bbb2100e5b89f2fa34b8a11edef2f"),
     ("or", 5, 3, 2, 2, "counterexample", {"seed": 0}, "62468faa80fd3803faa1e590a6f00c2e8732d1881f55815cc93c825520f625ec"),
     ("or", 6, 3, 2, 2, "counterexample", {"seed": 0, "budget": 2000}, "c8789a561f30ce57829655368576d5e8783ddcf49eda10ba572883ca12ea4c99"),
     ("or", 10, 3, 2, 3, "counterexample", {"seed": 0, "budget": 300}, "a615a5d6549e24c30c3461008c24cc879d80e7f79d8b8416cafd5c8937b66d1a"),
@@ -84,6 +84,7 @@ FIRST_CAPTURE = {
     14: "59617de65355cd1a221984cd4308621f7c0579692d36185dafc76b81f7f487da",
     15: "0a6af4923e883c0658ae74afd895a2a44038fb03ce38263ff1f140d3d52b0561",
     16: "e8d6c132793077915f68303fa0de53e3f241f907d7d2758f78df5c387780209f",
+    17: "eee7f593cf4e15d123bd830d1f00423f5c133d77e4ca669f3dfbc4d6a6f7b43b",
     18: "9ae5e31855fe31cd31ed80eb9ef36cbc8853d7e33715ce876098e2c9e36857d4",
     19: "6a94fe48f7ae5886811d9148602e30c48697d33be934db5ff9331225c35e92af",
     20: "a34b465b8cc330c6f8f6202f9f5ca47189525280fb11dcb76658c12d7bb7c530",

@@ -92,11 +92,11 @@ PINS = [
      "least ambient level for sub level 3: -\n",
      "33fbfcc515aedffb6c93d3011ad0d64bed00c7c6a795e862842c6653a82651f3"),
     ("table --cls or -n 2 -c 2 --sub-levels 2,3 --ambient-levels 4 --mode randomized --seed 3 --samples 5", 0,
-     "ambient=4 sub=2 unknown (work 15)\n"
+     "ambient=4 sub=2 unknown (work 7)\n"
      "ambient=4 sub=3 fails (work 14)\n"
      "least ambient level for sub level 2: -\n"
      "least ambient level for sub level 3: -\n",
-     "8b37189832025ea3bf112b791ec11c3d07791f3daea9b7617836bec2ffc20223"),
+     "270cde1bf0f40a21ed2864d35d632fa14d89259fef3106bb2a819125169f5853"),
     ("table --cls or -n 2 -c 3 --sub-levels 3 --ambient-levels 3 --ceiling 20000", 0,
      "ambient=3 sub=3 fails (work 3)\n"
      "least ambient level for sub level 3: -\n",
