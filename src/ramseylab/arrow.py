@@ -185,8 +185,10 @@ class _TupleTable:
         monochromatic, so singleton groups are dropped.
         """
         groups: dict[int, list[int]] = {}
+        types, intern, index = self.col._types, self.col._intern, self.index  # sorted, in the ambient
         for combo in itertools.combinations(subset, self.col.arity):
-            groups.setdefault(self.col.type_id(combo), []).append(self.index[combo])
+            t = types.get(combo)
+            groups.setdefault(intern(combo) if t is None else t, []).append(index[combo])
         return [g for g in groups.values() if len(g) > 1]
 
     def candidates(self, sub_level: int) -> list | None:

@@ -62,7 +62,8 @@ class Coloring:
     the type within one base and arity; the fragment is computed and a
     `TupleType` built once per new code.  A tuple is checked to be an
     increasing `arity`-tuple inside the universe the first time it is
-    typed, and a base that is not a member of its class types nothing.
+    typed, and a base that is not a member of its class types nothing;
+    the walker and `arrow`'s tuple table intern theirs unchecked.
     Types depend on the base alone, so a repaint keeps every id; a `copy`
     starts afresh.
     """
@@ -99,18 +100,24 @@ class Coloring:
     def type_id(self, tup: tuple[int, ...]) -> int:
         t = self._types.get(tup)
         if t is None:
-            base, arity, coder = self.base, self.arity, self._coder
-            require_tuple(base, tup)
-            if len(tup) != arity:
-                raise ValueError(f"tuple {tup} is not a {arity}-tuple")
-            if coder is None:
-                coder = self._coder = type_coder(base)
-            code = coder(tup)
-            t = self._codes.get(code)
-            if t is None:
-                t = self._codes[code] = len(self._kinds)
-                self._kinds.append(TupleType(base.cls, arity, type_fragment(base, tup)))
-            self._types[tup] = t
+            require_tuple(self.base, tup)
+            if len(tup) != self.arity:
+                raise ValueError(f"tuple {tup} is not a {self.arity}-tuple")
+            t = self._intern(tup)
+        return t
+
+    def _intern(self, tup: tuple[int, ...]) -> int:
+        # type_id without its checks, for callers whose tuples are known to
+        # be increasing `arity`-tuples inside the universe
+        coder = self._coder
+        if coder is None:
+            coder = self._coder = type_coder(self.base)
+        code = coder(tup)
+        t = self._codes.get(code)
+        if t is None:
+            t = self._codes[code] = len(self._kinds)
+            self._kinds.append(TupleType(self.base.cls, self.arity, type_fragment(self.base, tup)))
+        self._types[tup] = t
         return t
 
     def type_of(self, tup: tuple[int, ...]) -> TupleType:
@@ -267,30 +274,30 @@ class _Budget(Exception):
     pass
 
 
-def _group_slack(base: FinStructure, level: int, elements: list[int]):
-    """The walker's bigness bound: `slack(reach)` says, for the elements
-    whose indices in `elements` are set in the bitmask `reach`, how many of
-    them may go, whichever they are, before fewer than `Kind.needed` groups
-    each hold their quota (`Kind.quotas(base, level)`); negative when that
-    is already so.  At level 0 every subset is big, and all may go."""
+def _group_counts(base: FinStructure, level: int, elements: list[int]):
+    """The walker's bigness bound as exact per-group counts: `group[j]` is
+    the group of `elements[j]`, and `count(reach)` gives, over the elements
+    set in the bitmask `reach`, each group's surplus (its count less its
+    quota, `Kind.quotas(base, level)`) and `short`, `Kind.needed` less the
+    number of groups at quota.  The slack, the needed-th largest surplus,
+    is how many elements may go, whichever they are, before fewer than
+    `needed` groups hold their quotas; it is negative exactly when `short`
+    is positive.  At level 0 every subset is big: one group, quota 0."""
     spec = base.cls.spec
-    if level == 0:
-        return int.bit_count
-    needed, quotas = spec.needed(base.cls, level), spec.quotas(base, level)
-    if needed > len(quotas):
-        return lambda reach: -1
+    needed, quotas = (1, [0]) if level == 0 else (spec.needed(base.cls, level), spec.quotas(base, level))
     if len(quotas) == 1:  # the one group holds every element
-        return lambda reach, quota=quotas[0]: reach.bit_count() - quota
-    masks = [0] * len(quotas)
-    for j, e in enumerate(elements):
-        masks[spec.group_of(base, e)] |= 1 << j
+        group, masks = [0] * len(elements), [(1 << len(elements)) - 1]
+    else:
+        group, masks = [spec.group_of(base, e) for e in elements], [0] * len(quotas)
+        for j, g in enumerate(group):
+            masks[g] |= 1 << j
     groups = list(zip(masks, quotas))
 
-    def slack(reach: int) -> int:
-        # losing r elements lowers the needed-th largest surplus by at most r
-        return sorted([(reach & m).bit_count() - q for m, q in groups])[-needed]
+    def count(reach: int) -> tuple[list[int], int]:
+        surplus = [(reach & m).bit_count() - q for m, q in groups]
+        return surplus, needed - len([r for r in surplus if r >= 0])
 
-    return slack
+    return group, count
 
 
 def _row(col: Coloring, elements: list[int], combo: tuple, after: int) -> dict[int, list[int]]:
@@ -298,7 +305,7 @@ def _row(col: Coloring, elements: list[int], combo: tuple, after: int) -> dict[i
     (elements[j],), j > after, mapped to one bitmask over j per color c, of
     the j whose tuple has that type and a color other than c.  A tuple
     with no entry in the table is left out; taking it reports the gap."""
-    types, table, type_id = col._types, col.table, col.type_id
+    types, table, intern = col._types, col.table, col._intern
     by_type: dict[int, list[int]] = {}
     for j in range(after + 1, len(elements)):
         tup = combo + (elements[j],)
@@ -307,7 +314,7 @@ def _row(col: Coloring, elements: list[int], combo: tuple, after: int) -> dict[i
             continue
         t = types.get(tup)
         if t is None:
-            t = type_id(tup)
+            t = intern(tup)
         masks = by_type.get(t)
         if masks is None:
             masks = by_type[t] = [0] * col.colors
@@ -351,12 +358,12 @@ class _Walk:
 
     At node (chosen, i) `avail` is chosen + free, where free holds the
     elements from i on that may still be taken.  The group counts of
-    `avail` are the walk's only bigness bound, kept as `slack`
-    (`_group_slack`): how many elements it may lose, whichever they are,
-    before fewer than `needed` groups reach their quotas.  The walk prunes
-    when the slack is negative.  Stepping past an element lowers it by
-    one, a take that blocks nothing leaves `avail` and so the slack as
-    they were, and only other steps count afresh.  With nothing blocked,
+    `avail` are the walk's only bigness bound, kept exact as one surplus
+    per group and `short` (`_group_counts`), and the walk prunes when
+    `short` is positive.  Stepping past an element lowers its group's
+    surplus alone, and raises `short` when that falls to -1.  A take saves
+    the counts for its undo, and counts afresh from the group masks only
+    when its blocks change `avail`.  With nothing blocked,
     as without a coloring, the bound is the one the counts of
     chosen + elements[i:] give.  Iterating yields every closed,
     member-inducing subset reached that `Kind.subset_big` finds level-big
@@ -382,10 +389,10 @@ class _Walk:
         spec = base.cls.spec
         veto, big = spec.admit, spec.subset_big
         least = spec.min_size(base.cls, level)
-        group_slack = _group_slack(base, level, elements)
+        group, count = _group_counts(base, level, elements)
         forward = col is not None and col.arity > 1
         if col is not None:
-            types, table, type_id, color, arity = col._types, col.table, col.type_id, col.color, col.arity
+            types, table, intern, color, arity = col._types, col.table, col._intern, col.color, col.arity
         combinations = itertools.combinations
         chosen: list[int] = []
         witness: dict[int, int] = {}
@@ -396,16 +403,18 @@ class _Walk:
             yield ()
         # The node visited is (i, changed): elements before i are decided, and
         # changed says whether the step into it took an element.  `taken`
-        # holds (index, witness type ids it added, avail and len(live) before
-        # it) for each element taken on the current path.  A dead end
-        # backtracks to the latest of them, undoes it and visits the branch
-        # without it; a vetoed element, or one whose tuples conflict with the
-        # witness, goes straight to the branch without it, once the witness
-        # types it fixed are undone.  `seen` marks the elements ever taken.
-        taken: list[tuple[int, list[int], int, int]] = []
-        i, changed, slack = 0, False, -1
+        # holds (index, witness type ids it added, and avail, len(live) and
+        # the group counts before it) for each element taken on the current
+        # path.  A dead end backtracks to the latest of them, undoes it and
+        # visits the branch without it; a vetoed element, or one whose tuples
+        # conflict with the witness, goes straight to the branch without it,
+        # once the witness types it fixed are undone.  `seen` marks the
+        # elements ever taken.
+        taken: list[tuple[int, list[int], int, int, list[int], int]] = []
+        i, changed = 0, False
         nodes, seen = 0, 0
         avail = (1 << len(elements)) - 1
+        surplus, short = count(avail)
         while True:
             nodes += 1
             if budget is not None and nodes > budget:
@@ -415,10 +424,8 @@ class _Walk:
             if changed and k >= least and (level == 0 or big(base, chosen, level)):
                 self.nodes = nodes
                 yield tuple(chosen)
-            if slack < 0:
-                slack = group_slack(avail)
             free = avail >> i << i
-            if free and slack >= 0:
+            if free and short <= 0:
                 if not avail >> i & 1:  # step over blocked elements
                     i = (free & -free).bit_length() - 1
                 e = elements[i]
@@ -429,7 +436,7 @@ class _Walk:
                         tup = combo + (e,)
                         t = types.get(tup)
                         if t is None:
-                            t = type_id(tup)
+                            t = intern(tup)
                         c = table.get(tup)
                         if c is None:  # raises ValueError for a missing entry
                             c = color(tup)
@@ -440,7 +447,7 @@ class _Walk:
                         elif known != c:
                             break
                     else:
-                        taken.append((i, added, avail, len(live)))
+                        taken.append((i, added, avail, len(live), surplus, short))
                         if forward:
                             for row in live if added and live else ():
                                 for t in added:
@@ -461,22 +468,23 @@ class _Walk:
                             else:
                                 seen |= 1 << i
                         chosen.append(e)
-                        if avail != taken[-1][2]:
-                            slack = -1
+                        surplus, short = count(avail) if avail != taken[-1][2] else (surplus[:], short)
                         i, changed = i + 1, True
                         continue
             elif not taken:
                 self.nodes = nodes
                 return
             else:
-                i, added, avail, depth = taken.pop()
+                i, added, avail, depth, surplus, short = taken.pop()
                 chosen.pop()
                 del live[depth:]
-                slack = 0  # the step below lowers it to -1: count afresh
             for t in added:
                 del witness[t]
             avail ^= 1 << i
-            i, changed, slack = i + 1, False, slack - 1
+            g = group[i]
+            surplus[g] -= 1
+            short += surplus[g] == -1
+            i, changed = i + 1, False
 
 
 def _elements(base: FinStructure, within) -> list[int]:

@@ -25,7 +25,7 @@ from ramseylab.blueprints import (
     _key_str,
     check_coherence,
 )
-from ramseylab.colorings import Coloring
+from ramseylab.colorings import Coloring, _group_counts
 from ramseylab.diagrams import Diagram, OutputSignature, TargetStructure, model_diagram, term_program
 from ramseylab.structures import ClassKind, FinStructure, InternalCheckError, from_doc, is_member, make_canonical, require_fields
 from ramseylab.tuple_types import enumerate_types, tuple_type
@@ -64,6 +64,23 @@ SMALL_KINDS = (
     ClassKind("ordered_graph"),
     ClassKind("hypergraph", edge_arity=2, palette=2),
 )
+
+
+def group_slack(base: FinStructure, level: int, elements: list[int]):
+    """The walker's slack read off its group counts (`colorings._group_counts`):
+    for the elements of `reach`, the needed-th largest group surplus, or -1
+    with fewer groups than needed.  Each read also checks that the slack
+    is nonnegative exactly when `short` is not positive."""
+    _, count = _group_counts(base, level, elements)
+    needed = base.cls.spec.needed(base.cls, level) if level else 1
+
+    def slack(reach: int) -> int:
+        surplus, short = count(reach)
+        room = sorted(surplus, reverse=True)[needed - 1] if needed <= len(surplus) else -1
+        assert (room >= 0) == (short <= 0), (reach, surplus, short)
+        return room
+
+    return slack
 
 
 # brute-force typing, independent of the canonical encoder

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import ramseylab
-from helpers import SMALL_KINDS, _atoms, closure_bruteforce, random_member
-from ramseylab.colorings import _group_slack, iter_big_member_subsets
+from helpers import SMALL_KINDS, _atoms, closure_bruteforce, group_slack, random_member
+from ramseylab.colorings import iter_big_member_subsets
 from ramseylab.structures import (
     ClassKind,
     FinStructure,
@@ -415,7 +415,7 @@ def test_kind_rules_match_their_references(cls):
             if cls.kind in ("chi_or", "ceq"):
                 assert spec.min_size(cls, mu) == (cls.chi if cls.kind == "chi_or" else mu) * mu
                 assert list(spec.minimal(s, mu)) == _reference_grouped_minimal(s, mu), (s, mu)
-                slack = _group_slack(s, mu, list(range(s.size)))
+                slack = group_slack(s, mu, list(range(s.size)))
                 for sub in every:
                     want = _reference_enough(cls, _reference_counts(s, sub), mu)
                     assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
@@ -431,7 +431,7 @@ def test_kind_rules_match_their_references(cls):
                 # one group: bigness is cardinality
                 assert spec.min_size(cls, mu) == mu
                 assert list(spec.minimal(s, mu)) == list(itertools.combinations(range(s.size), mu)), (s, mu)
-                slack = _group_slack(s, mu, list(range(s.size)))
+                slack = group_slack(s, mu, list(range(s.size)))
                 for sub in every:
                     want = len(sub) >= mu
                     assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)
@@ -444,7 +444,7 @@ def test_kind_rules_match_their_references(cls):
                 quotas = [mu**d for d in range(cls.height + 1)]
                 assert spec.quotas(s, mu) == quotas
                 assert spec.min_size(cls, mu) == sum(quotas)
-                slack = _group_slack(s, mu, list(range(s.size)))
+                slack = group_slack(s, mu, list(range(s.size)))
                 for sub in every:
                     want = _reference_tree_big(s, sub, mu)
                     assert spec.subset_big(s, list(sub), mu) == want, (s, sub, mu)

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from helpers import SMALL_KINDS, closure_bruteforce, random_member
-from ramseylab.colorings import _group_slack
+from helpers import SMALL_KINDS, closure_bruteforce, group_slack, random_member
+from ramseylab.colorings import _group_counts
 from ramseylab.structures import (
     TABLE,
     ClassKind,
@@ -382,7 +382,7 @@ def test_group_count_bound_matches_bigness_of_the_whole_suffix(cls, lam, within)
     rng = random.Random(7)
     cases = 0
     for level in range(4):
-        slack = _group_slack(s, level, elements)
+        slack = group_slack(s, level, elements)
         for chosen, i in _walk_states(elements):
             rest = chosen + elements[i:]
             want = spec.subset_big(s, rest, level)
@@ -394,6 +394,36 @@ def test_group_count_bound_matches_bigness_of_the_whole_suffix(cls, lam, within)
                 assert spec.subset_big(s, [e for e in rest if e not in lost], level), (level, chosen, i, lost)
             cases += not want
     assert cases > 0
+
+
+def test_group_counts_step_matches_a_recount():
+    # the walker's step past element j lowers surplus[group[j]] by one, and
+    # short rises by one when that surplus falls to -1: on random reaches
+    # that must equal counting the reach without j afresh
+    rng = random.Random(35)
+    steps = over = 0
+    for cls in SMALL_KINDS:
+        spec = cls.spec
+        for _ in range(6):
+            s = random_member(cls, rng)
+            elements = sorted(rng.sample(range(s.size), rng.randint(0, s.size)))
+            for level in range(4):
+                group, count = _group_counts(s, level, elements)
+                if level and spec.groups(s) > 1:
+                    assert group == [spec.group_of(s, e) for e in elements]
+                # more groups needed than there are: short stays positive
+                over += level > 0 and spec.needed(cls, level) > spec.groups(s)
+                for _ in range(20):
+                    reach = rng.getrandbits(len(elements))
+                    if not reach:
+                        continue
+                    j = rng.choice([j for j in range(len(elements)) if reach >> j & 1])
+                    surplus, short = count(reach)
+                    surplus[group[j]] -= 1
+                    short += surplus[group[j]] == -1
+                    assert (surplus, short) == count(reach & ~(1 << j)), (cls.label(), s, level, reach, j)
+                    steps += 1
+    assert steps > 1000 and over > 0
 
 
 def test_tree_ancestors_match_parent_links():

@@ -4,16 +4,24 @@
 `type_fragment` stays the definition.  A code is right when, for one base
 and one arity, two tuples have equal codes exactly when they have equal
 fragments, and `Coloring.type_id`, which interns codes, then numbers types
-as interning fragments did.
+as interning fragments did.  The walker, its rows and `arrow`'s tuple
+table intern tuples without `type_id`'s checks, and putting the checks back
+changes nothing.
 """
 
 import itertools
 import random
 
 from helpers import SMALL_KINDS, random_member
-from ramseylab.colorings import find_type_homogeneous, random_coloring
+from test_arrow_pins import PINS, _sha256
+from test_walk_pins import SEARCH_PINS
+
+from ramseylab.arrow import ArrowQuery, arrow_check
+from ramseylab.cli import parse_class
+from ramseylab.colorings import Coloring, find_type_homogeneous, random_coloring
+from ramseylab.reductions import reduce_ceq, reduce_chicolor
 from ramseylab.structures import TABLE, ClassKind, is_member, make_canonical
-from ramseylab.tuple_types import tuple_type, type_coder, type_fragment
+from ramseylab.tuple_types import require_tuple, tuple_type, type_coder, type_fragment
 
 KINDS = SMALL_KINDS + (
     ClassKind("n_tree", height=1),
@@ -74,3 +82,41 @@ def test_search_ids_follow_the_fragment_numbering():
             assert seen, cls.label()
             assert list(col._types.values()) == _fragment_numbering(base, seen), (cls.label(), seed, res.nodes)
 
+
+def _unchecked_typing_results() -> list:
+    # every walker pin, both reductions on seeded colourings, and the
+    # exhaustive arrow pins, each as the whole result it returns
+    out = []
+    for cls, lam, level, arity, seed, budget, within, subset, exhaustive, nodes in SEARCH_PINS:
+        col = random_coloring(make_canonical(parse_class(cls), lam), arity, 2, seed)
+        res = find_type_homogeneous(col, level, budget=budget, within=within)
+        assert (res.subset, res.exhaustive, res.nodes) == (subset, exhaustive, nodes)
+        out.append(res)
+    for reduce, label, lam in ((reduce_chicolor, "chi_color:2", 3), (reduce_chicolor, "chi_color:3", 3),
+                               (reduce_ceq, "ceq", 2), (reduce_ceq, "ceq", 3)):
+        base = make_canonical(parse_class(label), lam)
+        for seed in range(6):
+            col = random_coloring(base, 2, 2, seed=seed)
+            out += [reduce(col, level).to_doc() for level in (1, 2)]
+    for cls, ambient, sub, arity, colors, mode, kwargs, digest in PINS:
+        if mode == "exhaustive":
+            doc = arrow_check(ArrowQuery(parse_class(cls), ambient, sub, arity, colors), mode=mode, **kwargs).to_doc()
+            assert _sha256(doc) == digest
+            out.append(doc)
+    return out
+
+
+def test_unchecked_typing_passes_the_checks(monkeypatch):
+    plain = _unchecked_typing_results()
+    intern, calls = Coloring._intern, []
+
+    def checked(col, tup):
+        require_tuple(col.base, tup)
+        if len(tup) != col.arity:
+            raise ValueError(f"tuple {tup} is not a {col.arity}-tuple")
+        calls.append(tup)
+        return intern(col, tup)
+
+    monkeypatch.setattr(Coloring, "_intern", checked)
+    assert _unchecked_typing_results() == plain
+    assert len(calls) > 1000
