@@ -17,15 +17,15 @@ Three modes:
                   under renaming the colors, by scanning the pool when it
                   fits under the bound and there are two or more colors, or
                   else by searching the coloring directly.
-  randomized      seeded sample of colorings, each searched exhaustively or up
-                  to a node budget; can refute, never proves holds.  A sample
-                  that admits no homogeneous subset is the refutation.
-                  Without a budget, the same-type groups of the first
-                  `_KEPT_CAP` subsets the searches find are kept (as
-                  `_ties`), and a sample on which one of them is
-                  homogeneous is decided by that check alone; the cap
-                  bounds the checks a sample costs.  Its work is the kept
-                  subsets tested plus the search nodes.
+  randomized      seeded sample of colorings; can refute, never proves
+                  holds.  A sample that admits no homogeneous subset is the
+                  refutation.  Each sample is decided on the pool: it has
+                  a homogeneous subset exactly when some candidate is
+                  homogeneous on it, which the candidates' `_ties` test in
+                  pool order; the work is the candidates tested.  A pool
+                  over the bound is not built, and each sample is searched
+                  instead, exhaustively or up to a node budget, for work
+                  counted in search nodes.
   counterexample  focused Metropolis descent on the number of pool candidates
                   consistent with the coloring (the live ones).  Each step
                   draws a live candidate, one tuple of its same-type groups
@@ -65,7 +65,7 @@ found is the same.  `colorings_checked` counts the colorings certified, not
 those visited: colors^ntup on a `holds`, and the product index of the
 refutation plus one on a `fails`.  `work` counts what was done for the
 colorings visited.  Work counters are deterministic counts (candidates
-scanned, kept subsets tested, search nodes, flips), never wall-clock times.
+scanned or tested, search nodes, flips), never wall-clock times.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ DEFAULT_CEILING = 2 ** 26
 _POOL_CAP = 2 ** 16  # most minimal candidate subsets a pool holds
 _TEMPERATURE = 0.4  # of the counterexample descent's Metropolis acceptance
 _BLOCK_BITS = 12  # a block of the pool scan holds at most 2^12 colorings
-_KEPT_CAP = 64  # most found subsets a randomized run keeps to test samples on
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -505,10 +504,10 @@ def _ties(groups) -> list[tuple[int, int]]:
     return [(g[0], i) for g in groups for i in g[1:]]
 
 
-def _first_homogeneous(kept, digits) -> int:
-    """The 1-based position of the first subset in `kept`, each given by its
+def _first_homogeneous(pool, digits) -> int:
+    """The 1-based position of the first subset in `pool`, each given by its
     `_ties`, on which `digits` is homogeneous, or 0 when there is none."""
-    for pos, ties in enumerate(kept, 1):
+    for pos, ties in enumerate(pool, 1):
         for i, j in ties:
             if digits[i] != digits[j]:
                 break
@@ -520,38 +519,34 @@ def _first_homogeneous(kept, digits) -> int:
 def _randomized(query: ArrowQuery, seed: int, samples: int, budget: int | None) -> Verdict:
     """Search seeded samples for one that admits no homogeneous subset.
 
-    Without a budget, the same-type groups of the first `_KEPT_CAP` subsets
-    the searches find are kept, in the order found, and each sample is
-    tested against them before it is painted: a sample on which a kept
-    subset is homogeneous has a homogeneous subset, so it is decided without
-    a search.  Under a budget every sample is searched, because a covered
-    sample's search might have hit the budget, and the note counts those.
-    The work is the kept subsets tested plus the search nodes.
+    Each sample is decided on the pool: homogeneity is hereditary, so it has
+    a homogeneous subset exactly when some minimal candidate is homogeneous
+    on it (`_first_homogeneous` over the candidates' `_ties`), and the work
+    is the candidates tested.  Past `_POOL_CAP` each sample is painted and
+    searched, up to `budget` nodes, and the work is the search nodes; the
+    note counts the searches that hit the budget.
     """
     table = _TupleTable(query)
+    cands = table.candidates(query.sub_level)
+    pool = None if cands is None else [_ties(groups) for _, groups in cands]
     rng = random.Random(seed)
-    work = 0
-    inconclusive = 0
-    kept: list[list[tuple[int, int]]] = []  # the `_ties` of found subsets
-    cap = _KEPT_CAP if budget is None else 0
+    work = inconclusive = 0
     for k in range(samples):
         sub_seed = rng.randrange(2 ** 32)
         digits = random_colors(len(table.tuples), query.colors, sub_seed)
-        tested = _first_homogeneous(kept, digits)
-        work += tested or len(kept)
-        if tested:
-            continue
-        col = table.paint(digits)
-        res = find_type_homogeneous(col, query.sub_level, budget=budget)
-        work += res.nodes
-        if res.found:
-            if len(kept) < cap:
-                kept.append(_ties(table.groups(res.subset)))
-            continue
-        if res.exhaustive:
-            note = f"sample {k} (seed {sub_seed}) admits no homogeneous subset"
-            return _refuted(query, col, "randomized", work, k + 1, note)
-        inconclusive += 1
+        if pool is not None:
+            tested = _first_homogeneous(pool, digits)
+            work += tested or len(pool)
+            if tested:
+                continue
+        else:
+            res = find_type_homogeneous(table.paint(digits), query.sub_level, budget=budget)
+            work += res.nodes
+            if res.found or not res.exhaustive:
+                inconclusive += not res.found  # the search hit the budget
+                continue
+        note = f"sample {k} (seed {sub_seed}) admits no homogeneous subset"
+        return _refuted(query, table.paint(digits), "randomized", work, k + 1, note)
     notes = (f"{samples} samples searched, {inconclusive} hit the budget",)
     return Verdict("unknown", "randomized", work, samples, notes=notes)
 

@@ -353,9 +353,11 @@ def _add_probe(p: argparse.ArgumentParser) -> None:
     """The options of `_PROBE`, shared by `arrow` and `table`."""
     p.add_argument("--mode", choices=["exhaustive", "randomized", "counterexample"], default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--samples", type=int, default=200, help="randomized: colorings drawn; others: unused")
+    p.add_argument("--budget", type=int, default=None, help="counterexample: flips (default 20000); randomized: "
+                   "search nodes per sample past the pool bound; exhaustive: unused")
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING,
+                   help="exhaustive: refuse a query with more colorings (colors^ntup); others: unused")
 
 
 def _add_coloring_source(p: argparse.ArgumentParser) -> None:

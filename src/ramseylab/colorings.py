@@ -127,7 +127,9 @@ class Coloring:
         return itertools.combinations(range(self.base.size), self.arity)
 
     def is_total(self) -> bool:
-        return all(map(self.table.__contains__, self.all_tuples()))
+        # a short table is partial, told without listing the tuple space
+        short = len(self.table) < math.comb(self.base.size, self.arity)
+        return not short and all(map(self.table.__contains__, self.all_tuples()))
 
     def entries(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.table.items())

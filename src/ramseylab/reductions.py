@@ -90,13 +90,14 @@ def _require_canonical(col: Coloring, kind: str) -> int:
     base = col.base
     if base.cls.kind != kind:
         raise ValueError(f"expected a coloring over a {kind} base")
+    # first, so that a small partial file declaring a huge base exits fast
+    if not col.is_total():
+        raise ValueError("coloring must be total")
     lam = 0
     while base.cls.spec.min_size(base.cls, lam) < base.size:
         lam += 1
     if base != make_canonical(base.cls, lam):
         raise ValueError(f"base must be the canonical {kind} structure")
-    if not col.is_total():
-        raise ValueError("coloring must be total")
     return lam
 
 

@@ -125,9 +125,9 @@ class ClassKind:
 
 
 class _kept:
-    """A cached_property that keeps its value by object.__setattr__, as
-    `is_member` keeps its answer: a write through the instance __dict__
-    would slow every later attribute read of the structure."""
+    """A cached_property that keeps its value by object.__setattr__: the
+    write through the instance __dict__ that cached_property makes would
+    slow every later attribute read of the structure."""
 
     def __init__(self, build):
         self.build, self.name = build, build.__name__
@@ -180,8 +180,6 @@ class FinStructure:
             object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         if self.hyper is not None:
             object.__setattr__(self, "hyper", _freeze_hyper(self.hyper))
-
-    _member = None  # is_member's answer, once asked
 
     # payload accessors used by typing and search; valid only on members
 
@@ -236,6 +234,16 @@ class FinStructure:
             return self._hyper_colors[key]
         except KeyError:
             raise ValueError(f"no color stored for subset {key}") from None
+
+    @_kept
+    def _member(self) -> bool:
+        # is_member's answer: a structure never changes
+        try:
+            spec = self.cls.spec
+            fits = all((getattr(self, f) is not None) == (f in spec.fields) for f in _PAYLOAD)
+            return fits and spec.member(self)
+        except (TypeError, ValueError, IndexError, AttributeError):
+            return False
 
 
 # tree helpers (valid on n_tree members)
@@ -767,17 +775,7 @@ def make_canonical(cls: ClassKind, mu: int) -> FinStructure:
 
 def is_member(s: FinStructure) -> bool:
     """Whether s is a well-formed member of its class.  Malformed payloads
-    answer False, never raise.  A structure never changes, so the answer is
-    kept on it, set by object.__setattr__: a cached_property's write
-    through __dict__ would slow every later attribute read of s."""
-    if s._member is None:
-        try:
-            spec = s.cls.spec
-            fits = all((getattr(s, f) is not None) == (f in spec.fields) for f in _PAYLOAD)
-            member = fits and spec.member(s)
-        except (TypeError, ValueError, IndexError, AttributeError):
-            member = False
-        object.__setattr__(s, "_member", member)
+    answer False, never raise.  The answer is kept on s."""
     return s._member
 
 

@@ -661,11 +661,11 @@ _RANDOMIZED_GRID = [
 
 
 def test_randomized_on_the_shared_table_matches_fresh_colorings(monkeypatch):
-    # each sample painted into one typed table, or decided by a subset an
-    # earlier sample's search found, gives the status, colorings checked,
-    # notes and refutation that a fresh random_coloring per sample gives;
-    # the refutation handed back is a copy, which later paints of the table
-    # leave alone.  A cap of 2 kept subsets is reached on most queries.
+    # each sample decided on the pool of minimal candidates gives the status,
+    # colorings checked, notes and refutation that searching a fresh
+    # random_coloring per sample gives; the refutation handed back is a copy,
+    # which later paints of the table leave alone.  Under a budget the pool
+    # decides every sample exactly, so the verdict is the unbudgeted one.
     tables = []
 
     class Recording(_TupleTable):
@@ -676,53 +676,59 @@ def test_randomized_on_the_shared_table_matches_fresh_colorings(monkeypatch):
     monkeypatch.setattr(arrow, "_TupleTable", Recording)
     seen = set()
     saved = 0
-    for row, seed, budget, cap in itertools.product(_RANDOMIZED_GRID, range(3), [None, 6], [arrow._KEPT_CAP, 2]):
-        monkeypatch.setattr(arrow, "_KEPT_CAP", cap)
+    for row, seed in itertools.product(_RANDOMIZED_GRID, range(3)):
         cls, ambient, sub, arity, colors = row
         q = ArrowQuery(parse_class(cls), ambient, sub, arity, colors)
-        want = _randomized_reference(q, seed, 200, budget).to_doc()
-        got = arrow_check(q, mode="randomized", seed=seed, samples=200, budget=budget)
+        want = _randomized_reference(q, seed, 200, None).to_doc()
+        got = arrow_check(q, mode="randomized", seed=seed, samples=200)
         doc = got.to_doc()
         saved += want.pop("work") - doc.pop("work")
-        assert doc == want, (row, seed, budget, cap)
-        seen.add(want["status"] if want["status"] == "fails" else want["notes"][0])
+        assert doc == want, (row, seed)
+        seen.add(want["status"])
         if got.counterexample is not None:
             tables[-1].paint([colors - 1] * len(tables[-1].tuples))
             assert got.counterexample.to_doc() == want["counterexample"]
-    assert "fails" in seen
-    assert any(note.endswith(" hit the budget") and not note.endswith(" 0 hit the budget") for note in seen)
+        budgeted = arrow_check(q, mode="randomized", seed=seed, samples=200, budget=6).to_doc()
+        for key in ("status", "colorings_checked", "counterexample"):
+            assert budgeted.get(key) == want.get(key), (row, seed, key)
+        if budgeted["status"] == "unknown":
+            assert budgeted["notes"] == ["200 samples searched, 0 hit the budget"]
+    assert seen == {"fails", "unknown"}
     assert saved > 0
 
 
-def test_randomized_without_kept_subsets_is_the_reference(monkeypatch):
-    # with no subset kept every sample is searched, so the work is the
-    # search nodes alone, as in the reference
-    monkeypatch.setattr(arrow, "_KEPT_CAP", 0)
-    for row, seed in itertools.product(_RANDOMIZED_GRID, range(2)):
+def test_randomized_past_the_pool_bound_is_the_reference(monkeypatch):
+    # over the pool bound every sample is painted and searched, up to the
+    # budget, so the whole verdict, work and budget notes included, is the
+    # reference's
+    monkeypatch.setattr(arrow, "_POOL_CAP", 3)
+    hit = False
+    for row, seed, budget in itertools.product(_RANDOMIZED_GRID, range(2), [None, 6]):
         cls, ambient, sub, arity, colors = row
         q = ArrowQuery(parse_class(cls), ambient, sub, arity, colors)
-        got = arrow_check(q, mode="randomized", seed=seed, samples=100)
-        assert got.to_doc() == _randomized_reference(q, seed, 100, None).to_doc(), (row, seed)
+        assert _TupleTable(q).candidates(sub) is None, row
+        want = _randomized_reference(q, seed, 100, budget).to_doc()
+        got = arrow_check(q, mode="randomized", seed=seed, samples=100, budget=budget)
+        assert got.to_doc() == want, (row, seed, budget)
+        hit |= want["status"] == "unknown" and not want["notes"][0].endswith(" 0 hit the budget")
+    assert hit
 
 
-def test_kept_subset_cover_matches_the_witness():
-    # the cover check on a found subset's same-type groups agrees with
-    # type_homogeneity_witness on that subset, over seeded later samples
+def test_pool_ties_match_the_witness():
+    # the tie test on every pool candidate's same-type groups agrees with
+    # type_homogeneity_witness on that candidate, over seeded samples
     hits = misses = 0
     for row in _RANDOMIZED_GRID:
         cls, ambient, sub, arity, colors = row
         table = _TupleTable(ArrowQuery(parse_class(cls), ambient, sub, arity, colors))
+        pool = table.candidates(sub)
         rng = random.Random(f"{row}")
-        found = []
-        for _ in range(60):
+        for _ in range(20):
             digits = [rng.randrange(colors) for _ in table.tuples]
             col = table.paint(digits)
-            for subset in found:
-                covered = arrow._first_homogeneous([arrow._ties(table.groups(subset))], digits) == 1
-                assert covered == (type_homogeneity_witness(col, subset) is not None), (row, subset, digits)
+            for cand, groups in pool:
+                covered = arrow._first_homogeneous([arrow._ties(groups)], digits) == 1
+                assert covered == (type_homogeneity_witness(col, cand) is not None), (row, cand, digits)
                 hits += covered
                 misses += not covered
-            res = find_type_homogeneous(col, sub)
-            if res.found:
-                found.append(res.subset)
     assert hits and misses

@@ -31,14 +31,14 @@ PINS = [
     ("or", 22, 3, 1, 1, "exhaustive", {}, "d53b4f0456eb56772a275bdc8c63e090eb0004f953d656465e9ac1d012079453"),
     ("or", 21, 22, 1, 1, "exhaustive", {}, "2f88c44e1b28a0b9686ae04ead81b50565cfed86eebdb66908efd605b70604c1"),
     ("or", 21, 12, 1, 2, "exhaustive", {}, "a146b9734aff522ca4cd7ed2eb32f335168dc6c6a1d6c2ba0a82b2126b195ad4"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "49d425aef583ac52b02bb8d9b12a41c3dd9ed26de54bf5296f5a65be03a0ef94"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "2320dc201425d479d4f96affc4dcf3c69b3260f06c438a97dd80e4c93b34b055"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "1642cc9b63ed539f132081f866a581bc76de481c521f50d4447bdf2442304313"),
-    ("or", 5, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "438cb84b265e38c7c0f5dffdcf1e518c9b1bc9007f9f70e9556d5c3ccadb1b21"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "5b971186f6882a999e2169afbbc82b45eef0c9ec928660d5f4a1e8f9fdbcabf0"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "4823569ab9e5144502ff4970ac18bcf451e132c3a8846de3218461250df59311"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "8058bab8863fc613d69ea34affd79546ee4fa59fdf01a66278ac0330f08467a2"),
-    ("or", 6, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "8a0e1353f075657612ade19efe355224217bbb2100e5b89f2fa34b8a11edef2f"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "f8afb38aa80070b2549746eef6b499b56ee6fc590b6887fd2b919d127852603a"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "c4eb71e31c50fe87ac4efe1a034e79ebe1ee5eb9bfeab762c5153ba5d6465de1"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "89feef8ef0b9641c2e1adb77e679122187fd2c053a8a3788af01cadf084e89c4"),
+    ("or", 5, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "6fbad822a1f5d4fd4b7645eb16ea7f23a4ea21e46dab10b1202b3d3537fdcc81"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 0, "samples": 40}, "c10670f8ba444ca0467935c4939fc5da8130ec4179cdc3ed36d37ee6e6a43c94"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 1, "samples": 40}, "176272f5573f5156d27e5d42066277de9e72b55e0b805d8133af8979d2cf8c90"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 2, "samples": 40}, "588412090e1fa44e6dad3c3e24f94a2d5be581f650607adf905ee81c73e80218"),
+    ("or", 6, 3, 2, 2, "randomized", {"seed": 3, "samples": 40}, "96ca1ea3d49f0da1d272a4a97144770a5274476d3080aaeb76c29af642c5e614"),
     ("or", 5, 3, 2, 2, "counterexample", {"seed": 0}, "62468faa80fd3803faa1e590a6f00c2e8732d1881f55815cc93c825520f625ec"),
     ("or", 6, 3, 2, 2, "counterexample", {"seed": 0, "budget": 2000}, "c8789a561f30ce57829655368576d5e8783ddcf49eda10ba572883ca12ea4c99"),
     ("or", 10, 3, 2, 3, "counterexample", {"seed": 0, "budget": 300}, "a615a5d6549e24c30c3461008c24cc879d80e7f79d8b8416cafd5c8937b66d1a"),

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import unary_blueprint
-from ramseylab import __version__, arrow, colorings
+from ramseylab import __version__, arrow, colorings, reductions
 from ramseylab.blueprints import Blueprint
 from ramseylab.cli import build_parser, main, parse_class
 from ramseylab.colorings import Coloring
@@ -214,6 +214,30 @@ def test_check_rejects_deeply_nested_json_exits_3(tmp_path, capsys):
     ):
         assert main(argv) == 3
         assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls, base", [
+    ("ceq", {"class": {"kind": "ceq"}, "universe": 10 ** 6, "payload": {"eq_blocks": [[0, 1]]}}),
+    ("chi_color:1", {"class": {"kind": "chi_color", "chi": 1}, "universe": 10 ** 6, "payload": {}}),
+])
+def test_partial_coloring_over_a_huge_base_exits_3_before_the_canonical_check(tmp_path, capsys, monkeypatch, cls, base):
+    # a tiny file may declare a huge universe; totality is checked first, by
+    # counting the entries, so neither the level, the canonical member nor
+    # the tuple space is ever built for it
+    def refuse(*args):
+        raise AssertionError("a structure-sized step was reached")
+
+    monkeypatch.setattr(reductions, "make_canonical", refuse)
+    monkeypatch.setattr(Coloring, "all_tuples", refuse)
+    doc = {"base": base, "arity": 2, "colors": 2, "entries": [[0, 1, 0]]}
+    path = tmp_path / "col.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    params = {"coloring": doc, "level": 2, "budget": None}
+    report.write_text(json.dumps({"command": "reduce", "result": {"params": params}}))
+    for argv in (["reduce", "--cls", cls, "--level", "2", "--coloring", str(path)], ["check", "--report", str(report)]):
+        assert main(argv) == 3
+        assert "coloring must be total" in capsys.readouterr().err
 
 
 def test_reduce_found_and_absent(tmp_path, capsys):
@@ -464,7 +488,7 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    from ramseylab import __version__, arrow, colorings
+    from ramseylab import __version__, arrow, colorings, reductions
 
     assert capsys.readouterr().out.strip() == __version__
 

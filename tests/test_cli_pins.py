@@ -74,9 +74,9 @@ PINS = [
      "bcc097509548c9baff64f4485b660c712650a87faf987761050c5e6e04689cfb"),
     # every probe option on both commands that take them
     ("arrow --cls or --ambient 6 --sub 3 -n 2 -c 2 --mode randomized --seed 2 --samples 10 --budget 3", 2,
-     "unknown (randomized; work 40, colorings 10)\n"
-     "note: 10 samples searched, 10 hit the budget\n",
-     "64d00b66762ff7cb076b008af6f75d77d058bf9a945bdb165b3332b8c7950089"),
+     "unknown (randomized; work 26, colorings 10)\n"
+     "note: 10 samples searched, 0 hit the budget\n",
+     "615d189253249b717d38594f85fe6261aeaa4a015d5287b8b50a864f32ff90e5"),
     ("arrow --cls or --ambient 10 --sub 3 -n 2 -c 3 --mode counterexample --budget 300", 1,
      "fails (counterexample; work 50, colorings 1)\n"
      "note: refutation found after 50 flips\n"
@@ -92,11 +92,11 @@ PINS = [
      "least ambient level for sub level 3: -\n",
      "33fbfcc515aedffb6c93d3011ad0d64bed00c7c6a795e862842c6653a82651f3"),
     ("table --cls or -n 2 -c 2 --sub-levels 2,3 --ambient-levels 4 --mode randomized --seed 3 --samples 5", 0,
-     "ambient=4 sub=2 unknown (work 7)\n"
-     "ambient=4 sub=3 fails (work 14)\n"
+     "ambient=4 sub=2 unknown (work 5)\n"
+     "ambient=4 sub=3 fails (work 4)\n"
      "least ambient level for sub level 2: -\n"
      "least ambient level for sub level 3: -\n",
-     "270cde1bf0f40a21ed2864d35d632fa14d89259fef3106bb2a819125169f5853"),
+     "bf02414565b4d1ee6b5b6875c6782b9f20a7666b736c21c1cf2f42e1f4b907f0"),
     ("table --cls or -n 2 -c 3 --sub-levels 3 --ambient-levels 3 --ceiling 20000", 0,
      "ambient=3 sub=3 fails (work 3)\n"
      "least ambient level for sub level 3: -\n",
