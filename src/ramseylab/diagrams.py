@@ -133,16 +133,13 @@ def enumerate_terms(sig: OutputSignature, arity: int, depth: int) -> tuple[Term,
     pool += [const(c) for c in sig.constants]
     frontier = set(pool)
     for _ in range(depth):
+        # a new term takes an argument from the last layer, so it is deeper
+        # than every term in the pool: none repeats
         nxt: list[Term] = []
-        known = set(pool)
         for fname, farity in sig.functions:
             for args in itertools.product(pool, repeat=farity):
-                if not any(a in frontier for a in args):
-                    continue
-                t = app(fname, *args)
-                if t not in known:
-                    nxt.append(t)
-                    known.add(t)
+                if any(a in frontier for a in args):
+                    nxt.append(app(fname, *args))
         pool += nxt
         frontier = set(nxt)
     return tuple(sorted(pool, key=Term.sort_key))

@@ -209,8 +209,6 @@ def reduce_chicolor(col: Coloring, level: int, budget: int | None = None) -> Red
 
 def compositions_with_zeros(n: int) -> list[tuple[int, ...]]:
     """All tuples (a1..an) of nonnegative counts summing to n, lexicographic."""
-    if n < 1:
-        return [()]
     return [comp for comp in itertools.product(range(n + 1), repeat=n) if sum(comp) == n]
 
 

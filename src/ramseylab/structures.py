@@ -273,8 +273,6 @@ def tree_ancestors(s: FinStructure, e: int) -> tuple[int, ...]:
 
 
 def tree_meet(s: FinStructure, a: int, b: int) -> int:
-    if a == b:
-        return a
     chain = {a, *tree_ancestors(s, a)}
     if b in chain:
         return b
@@ -375,15 +373,10 @@ class Kind:
     def subset_big(self, s: FinStructure, chosen: list[int], mu: int) -> bool:
         """Bigness of the structure the closed subset `chosen`, sorted and
         without repeats, induces."""
-        groups = self.groups(s)
-        if groups == 1:  # the one group holds every element; True counts 1
-            reached = len(chosen) >= mu
-        else:
-            counts = [0] * groups
-            for e in chosen:
-                counts[self.group_of(s, e)] += 1
-            reached = len([c for c in counts if c >= mu])
-        return reached >= self.needed(s.cls, mu)
+        counts = [0] * self.groups(s)
+        for e in chosen:
+            counts[self.group_of(s, e)] += 1
+        return len([c for c in counts if c >= mu]) >= self.needed(s.cls, mu)
 
     def close(self, s: FinStructure, chosen: set[int]) -> None:
         """Add to `chosen` what the class functions generate from it."""
@@ -474,7 +467,6 @@ class ColoredOrder(Kind):
 
     def subset_big(self, s, chosen, mu):
         # every subset is closed; it induces a member when it is positional
-        require_inside(s, chosen)
         chi = s.cls.chi
         return len(chosen) >= chi * mu and all(e % chi == rank % chi for rank, e in enumerate(chosen))
 
@@ -809,8 +801,7 @@ def subset_closure(s: FinStructure, elems) -> tuple[int, ...]:
     for e in chosen:
         if not 0 <= e < s.size:
             raise ValueError(f"element {e} outside universe")
-    if len(chosen) > 1:
-        s.cls.spec.close(s, chosen)
+    s.cls.spec.close(s, chosen)
     return tuple(sorted(chosen))
 
 
@@ -826,10 +817,13 @@ def subset_induces_member(s: FinStructure, subset) -> bool:
 
 def subset_is_big(s: FinStructure, subset, mu: int) -> bool:
     """Bigness of the structure a (closed) subset induces, evaluated without
-    materializing it."""
+    materializing it.  Raises ValueError on a negative level or an element
+    outside the universe."""
     if mu < 0:
         raise ValueError("bigness level must be nonnegative")
-    return mu == 0 or s.cls.spec.subset_big(s, sorted(set(subset)), mu)
+    ordered = sorted(set(subset))
+    require_inside(s, ordered)
+    return mu == 0 or s.cls.spec.subset_big(s, ordered, mu)
 
 
 def induced_substructure(s: FinStructure, subset) -> tuple[FinStructure, tuple[int, ...]]:

@@ -251,6 +251,20 @@ def unary_blueprint() -> Blueprint:
     return Blueprint(cls, sig, 2, 2, (1, 2), ((t1, d1), (t2, d2)))
 
 
+def incoherent_blueprint() -> Blueprint:
+    """A valid blueprint over 2-coloured graphs with no output symbols, each
+    domain type assigned the diagram of distinct variables, that fails
+    `check_coherence`: a pair of the level-2 canonical graph restricts to a
+    vertex type the level-1 canonical graph does not realize."""
+    cls, sig = ClassKind("hypergraph", edge_arity=2, palette=2), OutputSignature()
+    assignments = [
+        (t, Diagram(sig, arity, 0, tuple(range(arity))))
+        for arity, level in ((1, 1), (2, 2))
+        for t in enumerate_types(cls, arity, level)
+    ]
+    return Blueprint(cls, sig, 2, 0, (1, 2), tuple(assignments))
+
+
 def binary_blueprint() -> Blueprint:
     """A binary function g and a constant c over linear orders, at depth 1:
     the diagrams are read off a target where c is 0, g(a, a) = c and

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import SMALL_KINDS, binary_blueprint, em_model_reference, fiber_target, unary_blueprint
+from helpers import SMALL_KINDS, binary_blueprint, em_model_reference, fiber_target, incoherent_blueprint, unary_blueprint
 from ramseylab.blueprints import (
     Blueprint,
     BlueprintDomainError,
@@ -102,6 +102,14 @@ def test_coherence_catches_mismatched_restriction():
     assert any(f["positions"] == [0] for f in failures)
     with pytest.raises(ValueError):
         em_model(bp, make_canonical(OR, 2))
+
+
+def test_coherence_catches_a_restriction_outside_the_domain():
+    bp = incoherent_blueprint()
+    failures = check_coherence(bp)
+    assert failures and {f["reason"] for f in failures} == {"restricted type outside domain"}
+    with pytest.raises(ValueError, match="not coherent"):
+        em_model(bp, make_canonical(bp.cls, 2))
 
 
 def test_unary_model_three_elements():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import unary_blueprint
+from helpers import incoherent_blueprint, unary_blueprint
 from ramseylab import __version__, arrow, colorings, reductions
 from ramseylab.blueprints import Blueprint
 from ramseylab.cli import build_parser, main, parse_class
@@ -95,6 +95,23 @@ def test_counterexample_exit_codes_follow_the_pool(tmp_path, capsys):
         argv = ("arrow", *argv, "-n", "2", "-c", "2", "--mode", "counterexample")
         assert main([*argv, "--json", "--out", str(path)]) == want
         assert run(capsys, "check", "--report", str(path))[0] == 0
+
+
+def test_randomized_refutes_past_the_pool_bound(tmp_path, capsys):
+    # or@25 sub 7 has C(25,7) = 480,700 minimal candidates, over the pool
+    # bound: the descent does not run, while a random 2-colouring of the
+    # pairs holds C(25,7) * 2^-20, about 0.46, monochromatic 7-sets on
+    # average, so the first sample already refutes
+    query = ("arrow", "--cls", "or", "--ambient", "25", "--sub", "7", "-n", "2", "-c", "2", "--seed", "0")
+    sampled, descent = tmp_path / "sampled.json", tmp_path / "descent.json"
+    assert main([*query, "--mode", "randomized", "--samples", "5", "--json", "--out", str(sampled)]) == 1
+    v = json.loads(sampled.read_text())["result"]["verdict"]
+    assert (v["status"], v["work"], v["colorings_checked"]) == ("fails", 796, 1)
+    assert run(capsys, "check", "--report", str(sampled))[0] == 0
+    assert main([*query, "--mode", "counterexample", "--json", "--out", str(descent)]) == 2
+    v = json.loads(descent.read_text())["result"]["verdict"]
+    assert (v["status"], v["work"], v["colorings_checked"]) == ("unknown", 0, 0)
+    assert v["notes"] == ["more than 65536 minimal candidate subsets; no descent was run"]
 
 
 def test_arrow_json_repeatable(capsys):
@@ -564,6 +581,29 @@ CHECK = ("check", "--report", "FILE")
 REDUCE = ("reduce", "--cls", "ceq", "--level", "1", "--coloring", "FILE")
 
 
+def _set(*path):
+    *keys, last, value = path
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _em_blueprint(mutate):
+    """The unary blueprint's document, with one nested field changed."""
+    bp = unary_blueprint().to_doc()
+    mutate(bp)
+    return bp
+
+
+# an arity-3 type, outside the unary blueprint's domain of arities 1 and 2
+_OUTSIDE = [enumerate_types(ClassKind("or"), 3)[0].to_doc(), {"arity": 3, "depth": 2, "eq": [0], "atoms": []}]
+EM = ("em", "--blueprint", "FILE", "--level", "2")
+
+
 @pytest.mark.parametrize(
     "doc, argv, named",
     [
@@ -587,9 +627,22 @@ REDUCE = ("reduce", "--cls", "ceq", "--level", "1", "--coloring", "FILE")
             CHECK,
             "sub_levels",
         ),
+        (_ceq_coloring(**{"class": {"kind": "ceq", "chi": 2}}), REDUCE, "unexpected keys ['chi'] for class ceq"),
+        (_ceq_coloring(payload={"eq_blocks": [[0, 1], [2, 3]], "parts": []}), REDUCE,
+         "unexpected payload keys ['parts'] for ceq"),
+        (_ceq_coloring(universe=-1), REDUCE, "malformed ceq payload: size must be nonnegative"),
+        (_em_blueprint(_set("n_max", 0)), EM, "n_max must be at least 1"),
+        (_em_blueprint(lambda bp: bp["assignments"].append(_OUTSIDE)), EM,
+         "assignments cover types outside the domain"),
+        # f(f(x0)) represented by f(x0), which x0 represents
+        (_em_blueprint(_set("assignments", 0, 1, "eq", [0, 0, 1])), EM,
+         "representative 1 is not its own representative"),
+        (incoherent_blueprint().to_doc(), EM, "blueprint is not coherent"),
     ],
     ids=["params-list", "class-list", "class-param-string", "arity-string",
-         "coloring-class-list", "eq-blocks-int", "payload-list", "query-list", "level-list-strings"],
+         "coloring-class-list", "eq-blocks-int", "payload-list", "query-list", "level-list-strings",
+         "coloring-class-extra-key", "coloring-payload-extra-key", "coloring-negative-universe",
+         "blueprint-n_max-0", "blueprint-type-outside-domain", "blueprint-rep-not-own", "blueprint-incoherent"],
 )
 def test_malformed_nested_fields_exit_3(tmp_path, capsys, doc, argv, named):
     code, err = _run_on_json(tmp_path, capsys, doc, *argv)
@@ -599,20 +652,7 @@ def test_malformed_nested_fields_exit_3(tmp_path, capsys, doc, argv, named):
 
 def _em_report(mutate):
     """An `em` report of the unary blueprint, with one nested field changed."""
-    bp = unary_blueprint().to_doc()
-    mutate(bp)
-    return {"command": "em", "result": {"params": {"blueprint": bp, "level": 2}}}
-
-
-def _set(*path):
-    *keys, last, value = path
-
-    def mutate(doc):
-        for key in keys:
-            doc = doc[key]
-        doc[last] = value
-
-    return mutate
+    return {"command": "em", "result": {"params": {"blueprint": _em_blueprint(mutate), "level": 2}}}
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,11 @@ def test_enumerate_terms_depth_zero_and_growth():
     ]
     # depth two applies g to every ordered pair of depth-logical-one terms
     assert len(enumerate_terms(binary, 1, 2)) == 2 + 3
+    # two binary functions and a constant: 2 terms at depth 0, 2 * 2^2 at
+    # depth 1 and 2 * (10^2 - 2^2) at depth 2, none built twice
+    two = OutputSignature(functions=(("g", 2), ("h", 2)), constants=("k",))
+    terms = enumerate_terms(two, 1, 2)
+    assert len(terms) == len(set(terms)) == len({t.spelling() for t in terms}) == 2 + 8 + 192
 
 
 def test_enumerate_terms_cached():
@@ -172,6 +177,13 @@ def test_target_validation():
     ok = TargetStructure(sig, 2, {"f": {(0,): 1, (1,): 0}}, {"R": frozenset({(1,)})}, {})
     assert ok.eval_term(app("f", var(0)), (0,)) == 1
     assert ok.relations["R"] == {(1,)}
+    consts = OutputSignature(constants=("c",))
+    assert TargetStructure(consts, 2, {}, {}, {"c": 1}).constants == {"c": 1}
+    with pytest.raises(ValueError, match="constant symbols do not match the signature"):
+        TargetStructure(consts, 2, {}, {}, {})
+    for val in (2, -1):
+        with pytest.raises(ValueError, match="constant 'c' outside universe"):
+            TargetStructure(consts, 2, {}, {}, {"c": val})
 
 
 def test_target_doc_roundtrip():

@@ -195,6 +195,7 @@ def test_reduce_chicolor_failed_lift_returns_direct_search_subset():
 
 
 def test_compositions_with_zeros():
+    assert compositions_with_zeros(0) == [()]
     assert compositions_with_zeros(1) == [(1,)]
     assert compositions_with_zeros(2) == [(0, 2), (1, 1), (2, 0)]
     three = compositions_with_zeros(3)

@@ -275,6 +275,18 @@ def test_tree_meet_closure():
     a, b = leaves[0], leaves[-1]
     assert tree_meet(s, a, b) == 0
     assert subset_closure(s, (a, b)) == (0, a, b)
+    for e in range(s.size):
+        assert tree_meet(s, e, e) == e
+        for anc in tree_ancestors(s, e):
+            assert tree_meet(s, e, anc) == tree_meet(s, anc, e) == anc
+
+
+def test_closure_of_fewer_than_two_elements_adds_nothing():
+    for cls in SMALL_KINDS:
+        s = make_canonical(cls, 2)
+        assert subset_closure(s, ()) == ()
+        for e in range(s.size):
+            assert subset_closure(s, (e,)) == (e,)
 
 
 def test_chi_color_positional_membership():
@@ -315,9 +327,17 @@ def test_colored_subset_big_matches_induced_definition(chi, lam):
             for mu in range(1, 4):
                 want = subset_induces_member(s, chosen) and len(chosen) >= chi * mu
                 assert spec.subset_big(s, list(chosen), mu) == want
-    for bad in ([0, s.size], [-1, 0], [s.size]):
-        with pytest.raises(ValueError, match="outside universe"):
-            spec.subset_big(s, bad, 1)
+
+
+def test_subset_is_big_rejects_elements_outside_the_universe():
+    # the module-level function checks its input, so no kind has to
+    assert {cls.kind for cls in SMALL_KINDS} == set(TABLE)
+    for cls in SMALL_KINDS:
+        s = make_canonical(cls, 2)
+        for bad in ([0, s.size], [-1, 0], [s.size], [-1, 7, 100]):
+            for mu in (0, 1):
+                with pytest.raises(ValueError, match="outside universe"):
+                    subset_is_big(s, bad, mu)
 
 
 def test_no_subset_below_min_size_is_big():
