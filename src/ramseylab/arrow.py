@@ -40,9 +40,10 @@ Three modes:
                   over the bound gives `unknown` and no descent, and so does
                   one color, which leaves no move.
 
-Every engine returns its `fails` through `_refuted`, which re-verifies the
-refuting coloring with `verify_refutation`, an independent exhaustive search,
-and raises InternalCheckError if it does not refute.
+Every engine returns its `fails` through `_refuted`, which re-verifies a
+copy of the refuting coloring with `verify_refutation`, an exhaustive walker
+search: another engine for the pool's refutations, the same one run again for
+the walker's own; and raises InternalCheckError if it does not refute.
 
 One tuple table per query serves every engine: the increasing tuples in
 lexicographic order and one coloring over them that the engines repaint,
@@ -184,10 +185,9 @@ class _TupleTable:
         monochromatic, so singleton groups are dropped.
         """
         groups: dict[int, list[int]] = {}
-        types, intern, index = self.col._types, self.col._intern, self.index  # sorted, in the ambient
+        type_id, index = self.col.type_id, self.index
         for combo in itertools.combinations(subset, self.col.arity):
-            t = types.get(combo)
-            groups.setdefault(intern(combo) if t is None else t, []).append(index[combo])
+            groups.setdefault(type_id(combo), []).append(index[combo])
         return [g for g in groups.values() if len(g) > 1]
 
     def candidates(self, sub_level: int) -> list | None:
@@ -274,7 +274,8 @@ class _Energy:
 
 
 def verify_refutation(query: ArrowQuery, col: Coloring) -> bool:
-    """Independent exhaustive check that a coloring refutes the query."""
+    """Exhaustive walker check that a coloring refutes the query: independent
+    of the pool scan and the descent, but the same search again for the walker's own."""
     base = make_canonical(query.cls, query.ambient_level)
     if col.base != base or col.arity != query.arity or col.colors != query.colors:
         return False

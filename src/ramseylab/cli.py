@@ -18,7 +18,7 @@ emitted, or a report that does not re-verify), 2 inconclusive (unknown or
 absent within budget), 3 usage or input errors, 4 failed internal checks.
 `main` maps exceptions to codes by family: every self-check raises
 `InternalCheckError` (exit 4), and every input error is a ValueError or an
-OSError (exit 3).
+OSError (exit 3), as is every argument the parser refuses.
 """
 
 from __future__ import annotations
@@ -371,11 +371,18 @@ def _add_coloring_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coloring", help="JSON coloring file instead of a seeded one")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3, the input-error code; argparse's 2 means inconclusive here."""
+
+    def error(self, message: str):
+        self.exit(3, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     `main` call; parsing leaves it unchanged, so callers must not alter it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramseylab",
         description="finite workbench for structural partition relations",
         epilog=(

@@ -63,7 +63,7 @@ class Coloring:
     `TupleType` built once per new code.  A tuple is checked to be an
     increasing `arity`-tuple inside the universe the first time it is
     typed, and a base that is not a member of its class types nothing;
-    the walker and `arrow`'s tuple table intern theirs unchecked.
+    the walker interns its tuples unchecked.
     Types depend on the base alone, so a repaint keeps every id; a `copy`
     starts afresh.
     """

@@ -13,8 +13,9 @@ argument index points at an earlier row because arguments are shallower.
 Per-tuple work reads the program bottom-up instead of recursing over `Term`
 trees: `model_diagram` evaluates it into a flat list of values,
 `Diagram.validate` checks variables and congruence through the argument
-indices, and blueprint instantiation interns each instantiated term as a
-flat key over the ids of its argument rows.
+indices, `Diagram.restrict` renames each row of the sub-tuple's program to
+a row of the diagram's own, and blueprint instantiation interns each
+instantiated term as a flat key over the ids of its argument rows.
 
 Restriction maps an n-tuple diagram to the diagram of a sub-tuple by renaming
 variables, and commutes with reading diagrams off a target.  That commuting
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .structures import require_fields
+from .structures import require_fields, require_positions
 
 _RESERVED = re.compile(r"^x[0-9]*$")
 
@@ -58,14 +59,6 @@ class Term:
 
     def sort_key(self) -> tuple[int, str]:
         return (self.depth(), self.spelling())
-
-    def rename(self, positions: tuple[int, ...]) -> "Term":
-        """Map variable j to variable positions[j]."""
-        if self.is_var():
-            return Term("x", positions[self.index])
-        if not self.args:
-            return self
-        return Term(self.head, -1, tuple(a.rename(positions) for a in self.args))
 
 
 def var(i: int) -> Term:
@@ -231,24 +224,16 @@ class Diagram:
                     raise ValueError("atom indices must be representatives")
 
     def restrict(self, positions: tuple[int, ...]) -> "Diagram":
-        """Diagram of the sub-tuple at the given strictly increasing
-        positions, at the same depth."""
-        k = len(positions)
-        if k < 1 or list(positions) != sorted(set(positions)):
-            raise ValueError("positions must be strictly increasing and nonempty")
-        if positions[-1] >= self.arity:
-            raise ValueError("position outside tuple")
-        # each small term denotes the class of its renaming in this diagram,
-        # and atoms transfer along those classes
-        big_index = {t: i for i, t in enumerate(self.terms())}
-        values = [
-            self.eq_reps[big_index[t.rename(positions)]]
-            for t in enumerate_terms(self.sig, k, self.depth)
-        ]
-        return _build_diagram(self.sig, k, self.depth, values, self.atom_rows().__getitem__)
-
-    def sort_key(self):
-        return (self.arity, self.eq_reps, tuple(sorted(self.true_atoms)))
+        """Diagram of the sub-tuple at the given strictly increasing positions, at the same depth."""
+        require_positions(positions, self.arity)
+        # small row i denotes the class of big row renamed[i]: the same head, the
+        # renamed variable and the arguments' big rows; atoms follow the classes
+        big_row = {row: i for i, row in enumerate(term_program(self.sig, self.arity, self.depth))}
+        renamed: list[int] = []
+        for head, v, args in term_program(self.sig, len(positions), self.depth):
+            renamed.append(big_row[head, positions[v] if v >= 0 else -1, tuple([renamed[a] for a in args])])
+        values = [self.eq_reps[i] for i in renamed]
+        return _build_diagram(self.sig, len(positions), self.depth, values, self.atom_rows().__getitem__)
 
     def to_doc(self) -> dict:
         return {

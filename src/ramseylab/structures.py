@@ -72,6 +72,16 @@ def require_inside(s: FinStructure, ordered) -> None:
         raise ValueError(f"element {ordered[0] if ordered[0] < 0 else ordered[-1]} outside universe")
 
 
+def require_positions(positions: tuple[int, ...], arity: int) -> None:
+    """Raise ValueError unless the positions are nonempty, strictly increasing and inside 0..arity-1."""
+    if not positions:
+        raise ValueError("positions must be nonempty")
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"positions {positions} not strictly increasing")
+    if positions[0] < 0 or positions[-1] >= arity:
+        raise ValueError(f"positions {positions} outside arity {arity}")
+
+
 def _spec(kind) -> "Kind":
     spec = TABLE.get(kind) if isinstance(kind, str) else None
     if spec is None:

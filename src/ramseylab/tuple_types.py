@@ -45,6 +45,7 @@ from .structures import (
     is_member,
     make_canonical,
     require_fields,
+    require_positions,
     subset_closure,
 )
 
@@ -150,13 +151,7 @@ def restrict_type(p: TupleType, positions: tuple[int, ...]) -> TupleType:
     type invariance.
     """
     positions = tuple(positions)
-    if not positions:
-        raise ValueError("positions must be nonempty")
-    for a, b in zip(positions, positions[1:]):
-        if a >= b:
-            raise ValueError(f"positions {positions} not strictly increasing")
-    if positions[0] < 0 or positions[-1] >= p.arity:
-        raise ValueError(f"positions {positions} outside arity {p.arity}")
+    require_positions(positions, p.arity)
     entries = dict(p.fragment)
     frag, place = p.cls.spec.decode(p.cls, entries["m"], entries)
     return tuple_type(frag, tuple(place[entries["gen"][i]] for i in positions))

@@ -144,6 +144,24 @@ def test_em_rejects_wrong_class():
         em_model(bp, make_canonical(ClassKind("ceq"), 2))
 
 
+def test_em_and_extract_refuse_a_non_member_index():
+    # blocks must be intervals, and (0, 2) is not one
+    cls, sig = ClassKind("ceq"), OutputSignature()
+    bad = FinStructure(cls, 3, blocks=((0, 2), (1,)))
+    assignments = [
+        (t, Diagram(sig, arity, 0, tuple(range(arity))))
+        for arity, level in ((1, 1), (2, 2))
+        for t in enumerate_types(cls, arity, level)
+    ]
+    bp = Blueprint(cls, sig, 2, 0, (1, 2), tuple(assignments))
+    assert check_coherence(bp) == []
+    with pytest.raises(ValueError, match="index structure is not a member of its class"):
+        em_model(bp, bad)
+    target, assignment = fiber_target(3, 0)
+    with pytest.raises(ValueError, match="index structure is not a member of its class"):
+        extract_blueprint(target, assignment, bad, 2, 2, (1, 2))
+
+
 def test_em_support_overflow_on_binary_function():
     sig = OutputSignature(functions=(("g", 2),))
     t1 = enumerate_types(OR, 1, 1)[0]

@@ -38,8 +38,39 @@ def test_parse_class_shorthand():
 def test_bad_class_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["types", "--cls", "banana", "-n", "2"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("arrow", "--cls", "bogus", "--ambient", "3", "--sub", "2", "-n", "2", "-c", "2"),
+         "cannot parse class 'bogus'"),
+        (("arrow", "--cls", "chi_or:0", "--ambient", "3", "--sub", "2", "-n", "2", "-c", "2"),
+         "chi must be at least 1"),
+        (("arrow", "--cls", "or", "--ambient", "3", "--sub", "2", "-n", "2", "-c", "2", "--mode", "nope"),
+         "invalid choice: 'nope'"),
+        (("arrow", "--cls", "or", "--ambient", "x", "--sub", "2", "-n", "2", "-c", "2"),
+         "invalid int value: 'x'"),
+        (("table", "--cls", "or", "-n", "2", "-c", "2", "--sub-levels", "1,x", "--ambient-levels", "2"),
+         "cannot parse int list '1,x'"),
+    ],
+    ids=["unknown-class", "class-parameter", "mode", "int", "int-list"],
+)
+def test_refused_arguments_exit_3(capsys, argv, named):
+    # 2 means inconclusive, so a usage error exits with the input-error code
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 3
+    assert named in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["arrow", "--help"])
+    assert exc.value.code == 0
+    assert "--ambient" in capsys.readouterr().out
 
 
 def test_types_text_and_json(capsys):

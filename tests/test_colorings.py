@@ -87,6 +87,17 @@ def test_coloring_validation():
         find_type_homogeneous(partial, 3)
 
 
+def test_walker_reports_a_gap_its_forward_row_left_out():
+    # every pair of a linear order has one type, so each 3-subset tried
+    # conflicts; the walk backtracks to the empty set and takes 1 again,
+    # which builds 1's forward row without the missing (1, 2), and taking 2
+    # next reads the gap
+    table = {(0, 1): 0, (0, 2): 1, (0, 3): 0, (1, 3): 1, (2, 3): 0}
+    partial = Coloring(make_canonical(ClassKind("or"), 4), 2, 2, table)
+    with pytest.raises(ValueError, match=re.escape("coloring has no entry for tuple (1, 2)")):
+        find_type_homogeneous(partial, 3)
+
+
 def test_witness_against_bruteforce():
     for cls in SMALL_KINDS:
         for seed in range(15):
@@ -243,8 +254,9 @@ def test_iter_big_member_subsets_is_lazy():
     [
         lambda base: next(iter_big_member_subsets(base, -1)),
         lambda base: subset_is_big(base, [0], -1),
+        lambda base: find_type_homogeneous(Coloring.from_function(base, 1, 1, lambda t: 0), -1),
     ],
-    ids=["iter_big_member_subsets", "subset_is_big"],
+    ids=["iter_big_member_subsets", "subset_is_big", "find_type_homogeneous"],
 )
 @pytest.mark.parametrize("cls", SMALL_KINDS, ids=ClassKind.label)
 def test_negative_level_is_rejected(check, cls):

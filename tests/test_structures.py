@@ -12,6 +12,7 @@ from ramseylab.structures import (
     ClassKind,
     FinStructure,
     dumps,
+    embed_canonical,
     from_doc,
     induced_substructure,
     is_big,
@@ -464,6 +465,29 @@ def test_induced_relabels_in_order():
     assert back == (1, 3)
     assert frag.size == 2
     assert frag.has_edge(0, 1) == s.has_edge(1, 3)
+
+
+@pytest.mark.parametrize("subset", [(1,), (0, 2)])
+def test_induced_refuses_a_non_positional_chi_color_subset(subset):
+    # element i has colour i mod chi, so relabeled elements keep their
+    # colours only when the subset's colours run 0, 1, 0, 1, ...
+    s = make_canonical(ClassKind("chi_color", chi=2), 2)
+    with pytest.raises(ValueError, match="subset does not induce a member of the class"):
+        induced_substructure(s, subset)
+
+
+def test_canonical_rejects_negative_level():
+    with pytest.raises(ValueError, match="bigness level must be nonnegative"):
+        make_canonical(ClassKind("or"), -1)
+
+
+def test_embed_canonical_refuses_another_class_and_a_small_target():
+    cls = ClassKind("or")
+    assert embed_canonical(cls, 2, make_canonical(cls, 3)) == (0, 1)
+    with pytest.raises(ValueError, match="target is from a different class"):
+        embed_canonical(cls, 2, make_canonical(ClassKind("ceq"), 2))
+    with pytest.raises(ValueError, match="target is not a mu-big member"):
+        embed_canonical(cls, 3, make_canonical(cls, 2))
 
 
 def test_canonical_chain_embeds():

@@ -246,6 +246,11 @@ def test_enumeration_rejects_negative_level():
         enumerate_types(ClassKind("or"), 2, -1)
 
 
+def test_enumeration_rejects_arity_zero():
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        enumerate_types(ClassKind("or"), 0)
+
+
 def _enumerate_types_reference(cls, n, level=None):
     # the scan enumerate_types replaced: one TupleType per tuple, deduplicated
     base = make_canonical(cls, n if level is None else max(level, n))
